@@ -1,31 +1,33 @@
 """Batch checking of files with hermetic relative imports.
 
 Each file names its dependencies with ``#import "path"`` directives resolved
-relative to its own directory; there is no search path.  Files are checked
-in dependency order, and files whose imports are all finished may be checked
-concurrently.  Every file sees exactly the declarations of its transitive
-import closure, so results do not depend on scheduling.
+relative to its own directory; there is no search path.  Every file is read,
+lexed and parsed once, when it is first reached.  Files are then checked one
+after another, in one thread, in a deterministic dependency order.  Every
+file sees exactly the declarations of its transitive import closure, and the
+names in that closure that failed to check.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .checker import CheckEnv, check_module
 from .diagnostics import Diagnostic
-from .parser import imports_of, parse_module
+from .parser import parse_module
 
 
 @dataclass
 class FileReport:
     path: str  # as given on the command line or via imports
+    source: str | None = None  # None if the file could not be read
     io_error: bool = False
     parse_diagnostics: list[Diagnostic] = field(default_factory=list)
     check_diagnostics: list[Diagnostic] = field(default_factory=list)
     decl_names: list[str] = field(default_factory=list)
+    postulates: frozenset[str] = frozenset()  # the accepted decl_names without a body
     axiom_usage: dict[str, frozenset[str]] = field(default_factory=dict)
 
     @property
@@ -69,103 +71,74 @@ def _norm(path: str) -> str:
     return os.path.normpath(os.path.abspath(path))
 
 
-def check_files(
-    paths: list[str], max_unfold: int = 10_000, jobs: int = 1
-) -> BatchResult:
+def _closure(key: str, imports: dict[str, list[str]]) -> set[str]:
+    # iterative so import cycles terminate (they are diagnosed separately)
+    got: set[str] = set()
+    stack = list(imports[key])
+    while stack:
+        d = stack.pop()
+        if d not in got:
+            got.add(d)
+            stack.extend(imports[d])
+    return got
+
+
+def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
     """Parse, resolve and check the given files plus their import closures."""
     start = time.monotonic()
-    display: dict[str, str] = {}
-    sources: dict[str, str] = {}
-    imports: dict[str, list[str]] = {}
     reports: dict[str, FileReport] = {}
+    decls: dict[str, list] = {}
+    imports: dict[str, list[str]] = {}
     queue = [(p, _norm(p)) for p in paths]
-    seen: set[str] = set()
 
     while queue:
         shown, key = queue.pop(0)
-        if key in seen:
+        if key in reports:
             continue
-        seen.add(key)
-        display.setdefault(key, shown)
-        report = reports.setdefault(key, FileReport(path=display[key]))
+        report = reports[key] = FileReport(path=shown)
+        decls[key], imports[key] = [], []
         try:
             with open(key, "r", encoding="utf-8") as fh:
-                sources[key] = fh.read()
+                report.source = fh.read()
         except OSError as e:
             report.io_error = True
             report.parse_diagnostics.append(
                 Diagnostic("error", "E-IO", f"cannot read '{shown}': {e.strerror}", file=shown)
             )
-            imports[key] = []
             continue
-        deps = []
-        base = os.path.dirname(key)
-        for rel, _span in imports_of(sources[key]):
-            dep_key = _norm(os.path.join(base, rel))
-            dep_shown = os.path.join(os.path.dirname(display[key]), rel)
-            deps.append(dep_key)
-            queue.append((dep_shown, dep_key))
-        imports[key] = deps
+        decls[key], pdiags, found = parse_module(report.source)
+        for d in pdiags:
+            d.file = shown
+        report.parse_diagnostics.extend(pdiags)
+        for rel, _span in found:
+            dep_key = _norm(os.path.join(os.path.dirname(key), rel))
+            imports[key].append(dep_key)
+            queue.append((os.path.join(os.path.dirname(shown), rel), dep_key))
 
     # deterministic topological order: repeatedly take the lexicographically
     # first file whose imports are all placed
     order: list[str] = []
-    placed: set[str] = set()
-    remaining = set(seen)
+    remaining = set(reports)
     while remaining:
-        ready = sorted(
-            k for k in remaining if all(d in placed or d not in seen for d in imports[k])
-        )
+        ready = sorted(k for k in remaining if not remaining.intersection(imports[k]))
         if not ready:
             for k in sorted(remaining):
+                path = reports[k].path
                 reports[k].parse_diagnostics.append(
                     Diagnostic(
-                        "error",
-                        "E-IMPORT-CYCLE",
-                        f"import cycle involving '{display[k]}'",
-                        file=display[k],
+                        "error", "E-IMPORT-CYCLE", f"import cycle involving '{path}'", file=path
                     )
                 )
-            order.extend(sorted(remaining))
-            remaining.clear()
-            break
-        for k in ready:
-            order.append(k)
-            placed.add(k)
-            remaining.discard(k)
-
-    closures: dict[str, set[str]] = {}
-
-    def closure(key: str) -> set[str]:
-        # iterative so import cycles terminate (they are diagnosed above)
-        got = closures.get(key)
-        if got is None:
-            got = set()
-            stack = [d for d in imports.get(key, []) if d in seen]
-            while stack:
-                d = stack.pop()
-                if d in got:
-                    continue
-                got.add(d)
-                stack.extend(x for x in imports.get(d, []) if x in seen)
-            closures[key] = got
-        return got
+            ready = sorted(remaining)
+        order.extend(ready)
+        remaining.difference_update(ready)
 
     envs: dict[str, CheckEnv] = {}
-    total_j = 0
-
-    def process(key: str) -> None:
-        nonlocal total_j
+    result = BatchResult(reports=reports, order=order)
+    for key in order:
         report = reports[key]
-        if report.io_error:
-            envs[key] = CheckEnv(max_unfold=max_unfold)
-            return
-        decls, pdiags = parse_module(sources[key])
-        for d in pdiags:
-            d.file = report.path
-        report.parse_diagnostics.extend(pdiags)
         env = CheckEnv(max_unfold=max_unfold)
-        for dep in sorted(closure(key)):
+        for dep in sorted(_closure(key, imports)):
             dep_env = envs.get(dep)
             if dep_env is None:
                 continue
@@ -183,33 +156,17 @@ def check_files(
                 env.decls[name] = decl
             env.axioms.update(dep_env.axioms)
             env.axiom_usage.update(dep_env.axiom_usage)
+            env.failed.update(dep_env.failed)
         before = set(env.decls)
-        env, cdiags, _usage = check_module(env, decls)
+        _, cdiags, _ = check_module(env, decls[key])
         for d in cdiags:
             d.file = report.path
         report.check_diagnostics.extend(cdiags)
         report.decl_names = [n for n in env.decls if n not in before]
+        report.postulates = frozenset(n for n in report.decl_names if env.decls[n].is_postulate)
         report.axiom_usage = {n: env.axiom_usage[n] for n in report.decl_names}
-        total_j += env.j_fired
+        result.j_fired += env.j_fired
         envs[key] = env
 
-    pending = {k: set(d for d in imports[k] if d in seen) for k in order}
-    done: set[str] = set()
-    if jobs <= 1:
-        for key in order:
-            process(key)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            remaining_keys = list(order)
-            while remaining_keys:
-                wave = [k for k in remaining_keys if pending[k] <= done]
-                if not wave:  # cycle diagnostics already emitted
-                    wave = remaining_keys[:]
-                list(pool.map(process, wave))
-                done.update(wave)
-                remaining_keys = [k for k in remaining_keys if k not in wave]
-
-    result = BatchResult(reports=reports, order=order)
-    result.j_fired = total_j
     result.wall_seconds = time.monotonic() - start
     return result

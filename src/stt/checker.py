@@ -10,7 +10,6 @@ paths, constant unfolding up to a depth limit, and the boundary rule.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic
@@ -70,19 +69,8 @@ class CheckEnv:
     axioms: set[str] = field(default_factory=set)
     axiom_usage: dict[str, frozenset[str]] = field(default_factory=dict)
     max_unfold: int = 10_000
-    flags: set[str] = field(default_factory=set)
     j_fired: int = 0  # identity-eliminator computation counter
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def snapshot(self) -> "CheckEnv":
-        env = CheckEnv(
-            decls=dict(self.decls),
-            axioms=set(self.axioms),
-            axiom_usage=dict(self.axiom_usage),
-            max_unfold=self.max_unfold,
-            flags=set(self.flags),
-        )
-        return env
+    failed: set[str] = field(default_factory=set)  # names that did not check
 
 
 def _fail(code: str, message: str, **kw) -> CheckFailure:
@@ -876,11 +864,10 @@ def check_declaration(env: CheckEnv, decl: Declaration) -> list[Diagnostic]:
         usage |= env.axiom_usage.get(r, frozenset())
         if r in env.axioms:
             usage.add(r)
-    with env.lock:
-        env.decls[decl.name] = decl
-        if decl.body is None:
-            env.axioms.add(decl.name)
-        env.axiom_usage[decl.name] = frozenset(usage)
+    env.decls[decl.name] = decl
+    if decl.body is None:
+        env.axioms.add(decl.name)
+    env.axiom_usage[decl.name] = frozenset(usage)
     return []
 
 
@@ -889,13 +876,15 @@ def check_module(
 ) -> tuple[CheckEnv, list[Diagnostic], dict[str, frozenset[str]]]:
     """Sequentially resolve and check surface declarations.
 
-    A failed declaration is recorded so later references to it produce one
-    E-DEPENDS-ON-FAILED diagnostic rather than an error cascade.
+    A failed declaration is recorded in ``env.failed`` so later references to
+    it, here or in an importing file, produce one E-DEPENDS-ON-FAILED
+    diagnostic rather than an error cascade.
     """
     from .resolve import FAILED, ResolveError, resolve
 
     diags: list[Diagnostic] = []
-    name_table: dict[str, object] = dict(env.decls)
+    name_table: dict[str, object] = dict.fromkeys(env.failed, FAILED)
+    name_table.update(env.decls)
     for sdecl in decls:
         try:
             declaration = resolve(sdecl, name_table)
@@ -906,11 +895,13 @@ def check_module(
                 )
             )
             name_table[sdecl.name] = FAILED
+            env.failed.add(sdecl.name)
             continue
         errs = check_declaration(env, declaration)
         if errs:
             diags.extend(errs)
             name_table[sdecl.name] = FAILED
+            env.failed.add(sdecl.name)
         else:
             name_table[sdecl.name] = env.decls[sdecl.name]
     return env, diags, dict(env.axiom_usage)

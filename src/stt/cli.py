@@ -5,16 +5,23 @@ diagnostics in deterministic (file, span) order; ``stt axioms`` prints each
 declaration's transitive postulate set; ``stt corpus`` runs the bundled
 corpus against its manifest.  ``--json`` switches to machine-readable
 output whose content, apart from the ``timing`` object, is byte-identical
-across runs on identical inputs.
+across runs on identical inputs.  Files are checked one after another in one
+thread; ``--jobs`` is accepted for compatibility and does not change the
+work done or the output.
 
-Exit codes: 0 clean, 1 type errors, 2 I/O or parse failure of any input.
+Exit codes: 0 clean, 1 type errors, 2 I/O or parse failure of any input
+(including ``E-NESTING-DEPTH`` for a declaration nested too deeply to
+parse), a bad flag value, or an internal error, which is reported as one
+``E-INTERNAL`` diagnostic on stderr instead of a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import traceback
 
 from .batch import BatchResult, check_files
 from .corpus import corpus_check, load_manifest
@@ -63,22 +70,14 @@ def emit_json(diagnostics: list[Diagnostic], report: dict, wall_seconds: float) 
 
 
 def _print_human(batch: BatchResult, explain_tope: bool) -> None:
-    sources: dict[str, str] = {}
-    for key in batch.order:
-        rep = batch.reports[key]
-        if not rep.io_error:
-            try:
-                with open(key, "r", encoding="utf-8") as fh:
-                    sources[rep.path] = fh.read()
-            except OSError:
-                pass
+    sources = {rep.path: rep.source for rep in batch.reports.values()}
     for d in batch.all_diagnostics:
         src = sources.get(d.file or "")
         print(d.render(source=src, explain_tope=explain_tope), file=sys.stderr)
 
 
 def cmd_check(args) -> int:
-    batch = check_files(args.paths, max_unfold=args.max_unfold, jobs=args.jobs)
+    batch = check_files(args.paths, max_unfold=args.max_unfold)
     diags = batch.all_diagnostics
     if args.json:
         decls = sum(len(r.decl_names) for r in batch.reports.values())
@@ -98,7 +97,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    batch = check_files(args.paths, max_unfold=args.max_unfold, jobs=args.jobs)
+    batch = check_files(args.paths, max_unfold=args.max_unfold)
     if batch.exit_code() != 0:
         _print_human(batch, explain_tope=False)
         return batch.exit_code()
@@ -119,7 +118,7 @@ def cmd_axioms(args) -> int:
 
 def cmd_corpus(args) -> int:
     manifest = load_manifest(args.manifest)
-    report = corpus_check(manifest, max_unfold=args.max_unfold, jobs=args.jobs)
+    report = corpus_check(manifest, max_unfold=args.max_unfold)
     if args.json:
         entries = [
             {
@@ -162,7 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--jobs", type=int, default=1, help="parallel file checking")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="accepted for compatibility; files are always checked in one thread",
+        )
         p.add_argument(
             "--max-unfold", type=int, default=10_000, help="definition unfolding limit"
         )
@@ -197,7 +201,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_unfold < 1:
         print("error: --max-unfold must be at least 1", file=sys.stderr)
         return 2
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as e:  # a fault in stt, not in the input: no traceback
+        where = traceback.extract_tb(e.__traceback__)[-1]
+        message = f"internal error: {type(e).__name__}: {e}"
+        message += f" (raised at {os.path.basename(where.filename)}:{where.lineno})"
+        print(Diagnostic("error", "E-INTERNAL", message).render(), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

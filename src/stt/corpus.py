@@ -56,7 +56,6 @@ class CorpusReport:
     results: list[EntryResult] = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     wall_seconds: float = 0.0
-    j_fired: int = 0
 
     @property
     def ok(self) -> bool:
@@ -91,47 +90,28 @@ def load_manifest(path: str | None = None) -> CorpusManifest:
 
 
 def corpus_check(
-    manifest: CorpusManifest | str | None = None, max_unfold: int = 10_000, jobs: int = 1
+    manifest: CorpusManifest | str | None = None, max_unfold: int = 10_000
 ) -> CorpusReport:
     """Check every corpus file and verify each manifest entry's contract."""
     if not isinstance(manifest, CorpusManifest):
         manifest = load_manifest(manifest)
     base = os.path.dirname(manifest.path)
     files = [os.path.join(base, f) for f in manifest.files()]
-    batch = check_files(files, max_unfold=max_unfold, jobs=jobs)
+    batch = check_files(files, max_unfold=max_unfold)
     report = CorpusReport(manifest=manifest)
     report.diagnostics = batch.all_diagnostics
     report.wall_seconds = batch.wall_seconds
-    report.j_fired = batch.j_fired
-
-    by_file: dict[str, dict[str, frozenset[str]]] = {}
-    for key in batch.order:
-        fr = batch.reports[key]
-        rel = os.path.relpath(key, base)
-        by_file[rel] = dict(fr.axiom_usage)
-
-    # postulate-ness comes from the surface form, which parses deterministically
-    from .parser import parse_module
-
-    decl_is_postulate: dict[str, bool] = {}
-    for key in batch.order:
-        try:
-            with open(key, "r", encoding="utf-8") as fh:
-                decls, _ = parse_module(fh.read())
-        except OSError:
-            continue
-        for d in decls:
-            decl_is_postulate[d.name] = d.is_postulate
+    by_file = {os.path.relpath(key, base): batch.reports[key] for key in batch.order}
 
     for entry in manifest.entries:
-        usage_map = by_file.get(entry.file, {})
-        if entry.name not in usage_map:
+        fr = by_file.get(entry.file)
+        if fr is None or entry.name not in fr.axiom_usage:
             report.results.append(EntryResult(entry, "rejected" if any(
                 d.decl == entry.name for d in report.diagnostics
             ) else "missing"))
             continue
-        usage = usage_map[entry.name]
-        is_post = decl_is_postulate.get(entry.name, False)
+        usage = fr.axiom_usage[entry.name]
+        is_post = entry.name in fr.postulates
         if entry.tier == "PROVED" and is_post:
             report.results.append(
                 EntryResult(entry, "tier-violation", usage, "expected a proof, found a postulate")

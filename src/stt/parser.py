@@ -4,6 +4,8 @@ Top-level forms are ``def`` and ``postulate`` declarations plus ``#import``
 directives; ``#section`` markers are skipped.  A malformed declaration
 produces one diagnostic and the parser resynchronizes at the next top-level
 keyword, so one bad declaration never takes the rest of the file with it.
+A declaration nested too deeply for the recursive descent is reported the
+same way, as ``E-NESTING-DEPTH``.
 
 Operator precedence, loosest to tightest: ``→`` (right associative), ``∨``,
 ``∧``, the comparisons ``≤ ≡ ∼`` (non-associative), ``×``, application.
@@ -23,8 +25,6 @@ class ParseFailure(Exception):
         self.message = message
         self.span = span
 
-
-_DECL_KEYWORDS = {"def", "postulate", "#import", "#section"}
 
 # Tokens that may begin an atom, used to drive application parsing.
 _ATOM_KEYWORDS = {
@@ -395,19 +395,27 @@ def _respan(e: S.SExpr, span: Span):
     return dataclasses.replace(e, span=span)
 
 
-def _filter_code_tokens(tokens: list[Token]) -> list[Token]:
-    return [t for t in tokens if t.kind != TokenKind.LAYOUT]
+def parse_module(
+    source: str,
+) -> tuple[list[S.SurfaceDecl], list[Diagnostic], list[tuple[str, Span]]]:
+    """Parse all declarations, reporting one diagnostic per malformed one.
 
-
-def parse_module(source: str) -> tuple[list[S.SurfaceDecl], list[Diagnostic]]:
-    """Parse all declarations, reporting one diagnostic per malformed one."""
+    Also returns the paths of the ``#import "..."`` directives, in source
+    order; a source that does not lex has none.
+    """
     decls: list[S.SurfaceDecl] = []
     diags: list[Diagnostic] = []
     try:
         tokens = tokenize(source)
     except LexError as e:
         diags.append(Diagnostic("error", e.code, e.message, e.span))
-        return decls, diags
+        return decls, diags, []
+    imports = []
+    for t in tokens:
+        if t.canon == "#import":
+            rest = t.lexeme[len("#import") :].strip()
+            if rest.startswith('"') and rest.endswith('"') and len(rest) >= 2:
+                imports.append((rest[1:-1], t.span))
 
     eof_span = tokens[-1].span if tokens else Span(0, 0, 1, 1, 1, 1)
     p = _Parser(tokens, eof_span)
@@ -432,7 +440,14 @@ def parse_module(source: str) -> tuple[list[S.SurfaceDecl], list[Diagnostic]]:
         except ParseFailure as e:
             diags.append(Diagnostic("error", "E-PARSE", e.message, e.span))
             _resync(p)
-    return decls, diags
+        except RecursionError:
+            diags.append(
+                Diagnostic(
+                    "error", "E-NESTING-DEPTH", "declaration is nested too deeply", t.span
+                )
+            )
+            _resync(p)
+    return decls, diags, imports
 
 
 def _resync(p: _Parser) -> None:
@@ -442,17 +457,7 @@ def _resync(p: _Parser) -> None:
 
 def imports_of(source: str) -> list[tuple[str, Span]]:
     """Paths of the ``#import "..."`` directives, in source order."""
-    out = []
-    try:
-        tokens = tokenize(source)
-    except LexError:
-        return out
-    for t in tokens:
-        if t.canon == "#import":
-            rest = t.lexeme[len("#import") :].strip()
-            if rest.startswith('"') and rest.endswith('"') and len(rest) >= 2:
-                out.append((rest[1:-1], t.span))
-    return out
+    return parse_module(source)[2]
 
 
 def parse_expr(source: str) -> S.SExpr:

@@ -125,7 +125,7 @@ def test_c2_named_entailments_exact():
 def corpus_env():
     env = CheckEnv()
     for name in ORDER:
-        decls, diags = parse_module((STDLIB / name).read_text(encoding="utf-8"))
+        decls, diags, _ = parse_module((STDLIB / name).read_text(encoding="utf-8"))
         assert not diags
         env, cdiags, _ = check_module(env, decls)
         assert not cdiags, [(d.decl, d.code) for d in cdiags]
@@ -230,7 +230,7 @@ def test_c5_mutation_suite_killed_at_target(tmp_path):
         if rep.ok:
             continue
         errs = [d for d in rep.diagnostics if d.severity == "error" and d.decl == target]
-        decls, _ = parse_module((MUTANTS / mutant).read_text(encoding="utf-8"))
+        decls, _, _ = parse_module((MUTANTS / mutant).read_text(encoding="utf-8"))
         tspan = next(d.span for d in decls if d.name == target)
         if any(
             d.span is not None
@@ -247,10 +247,10 @@ def test_c6_parser_round_trip_fixpoint():
     total = 0
     for path in CORPUS_FILES:
         src = path.read_text(encoding="utf-8")
-        decls, diags = parse_module(src)
+        decls, diags, _ = parse_module(src)
         assert not diags, path.name
         printed = print_module(decls)
-        decls2, diags2 = parse_module(printed)
+        decls2, diags2, _ = parse_module(printed)
         assert not diags2, path.name
         assert [skeleton(d) for d in decls] == [skeleton(d) for d in decls2], path.name
         assert print_module(decls2) == printed, path.name

@@ -68,7 +68,7 @@ ORDER = [
 def corpus_env():
     env = CheckEnv()
     for name in ORDER:
-        decls, diags = parse_module((STDLIB / name).read_text(encoding="utf-8"))
+        decls, diags, _ = parse_module((STDLIB / name).read_text(encoding="utf-8"))
         assert not diags
         env, cdiags, _ = check_module(env, decls)
         assert not cdiags, [(d.decl, d.code, d.message) for d in cdiags]
@@ -76,7 +76,7 @@ def corpus_env():
 
 
 def _check_src(src: str):
-    decls, diags = parse_module(src)
+    decls, diags, _ = parse_module(src)
     assert not diags, diags
     env = CheckEnv()
     return check_module(env, decls)
@@ -307,7 +307,7 @@ def test_check_boundary_mismatch_reports_e_boundary():
 
 def test_check_declaration_extends_env_and_axiom_set():
     env = CheckEnv()
-    decls, _ = parse_module("postulate ax (A : U) : A\ndef use (A : U) : A := (ax A)")
+    decls, _, _ = parse_module("postulate ax (A : U) : A\ndef use (A : U) : A := (ax A)")
     env2, diags, usage = check_module(env, decls)
     assert not diags
     assert "ax" in env2.axioms
@@ -329,7 +329,7 @@ def test_check_module_failure_then_dependency():
 
 def test_body_type_mismatch_leaves_env_unchanged():
     env = CheckEnv()
-    decls, _ = parse_module("def bad (A : U) : A := U")
+    decls, _, _ = parse_module("def bad (A : U) : A := U")
     env2, diags, _ = check_module(env, decls)
     assert len(diags) == 1
     assert "bad" not in env2.decls
@@ -379,7 +379,7 @@ def test_boundary_coherence_sweep(corpus_env):
 
     env = CheckEnv()
     for name in ORDER:
-        decls, _ = parse_module((STDLIB / name).read_text(encoding="utf-8"))
+        decls, _, _ = parse_module((STDLIB / name).read_text(encoding="utf-8"))
         for sdecl in decls:
             from stt.resolve import resolve
 

@@ -189,3 +189,36 @@ def test_duplicate_name_across_imports(tmp_path):
     r = run_cli("check", str(tmp_path / "main.stt"))
     assert r.returncode == 1
     assert "E-DUPLICATE-NAME" in r.stderr
+
+
+_DEEP_INPUTS = {
+    "parentheses": "def deep : U := " + "(" * 3000 + "U" + ")" * 3000 + "\n",
+    "arrows": "def chain : " + " → ".join(["U"] * 2001) + " := U\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DEEP_INPUTS))
+def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path, kind):
+    f = tmp_path / "deep.stt"
+    f.write_text(_DEEP_INPUTS[kind] + "def ok (A : U) : U := A\n", encoding="utf-8")
+    r = run_cli("check", "--json", str(f))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    doc = json.loads(r.stdout)
+    assert [d["code"] for d in doc["diagnostics"]] == ["E-NESTING-DEPTH"]
+    assert doc["summary"]["declarations"] == 1  # the parser resynchronized
+
+
+def test_internal_error_is_one_diagnostic(monkeypatch, capsys):
+    import stt.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(stt.cli, "check_files", broken)
+    assert stt.cli.main(["check", "x.stt"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("E-INTERNAL") == 1
+    assert "broken on purpose" in err
+    assert "test_cli.py" in err  # names where it was raised
+    assert "Traceback" not in err

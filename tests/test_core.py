@@ -108,7 +108,7 @@ def test_scope_validation_accepts_resolver_output():
 def k (A : U) : U := A
 def f (A : U) (x : A) : A := (λ a ↦ a) x
 """
-    decls, diags = parse_module(src)
+    decls, diags, _ = parse_module(src)
     assert not diags
     env = {}
     for d in decls:

@@ -134,7 +134,7 @@ def test_manifest_covers_every_corpus_declaration(report):
     base = pathlib.Path(report.manifest.path).parent
     listed = {(e.file, e.name) for e in report.manifest.entries}
     for f in report.manifest.files():
-        decls, _ = parse_module((base / f).read_text(encoding="utf-8"))
+        decls, _, _ = parse_module((base / f).read_text(encoding="utf-8"))
         for d in decls:
             assert (f, d.name) in listed, (f, d.name)
 
@@ -157,3 +157,31 @@ def test_removing_a_stated_postulate_breaks_dependents(tmp_path, report):
     assert not rep.ok
     codes = {d.code for d in rep.diagnostics}
     assert "E-UNBOUND-NAME" in codes
+
+
+@pytest.mark.parametrize(
+    "name, old, new, detail",
+    [
+        ("ua", "STATED", "PROVED", "expected a proof, found a postulate"),
+        ("idfun", "PROVED", "STATED", "expected a postulate, found a proof"),
+    ],
+)
+def test_tier_mismatch_is_a_tier_violation(tmp_path, report, name, old, new, detail):
+    """Listing a postulate as PROVED, or a proof as STATED, fails that entry."""
+    import shutil
+
+    base = pathlib.Path(report.manifest.path).parent
+    for f in base.glob("*.stt"):
+        shutil.copy(f, tmp_path)
+    lines = []
+    for line in (base / "manifest.txt").read_text(encoding="utf-8").splitlines():
+        fields = [p.strip() for p in line.split("|")]
+        if len(fields) == 5 and fields[1] == name:
+            assert fields[4] == old
+            line = line[: line.rindex(old)] + new
+        lines.append(line)
+    (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rep = corpus_check(str(tmp_path / "manifest.txt"))
+    (flipped,) = [r for r in rep.results if r.entry.name == name]
+    assert (flipped.status, flipped.detail) == ("tier-violation", detail)
+    assert all(r.ok for r in rep.results if r is not flipped)

@@ -57,7 +57,7 @@ def test_mutant_is_killed_at_target(tmp_path, mutant, base, target):
     at_target = [d for d in errors if d.decl == target]
     assert at_target, f"{mutant}: no error at declaration {target!r}"
 
-    decls, _ = parse_module((MUTANTS / mutant).read_text(encoding="utf-8"))
+    decls, _, _ = parse_module((MUTANTS / mutant).read_text(encoding="utf-8"))
     tspan = next(d.span for d in decls if d.name == target)
     assert any(
         d.span is not None and tspan.start <= d.span.start and d.span.end <= tspan.end

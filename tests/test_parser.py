@@ -18,7 +18,7 @@ CORPUS = sorted(STDLIB.glob("*.stt"))
 
 
 def test_simple_def():
-    decls, diags = parse_module("def idfun (A : U) : A → A := λ a ↦ a")
+    decls, diags, _ = parse_module("def idfun (A : U) : A → A := λ a ↦ a")
     assert not diags
     (d,) = decls
     assert d.name == "idfun"
@@ -27,7 +27,7 @@ def test_simple_def():
 
 
 def test_postulate_marker():
-    decls, diags = parse_module("postulate ua (A : U) : A")
+    decls, diags, _ = parse_module("postulate ua (A : U) : A")
     assert not diags
     (d,) = decls
     assert d.is_postulate
@@ -37,20 +37,20 @@ def test_postulate_marker():
 
 def test_malformed_first_declaration_second_survives():
     src = "def broken (A : U := A\ndef fine (A : U) : U := A"
-    decls, diags = parse_module(src)
+    decls, diags, _ = parse_module(src)
     assert len(diags) == 1
     assert diags[0].code == "E-PARSE"
     assert [d.name for d in decls] == ["fine"]
 
 
 def test_stray_tokens_resync():
-    decls, diags = parse_module("⟨ def ok (A : U) : U := A")
+    decls, diags, _ = parse_module("⟨ def ok (A : U) : U := A")
     assert len(diags) == 1
     assert [d.name for d in decls] == ["ok"]
 
 
 def test_duplicate_parameter_rejected():
-    decls, diags = parse_module("def f (a a : U) : U := a")
+    decls, diags, _ = parse_module("def f (a a : U) : U := a")
     assert len(diags) == 1
     assert not decls
 
@@ -70,10 +70,10 @@ def test_parse_is_deterministic():
 @pytest.mark.parametrize("path", CORPUS, ids=[p.name for p in CORPUS])
 def test_round_trip_over_corpus(path):
     src = path.read_text(encoding="utf-8")
-    decls, diags = parse_module(src)
+    decls, diags, _ = parse_module(src)
     assert not diags
     printed = print_module(decls)
-    decls2, diags2 = parse_module(printed)
+    decls2, diags2, _ = parse_module(printed)
     assert not diags2
     assert [skeleton(d) for d in decls] == [skeleton(d) for d in decls2]
 
@@ -81,7 +81,7 @@ def test_round_trip_over_corpus(path):
 @pytest.mark.parametrize("path", CORPUS, ids=[p.name for p in CORPUS])
 def test_print_is_idempotent_over_corpus(path):
     src = path.read_text(encoding="utf-8")
-    decls, _ = parse_module(src)
+    decls, _, _ = parse_module(src)
     once = print_module(decls)
     twice = print_module(parse_module(once)[0])
     assert once == twice
@@ -103,7 +103,7 @@ def test_single_token_deletion_resilience(path):
     """Deleting any declaration's final token loses exactly that declaration
     and produces exactly one parse diagnostic."""
     src = path.read_text(encoding="utf-8")
-    base_decls, base_diags = parse_module(src)
+    base_decls, base_diags, _ = parse_module(src)
     assert not base_diags
     toks, slices = _decl_token_slices(src)
     for start, end in slices:
@@ -111,7 +111,7 @@ def test_single_token_deletion_resilience(path):
         mutated = src[: _byte_to_char(src, victim.span.start)] + src[
             _byte_to_char(src, victim.span.end) :
         ]
-        decls, diags = parse_module(mutated)
+        decls, diags, _ = parse_module(mutated)
         assert len(diags) == 1, (path.name, victim.lexeme, [d.message for d in diags])
         assert len(decls) == len(base_decls) - 1, (path.name, victim.lexeme)
 

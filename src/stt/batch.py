@@ -51,7 +51,13 @@ class BatchResult:
 
     @property
     def has_io_or_parse_failure(self) -> bool:
-        return any(r.io_error or r.parse_diagnostics for r in self.reports.values())
+        """An unreadable or unparsable input, or one nested too deeply to check."""
+        return any(
+            r.io_error
+            or r.parse_diagnostics
+            or any(d.code == "E-NESTING-DEPTH" for d in r.check_diagnostics)
+            for r in self.reports.values()
+        )
 
     @property
     def has_errors(self) -> bool:

@@ -271,10 +271,9 @@ class Checker:
     # definitional equality
 
     def def_equal(self, ctx: Context, t: Term, u: Term, ty: Term | None = None) -> bool:
-        try:
-            return self._equal(ctx, t, u, ty)
-        except UnfoldDepthExceeded:
-            return False
+        """Definitional equality; an exhausted unfold budget propagates as
+        ``UnfoldDepthExceeded`` rather than reading as "not equal"."""
+        return self._equal(ctx, t, u, ty)
 
     def _split_or_hypothesis(self, ctx: Context) -> list[Context] | None:
         for i, h in enumerate(ctx.topes):
@@ -878,7 +877,9 @@ def check_module(
 
     A failed declaration is recorded in ``env.failed`` so later references to
     it, here or in an importing file, produce one E-DEPENDS-ON-FAILED
-    diagnostic rather than an error cascade.
+    diagnostic rather than an error cascade.  A declaration too deep for the
+    resolver or the kernel to recurse through is reported as
+    E-NESTING-DEPTH, a resource limit, like one too deep to parse.
     """
     from .resolve import FAILED, ResolveError, resolve
 
@@ -888,16 +889,14 @@ def check_module(
     for sdecl in decls:
         try:
             declaration = resolve(sdecl, name_table)
+            errs = check_declaration(env, declaration)
         except ResolveError as e:
-            diags.append(
-                Diagnostic(
-                    "error", e.code, e.message, span=e.span or sdecl.span, decl=sdecl.name
-                )
-            )
-            name_table[sdecl.name] = FAILED
-            env.failed.add(sdecl.name)
-            continue
-        errs = check_declaration(env, declaration)
+            errs = [Diagnostic("error", e.code, e.message, span=e.span or sdecl.span)]
+        except RecursionError:
+            message = "declaration is nested too deeply to check"
+            errs = [Diagnostic("error", "E-NESTING-DEPTH", message, span=sdecl.span)]
+        for d in errs:
+            d.decl = sdecl.name
         if errs:
             diags.extend(errs)
             name_table[sdecl.name] = FAILED

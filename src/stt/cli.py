@@ -10,8 +10,8 @@ thread; ``--jobs`` is accepted for compatibility and does not change the
 work done or the output.
 
 Exit codes: 0 clean, 1 type errors, 2 I/O or parse failure of any input
-(including ``E-NESTING-DEPTH`` for a declaration nested too deeply to
-parse), a bad flag value, or an internal error, which is reported as one
+(including ``E-NESTING-DEPTH`` for a declaration nested too deeply to parse
+or check), a bad flag value, or an internal error, which is reported as one
 ``E-INTERNAL`` diagnostic on stderr instead of a traceback.
 """
 

@@ -346,285 +346,165 @@ class Declaration:
 
 
 # ---------------------------------------------------------------------------
-# Weakening and substitution, term layer
+# Weakening and substitution: one walk over both namespaces
+#
+# ``_walk`` rebuilds a term under one *action* per namespace, term and cube,
+# counting the term binders ``k`` and cube binders ``c`` it has crossed.  An
+# action is the triple ``(cut, value, by)``.  In the term namespace, an index
+# below ``cut + k`` is kept.  With ``value`` None, every index at or above it
+# rises by ``by`` (weakening).  With a ``value``, index ``cut + k`` becomes
+# ``value`` shifted over the ``k`` term and ``c`` cube binders crossed, and
+# larger indices drop by one (substitution).  The cube namespace reads the
+# same with ``c`` in place of ``k``; its values are points.  A None action
+# leaves its namespace alone, and a walk with no cube action never enters
+# points or topes.  The value is shifted once per occurrence, not once per
+# binder.  ``_point`` and ``_tope`` apply a cube action below ``c`` binders.
 
-def weaken(t: Term, by: int, frm: int = 0) -> Term:
-    """Shift term indices >= ``frm`` up by ``by``."""
-    if by == 0:
-        return t
+def _point(p: CubePoint, act, c: int) -> CubePoint:
+    match p:
+        case CubeVar(i):
+            cut, value, by = act
+            cut += c
+            if i < cut:
+                return p
+            if value is None:
+                return CubeVar(i + by)
+            if i > cut:
+                return CubeVar(i - 1)
+            return _point(value, (0, None, c), 0) if c else value
+        case Zero() | One() | Star():
+            return p
+        case PointPair(a, b):
+            return PointPair(_point(a, act, c), _point(b, act, c))
+        case PointFst(q):
+            return PointFst(_point(q, act, c))
+        case PointSnd(q):
+            return PointSnd(_point(q, act, c))
+    raise AssertionError(f"_point: {p!r}")
+
+
+def _tope(t: Tope, act, c: int) -> Tope:
+    match t:
+        case TopeTop() | TopeBottom():
+            return t
+        case TopeLeq(l, r):
+            return TopeLeq(_point(l, act, c), _point(r, act, c))
+        case TopeEq(l, r):
+            return TopeEq(_point(l, act, c), _point(r, act, c))
+        case TopeAnd(l, r):
+            return TopeAnd(_tope(l, act, c), _tope(r, act, c))
+        case TopeOr(l, r):
+            return TopeOr(_tope(l, act, c), _tope(r, act, c))
+    raise AssertionError(f"_tope: {t!r}")
+
+
+def _walk(t: Term, tact, cact, k: int, c: int) -> Term:
     match t:
         case Var(i):
-            return Var(i + by) if i >= frm else t
+            if tact is None:
+                return t
+            cut, value, by = tact
+            cut += k
+            if i < cut:
+                return t
+            if value is None:
+                return Var(i + by)
+            if i > cut:
+                return Var(i - 1)
+            if k or c:
+                return _walk(value, (0, None, k) if k else None, (0, None, c) if c else None, 0, 0)
+            return value
         case Universe() | Constant():
             return t
         case Pi(a, b):
-            return Pi(weaken(a, by, frm), weaken(b, by, frm + 1))
+            return Pi(_walk(a, tact, cact, k, c), _walk(b, tact, cact, k + 1, c))
         case Lambda(b):
-            return Lambda(weaken(b, by, frm + 1))
+            return Lambda(_walk(b, tact, cact, k + 1, c))
         case App(f, a):
-            return App(weaken(f, by, frm), weaken(a, by, frm))
+            return App(_walk(f, tact, cact, k, c), _walk(a, tact, cact, k, c))
         case Sigma(a, b):
-            return Sigma(weaken(a, by, frm), weaken(b, by, frm + 1))
+            return Sigma(_walk(a, tact, cact, k, c), _walk(b, tact, cact, k + 1, c))
         case Pair(a, b):
-            return Pair(weaken(a, by, frm), weaken(b, by, frm))
+            return Pair(_walk(a, tact, cact, k, c), _walk(b, tact, cact, k, c))
         case Fst(p):
-            return Fst(weaken(p, by, frm))
+            return Fst(_walk(p, tact, cact, k, c))
         case Snd(p):
-            return Snd(weaken(p, by, frm))
+            return Snd(_walk(p, tact, cact, k, c))
         case Id(ty, l, r):
             return Id(
-                weaken(ty, by, frm) if ty is not None else None,
-                weaken(l, by, frm),
-                weaken(r, by, frm),
+                _walk(ty, tact, cact, k, c) if ty is not None else None,
+                _walk(l, tact, cact, k, c),
+                _walk(r, tact, cact, k, c),
             )
         case Refl(a):
-            return Refl(weaken(a, by, frm))
+            return Refl(_walk(a, tact, cact, k, c))
         case IndPath(m, d, p):
-            return IndPath(weaken(m, by, frm + 3), weaken(d, by, frm + 1), weaken(p, by, frm))
+            return IndPath(
+                _walk(m, tact, cact, k + 3, c),
+                _walk(d, tact, cact, k + 1, c),
+                _walk(p, tact, cact, k, c),
+            )
         case ExtType(sh, cod, bt, bd):
-            return ExtType(sh, weaken(cod, by, frm), bt, weaken(bd, by, frm))
+            if cact is not None:
+                sh = Shape(sh.cube, _tope(sh.constraint, cact, c + 1))
+                bt = _tope(bt, cact, c + 1)
+            cod = _walk(cod, tact, cact, k, c + 1)
+            return ExtType(sh, cod, bt, _walk(bd, tact, cact, k, c + 1))
         case ExtLambda(b):
-            return ExtLambda(weaken(b, by, frm))
+            return ExtLambda(_walk(b, tact, cact, k, c + 1))
         case ExtApp(f, p):
-            return ExtApp(weaken(f, by, frm), p)
+            return ExtApp(_walk(f, tact, cact, k, c), p if cact is None else _point(p, cact, c))
         case Split(brs):
-            return Split(tuple((tp, weaken(b, by, frm)) for tp, b in brs))
+            return Split(
+                tuple(
+                    (tp if cact is None else _tope(tp, cact, c), _walk(b, tact, cact, k, c))
+                    for tp, b in brs
+                )
+            )
         case Annot(a, ty):
-            return Annot(weaken(a, by, frm), weaken(ty, by, frm))
-    raise AssertionError(f"weaken: {t!r}")
+            return Annot(_walk(a, tact, cact, k, c), _walk(ty, tact, cact, k, c))
+    raise AssertionError(f"_walk: {t!r}")
+
+
+def weaken(t: Term, by: int, frm: int = 0) -> Term:
+    """Shift term indices >= ``frm`` up by ``by``."""
+    return _walk(t, (frm, None, by), None, 0, 0) if by else t
 
 
 def substitute(t: Term, level: int, value: Term) -> Term:
     """Capture-avoiding substitution of ``value`` for term index ``level``;
     indices above the level are decremented."""
-    match t:
-        case Var(i):
-            if i == level:
-                return value
-            return Var(i - 1) if i > level else t
-        case Universe() | Constant():
-            return t
-        case Pi(a, b):
-            return Pi(
-                substitute(a, level, value),
-                substitute(b, level + 1, weaken(value, 1)),
-            )
-        case Lambda(b):
-            return Lambda(substitute(b, level + 1, weaken(value, 1)))
-        case App(f, a):
-            return App(substitute(f, level, value), substitute(a, level, value))
-        case Sigma(a, b):
-            return Sigma(
-                substitute(a, level, value),
-                substitute(b, level + 1, weaken(value, 1)),
-            )
-        case Pair(a, b):
-            return Pair(substitute(a, level, value), substitute(b, level, value))
-        case Fst(p):
-            return Fst(substitute(p, level, value))
-        case Snd(p):
-            return Snd(substitute(p, level, value))
-        case Id(ty, l, r):
-            return Id(
-                substitute(ty, level, value) if ty is not None else None,
-                substitute(l, level, value),
-                substitute(r, level, value),
-            )
-        case Refl(a):
-            return Refl(substitute(a, level, value))
-        case IndPath(m, d, p):
-            return IndPath(
-                substitute(m, level + 3, weaken(value, 3)),
-                substitute(d, level + 1, weaken(value, 1)),
-                substitute(p, level, value),
-            )
-        case ExtType(sh, cod, bt, bd):
-            cv = weaken_cube(value, 1, 0)
-            return ExtType(sh, substitute(cod, level, cv), bt, substitute(bd, level, cv))
-        case ExtLambda(b):
-            return ExtLambda(substitute(b, level, weaken_cube(value, 1, 0)))
-        case ExtApp(f, p):
-            return ExtApp(substitute(f, level, value), p)
-        case Split(brs):
-            return Split(tuple((tp, substitute(b, level, value)) for tp, b in brs))
-        case Annot(a, ty):
-            return Annot(substitute(a, level, value), substitute(ty, level, value))
-    raise AssertionError(f"substitute: {t!r}")
+    return _walk(t, (level, value, 0), None, 0, 0)
 
-
-# ---------------------------------------------------------------------------
-# Weakening and substitution, cube layer
 
 def weaken_point(p: CubePoint, by: int, frm: int) -> CubePoint:
-    match p:
-        case CubeVar(i):
-            return CubeVar(i + by) if i >= frm else p
-        case Zero() | One() | Star():
-            return p
-        case PointPair(a, b):
-            return PointPair(weaken_point(a, by, frm), weaken_point(b, by, frm))
-        case PointFst(q):
-            return PointFst(weaken_point(q, by, frm))
-        case PointSnd(q):
-            return PointSnd(weaken_point(q, by, frm))
-    raise AssertionError(f"weaken_point: {p!r}")
+    """Shift cube indices >= ``frm`` in a point up by ``by``."""
+    return _point(p, (frm, None, by), 0)
 
 
 def subst_point(p: CubePoint, level: int, value: CubePoint) -> CubePoint:
-    match p:
-        case CubeVar(i):
-            if i == level:
-                return value
-            return CubeVar(i - 1) if i > level else p
-        case Zero() | One() | Star():
-            return p
-        case PointPair(a, b):
-            return PointPair(subst_point(a, level, value), subst_point(b, level, value))
-        case PointFst(q):
-            return PointFst(subst_point(q, level, value))
-        case PointSnd(q):
-            return PointSnd(subst_point(q, level, value))
-    raise AssertionError(f"subst_point: {p!r}")
+    """Substitute a point for cube index ``level`` in a point."""
+    return _point(p, (level, value, 0), 0)
 
 
 def weaken_tope_cube(t: Tope, by: int, frm: int) -> Tope:
-    match t:
-        case TopeTop() | TopeBottom():
-            return t
-        case TopeLeq(l, r):
-            return TopeLeq(weaken_point(l, by, frm), weaken_point(r, by, frm))
-        case TopeEq(l, r):
-            return TopeEq(weaken_point(l, by, frm), weaken_point(r, by, frm))
-        case TopeAnd(l, r):
-            return TopeAnd(weaken_tope_cube(l, by, frm), weaken_tope_cube(r, by, frm))
-        case TopeOr(l, r):
-            return TopeOr(weaken_tope_cube(l, by, frm), weaken_tope_cube(r, by, frm))
-    raise AssertionError(f"weaken_tope_cube: {t!r}")
+    """Shift cube indices >= ``frm`` in a tope up by ``by``."""
+    return _tope(t, (frm, None, by), 0)
 
 
 def subst_tope_point(t: Tope, level: int, value: CubePoint) -> Tope:
-    match t:
-        case TopeTop() | TopeBottom():
-            return t
-        case TopeLeq(l, r):
-            return TopeLeq(subst_point(l, level, value), subst_point(r, level, value))
-        case TopeEq(l, r):
-            return TopeEq(subst_point(l, level, value), subst_point(r, level, value))
-        case TopeAnd(l, r):
-            return TopeAnd(subst_tope_point(l, level, value), subst_tope_point(r, level, value))
-        case TopeOr(l, r):
-            return TopeOr(subst_tope_point(l, level, value), subst_tope_point(r, level, value))
-    raise AssertionError(f"subst_tope_point: {t!r}")
+    """Substitute a point for cube index ``level`` in a tope."""
+    return _tope(t, (level, value, 0), 0)
 
 
 def weaken_cube(t: Term, by: int, frm: int) -> Term:
     """Shift cube indices >= ``frm`` up by ``by`` throughout a term."""
-    if by == 0:
-        return t
-    match t:
-        case Var() | Universe() | Constant():
-            return t
-        case Pi(a, b):
-            return Pi(weaken_cube(a, by, frm), weaken_cube(b, by, frm))
-        case Lambda(b):
-            return Lambda(weaken_cube(b, by, frm))
-        case App(f, a):
-            return App(weaken_cube(f, by, frm), weaken_cube(a, by, frm))
-        case Sigma(a, b):
-            return Sigma(weaken_cube(a, by, frm), weaken_cube(b, by, frm))
-        case Pair(a, b):
-            return Pair(weaken_cube(a, by, frm), weaken_cube(b, by, frm))
-        case Fst(p):
-            return Fst(weaken_cube(p, by, frm))
-        case Snd(p):
-            return Snd(weaken_cube(p, by, frm))
-        case Id(ty, l, r):
-            return Id(
-                weaken_cube(ty, by, frm) if ty is not None else None,
-                weaken_cube(l, by, frm),
-                weaken_cube(r, by, frm),
-            )
-        case Refl(a):
-            return Refl(weaken_cube(a, by, frm))
-        case IndPath(m, d, p):
-            return IndPath(
-                weaken_cube(m, by, frm), weaken_cube(d, by, frm), weaken_cube(p, by, frm)
-            )
-        case ExtType(sh, cod, bt, bd):
-            return ExtType(
-                Shape(sh.cube, weaken_tope_cube(sh.constraint, by, frm + 1)),
-                weaken_cube(cod, by, frm + 1),
-                weaken_tope_cube(bt, by, frm + 1),
-                weaken_cube(bd, by, frm + 1),
-            )
-        case ExtLambda(b):
-            return ExtLambda(weaken_cube(b, by, frm + 1))
-        case ExtApp(f, p):
-            return ExtApp(weaken_cube(f, by, frm), weaken_point(p, by, frm))
-        case Split(brs):
-            return Split(
-                tuple((weaken_tope_cube(tp, by, frm), weaken_cube(b, by, frm)) for tp, b in brs)
-            )
-        case Annot(a, ty):
-            return Annot(weaken_cube(a, by, frm), weaken_cube(ty, by, frm))
-    raise AssertionError(f"weaken_cube: {t!r}")
+    return _walk(t, None, (frm, None, by), 0, 0) if by else t
 
 
 def subst_cube(t: Term, level: int, value: CubePoint) -> Term:
     """Substitute a point for cube index ``level`` throughout a term."""
-    match t:
-        case Var() | Universe() | Constant():
-            return t
-        case Pi(a, b):
-            return Pi(subst_cube(a, level, value), subst_cube(b, level, value))
-        case Lambda(b):
-            return Lambda(subst_cube(b, level, value))
-        case App(f, a):
-            return App(subst_cube(f, level, value), subst_cube(a, level, value))
-        case Sigma(a, b):
-            return Sigma(subst_cube(a, level, value), subst_cube(b, level, value))
-        case Pair(a, b):
-            return Pair(subst_cube(a, level, value), subst_cube(b, level, value))
-        case Fst(p):
-            return Fst(subst_cube(p, level, value))
-        case Snd(p):
-            return Snd(subst_cube(p, level, value))
-        case Id(ty, l, r):
-            return Id(
-                subst_cube(ty, level, value) if ty is not None else None,
-                subst_cube(l, level, value),
-                subst_cube(r, level, value),
-            )
-        case Refl(a):
-            return Refl(subst_cube(a, level, value))
-        case IndPath(m, d, p):
-            return IndPath(
-                subst_cube(m, level, value),
-                subst_cube(d, level, value),
-                subst_cube(p, level, value),
-            )
-        case ExtType(sh, cod, bt, bd):
-            v = weaken_point(value, 1, 0)
-            return ExtType(
-                Shape(sh.cube, subst_tope_point(sh.constraint, level + 1, v)),
-                subst_cube(cod, level + 1, v),
-                subst_tope_point(bt, level + 1, v),
-                subst_cube(bd, level + 1, v),
-            )
-        case ExtLambda(b):
-            return ExtLambda(subst_cube(b, level + 1, weaken_point(value, 1, 0)))
-        case ExtApp(f, p):
-            return ExtApp(subst_cube(f, level, value), subst_point(p, level, value))
-        case Split(brs):
-            return Split(
-                tuple(
-                    (subst_tope_point(tp, level, value), subst_cube(b, level, value))
-                    for tp, b in brs
-                )
-            )
-        case Annot(a, ty):
-            return Annot(subst_cube(a, level, value), subst_cube(ty, level, value))
-    raise AssertionError(f"subst_cube: {t!r}")
+    return _walk(t, None, (level, value, 0), 0, 0)
 
 
 # ---------------------------------------------------------------------------

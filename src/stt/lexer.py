@@ -11,6 +11,7 @@ with 1-based line and column (in code points) for the start and end.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import re
 from dataclasses import dataclass
@@ -140,16 +141,10 @@ _NAT_RE = re.compile(r"[0-9]+")
 _DIRECTIVE_RE = re.compile(r"#(import|section)[^\n]*")
 
 
-def _line_col(source: str, offsets: list[int], pos: int) -> tuple[int, int]:
+def _line_col(offsets: list[int], pos: int) -> tuple[int, int]:
     # offsets holds the char index of each line start
-    lo, hi = 0, len(offsets) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if offsets[mid] <= pos:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo + 1, pos - offsets[lo] + 1
+    line = bisect.bisect_right(offsets, pos) - 1
+    return line + 1, pos - offsets[line] + 1
 
 
 class _Cursor:
@@ -168,8 +163,8 @@ class _Cursor:
         self.byte += len(chunk.encode("utf-8"))
 
     def span_from(self, start_pos: int, start_byte: int) -> Span:
-        line, col = _line_col(self.source, self.line_starts, start_pos)
-        eline, ecol = _line_col(self.source, self.line_starts, self.pos)
+        line, col = _line_col(self.line_starts, start_pos)
+        eline, ecol = _line_col(self.line_starts, self.pos)
         return Span(start_byte, self.byte, line, col, eline, ecol)
 
 

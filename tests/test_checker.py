@@ -11,6 +11,7 @@ from stt import core as C
 from stt.checker import (
     CheckEnv,
     Checker,
+    UnfoldDepthExceeded,
     check,
     check_declaration,
     check_module,
@@ -153,8 +154,9 @@ def test_unfold_depth_limit_is_an_error_not_a_hang():
     env.decls["spin"] = C.Declaration("spin", (), Universe(0), Constant("spin"))
     d = check(env, Context(), Universe(0), Constant("spin"))
     assert d is not None and d.code == "E-UNFOLD-DEPTH"
-    # inside an equality the exhausted budget reads as "not equal"
-    assert not def_equal(env, Context(), Constant("spin"), Universe(0), None)
+    # inside an equality the exhausted budget propagates, never "not equal"
+    with pytest.raises(UnfoldDepthExceeded):
+        def_equal(env, Context(), Constant("spin"), Universe(0), None)
 
 
 # -- def_equal ----------------------------------------------------------------

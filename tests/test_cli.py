@@ -222,3 +222,35 @@ def test_internal_error_is_one_diagnostic(monkeypatch, capsys):
     assert "broken on purpose" in err
     assert "test_cli.py" in err  # names where it was raised
     assert "Traceback" not in err
+
+
+# parse fine, then recurse once per binder in the resolver (λ) or the kernel (Π)
+_DEEP_BINDERS = {
+    "lambda": "def deep : U → U := λ " + " ".join(f"x{i}" for i in range(2000)) + " ↦ x0\n",
+    "pi": "def deep : U₁ := Π " + " ".join(f"(x{i} : U)" for i in range(2000)) + ", U\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DEEP_BINDERS))
+def test_deep_binders_are_a_resource_limit_naming_the_declaration(tmp_path, kind):
+    f = tmp_path / "deep.stt"
+    f.write_text(_DEEP_BINDERS[kind] + "def ok (A : U) : U := A\n", encoding="utf-8")
+    r = run_cli("check", "--json", str(f))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr and "E-INTERNAL" not in r.stderr
+    doc = json.loads(r.stdout)
+    (d,) = doc["diagnostics"]
+    assert (d["code"], d["decl"], d["file"]) == ("E-NESTING-DEPTH", "deep", str(f))
+    assert d["start"] == {"line": 1, "col": 1}
+    assert doc["summary"]["declarations"] == 1  # `ok` still checked
+
+
+def test_deep_binders_fail_their_importers(tmp_path):
+    (tmp_path / "deep.stt").write_text(_DEEP_BINDERS["pi"], encoding="utf-8")
+    (tmp_path / "main.stt").write_text(
+        '#import "deep.stt"\ndef use : U₁ := deep\n', encoding="utf-8"
+    )
+    r = run_cli("check", "--json", str(tmp_path / "main.stt"))
+    assert r.returncode == 2
+    codes = sorted(d["code"] for d in json.loads(r.stdout)["diagnostics"])
+    assert codes == ["E-DEPENDS-ON-FAILED", "E-NESTING-DEPTH"]

@@ -15,15 +15,20 @@ from stt.core import (
     CubeVar,
     INTERVAL,
     Shape,
+    subst_cube,
+    subst_tope_point,
     substitute,
     term_in_scope,
     tope_in_scope,
     weaken,
+    weaken_cube,
+    weaken_point,
+    weaken_tope_cube,
 )
 from stt.parser import parse_module
 from stt.resolve import resolve
 
-from gen_terms import random_term
+from gen_terms import random_cube_term, random_point, random_term, random_tope
 from oracle_named import from_named, fresh, subst as named_subst, to_named
 
 
@@ -101,6 +106,88 @@ def test_substitute_matches_named_oracle_500():
         expected = from_named(named_subst(nt, target, nv), reduced_stack)
         got = substitute(t, level, v)
         assert got == expected
+
+
+# -- the cube layer: terms with extension types, splits, points and topes ----
+
+def _under_cube_binder(bound, free):
+    # every place a point can sit below the cube binder of an extension type
+    return C.ExtType(
+        Shape(INTERVAL, C.TopeLeq(bound, free)),
+        C.ExtApp(C.Var(0), free),
+        C.TopeEq(bound, free),
+        C.Split(((C.TopeLeq(bound, free), C.ExtApp(C.Var(0), bound)),)),
+    )
+
+
+def test_cube_binders_are_counted_in_every_position():
+    t = _under_cube_binder(CubeVar(0), CubeVar(1))
+    assert subst_cube(t, 0, C.ONE) == _under_cube_binder(CubeVar(0), C.ONE)
+    assert weaken_cube(t, 1, 0) == _under_cube_binder(CubeVar(0), CubeVar(2))
+    lam = C.ExtLambda(C.ExtApp(C.Var(0), C.PointPair(CubeVar(0), CubeVar(1))))
+    assert subst_cube(lam, 0, C.ZERO) == C.ExtLambda(
+        C.ExtApp(C.Var(0), C.PointPair(CubeVar(0), C.ZERO))
+    )
+    # a substituted term value is shifted over the cube and term binders it lands under
+    v = C.ExtApp(C.Var(0), CubeVar(0))
+    got = substitute(C.Lambda(C.ExtLambda(C.App(C.Var(1), C.Var(0)))), 0, v)
+    assert got == C.Lambda(C.ExtLambda(C.App(C.ExtApp(C.Var(1), CubeVar(1)), C.Var(0))))
+
+
+def test_cube_weaken_then_subst_cube_is_identity_500():
+    rng = random.Random(31)
+    for _ in range(500):
+        depth, cubes = rng.randrange(0, 3), rng.randrange(0, 3)
+        t = random_cube_term(rng, depth, cubes, rng.randrange(0, 14))
+        p = random_point(rng, cubes, rng.randrange(0, 4))
+        assert subst_cube(weaken_cube(t, 1, 0), 0, p) == t
+
+
+def test_weaken_then_substitute_is_identity_on_cube_terms_500():
+    rng = random.Random(32)
+    for _ in range(500):
+        depth, cubes = rng.randrange(0, 3), rng.randrange(0, 3)
+        t = random_cube_term(rng, depth, cubes, rng.randrange(0, 14))
+        v = random_cube_term(rng, depth, cubes, rng.randrange(0, 6))
+        assert substitute(weaken(t, 1, 0), 0, v) == t
+
+
+def test_weaken_cube_commutes_with_substitute_500():
+    # weaken_cube(t[0:=v], 1, 0)  ==  weaken_cube(t, 1, 0)[0 := weaken_cube(v, 1, 0)]
+    rng = random.Random(33)
+    for _ in range(500):
+        depth, cubes = 1 + rng.randrange(0, 3), rng.randrange(0, 3)
+        t = random_cube_term(rng, depth, cubes, rng.randrange(0, 14))
+        v = random_cube_term(rng, depth - 1, cubes, rng.randrange(0, 6))
+        lhs = weaken_cube(substitute(t, 0, v), 1, 0)
+        rhs = substitute(weaken_cube(t, 1, 0), 0, weaken_cube(v, 1, 0))
+        assert lhs == rhs
+
+
+def test_weaken_cube_commutes_with_subst_cube_500():
+    # weaken_cube(t[0:=p], n, k)  ==  weaken_cube(t, n, k+1)[0 := weaken_point(p, n, k)]
+    rng = random.Random(34)
+    for _ in range(500):
+        depth, cubes = rng.randrange(0, 3), 1 + rng.randrange(0, 3)
+        n, k = 1 + rng.randrange(0, 2), rng.randrange(0, cubes)
+        t = random_cube_term(rng, depth, cubes, rng.randrange(0, 14))
+        p = random_point(rng, cubes - 1, rng.randrange(0, 4))
+        lhs = weaken_cube(subst_cube(t, 0, p), n, k)
+        rhs = subst_cube(weaken_cube(t, n, k + 1), 0, weaken_point(p, n, k))
+        assert lhs == rhs
+
+
+def test_tope_weaken_then_subst_and_commutation_500():
+    rng = random.Random(35)
+    for _ in range(500):
+        cubes = 1 + rng.randrange(0, 3)
+        n, k = 1 + rng.randrange(0, 2), rng.randrange(0, cubes)
+        phi = random_tope(rng, cubes, rng.randrange(0, 8))
+        p = random_point(rng, cubes - 1, rng.randrange(0, 4))
+        assert subst_tope_point(weaken_tope_cube(phi, 1, 0), 0, p) == phi
+        lhs = weaken_tope_cube(subst_tope_point(phi, 0, p), n, k)
+        rhs = subst_tope_point(weaken_tope_cube(phi, n, k + 1), 0, weaken_point(p, n, k))
+        assert lhs == rhs
 
 
 def test_scope_validation_accepts_resolver_output():

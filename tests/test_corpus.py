@@ -185,3 +185,14 @@ def test_tier_mismatch_is_a_tier_violation(tmp_path, report, name, old, new, det
     (flipped,) = [r for r in rep.results if r.entry.name == name]
     assert (flipped.status, flipped.detail) == ("tier-violation", detail)
     assert all(r.ok for r in rep.results if r is not flipped)
+
+
+def test_exhausted_unfold_budget_is_a_resource_limit_not_a_type_error():
+    """At --max-unfold 50 the budget runs out inside conversion checks; the
+    declarations that hit it say so instead of reporting a type mismatch."""
+    rep = corpus_check(max_unfold=50)
+    codes = [d.code for d in rep.diagnostics]
+    assert "E-UNFOLD-DEPTH" in codes
+    assert "E-TYPE-MISMATCH" not in codes
+    hit = {d.decl for d in rep.diagnostics if d.code == "E-UNFOLD-DEPTH"}
+    assert {"comp-id", "id-comp", "yoneda-comput"} <= hit

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from stt.lexer import LexError, Token, TokenKind, tokenize
@@ -102,3 +104,21 @@ def test_directives_are_single_tokens():
 def test_determinism():
     src = "def f (A : U) : A → A := λ a ↦ a"
     assert tokenize(src) == tokenize(src)
+
+
+def _recount(encoded: bytes, offset: int) -> tuple[int, int]:
+    prefix = encoded[:offset].decode("utf-8")
+    return prefix.count("\n") + 1, len(prefix) - (prefix.rfind("\n") + 1) + 1
+
+
+def test_line_and_column_agree_with_a_recount_from_byte_offsets():
+    stdlib = pathlib.Path(__file__).resolve().parent.parent / "src" / "stt" / "stdlib"
+    sources = [f.read_text(encoding="utf-8") for f in sorted(stdlib.glob("*.stt"))]
+    sources.append("-- Δ¹ → ≤\n\ndef idΣ (A : U) : A → A :=\n  λ a ↦ a\n{- π₁\n ⊤ -} ∧ ⊥\n")
+    assert len(sources) == 10
+    for src in sources:
+        encoded = src.encode("utf-8")
+        for t in tokenize(src, keep_trivia=True):
+            s = t.span
+            assert (s.line, s.col) == _recount(encoded, s.start), t
+            assert (s.end_line, s.end_col) == _recount(encoded, s.end), t

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import pathlib
 import random
-import shutil
 import subprocess
 import sys
 import time
@@ -211,7 +210,7 @@ def test_c4_corpus_acceptance():
     )
 
 
-def test_c5_mutation_suite_killed_at_target(tmp_path):
+def test_c5_mutation_suite_killed_at_target(mutant_reports):
     rows = []
     for line in (MUTANTS / "index.txt").read_text(encoding="utf-8").splitlines():
         line = line.strip()
@@ -220,13 +219,7 @@ def test_c5_mutation_suite_killed_at_target(tmp_path):
     assert len(rows) >= 20
     killed = 0
     for mutant, base, target in rows:
-        case = tmp_path / mutant
-        case.mkdir()
-        for f in STDLIB.glob("*.stt"):
-            shutil.copy(f, case)
-        shutil.copy(STDLIB / "manifest.txt", case)
-        shutil.copy(MUTANTS / mutant, case / base)
-        rep = corpus_check(str(case / "manifest.txt"))
+        rep = mutant_reports[mutant]
         if rep.ok:
             continue
         errs = [d for d in rep.diagnostics if d.severity == "error" and d.decl == target]

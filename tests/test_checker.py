@@ -127,8 +127,9 @@ def test_whnf_idempotent_on_corpus_bodies(corpus_env):
         assert whnf(corpus_env, Context(), once) == once
 
 
-def test_whnf_boundary_rule():
-    # f : <{t : 2 | TOP} -> C | dDelta1 |-> [x, y]>  gives  f 0 --> x
+def _endpoint_env():
+    """Postulates C, x, y : C and h : hom, where hom is <{t : 2 | TOP} -> C |
+    dDelta1 |-> [x, y]>, the type of arrows from x to y."""
     env = CheckEnv()
     env.decls["C"] = C.Declaration("C", (), Universe(0), None)
     env.decls["x"] = C.Declaration("x", (), Constant("C"), None)
@@ -142,9 +143,42 @@ def test_whnf_boundary_rule():
     homty = ExtType(
         Shape(INTERVAL, TOP), Constant("C"), SHAPE_ENDPOINTS.constraint, boundary
     )
+    env.decls["h"] = C.Declaration("h", (), homty, None)
+    return env, homty
+
+
+def test_whnf_boundary_rule():
+    # f : <{t : 2 | TOP} -> C | dDelta1 |-> [x, y]>  gives  f 0 --> x
+    env, homty = _endpoint_env()
     ctx = Context().extend_term(homty)
     assert whnf(env, ctx, ExtApp(Var(0), C.ZERO)) == Constant("x")
     assert whnf(env, ctx, ExtApp(Var(0), C.ONE)) == Constant("y")
+
+
+def _stuck_arrows(homty):
+    """(type of the variable, a stuck arrow built on Var(0)) for each eliminator head."""
+    C_ = Constant("C")
+    return {
+        "app": (Pi(C_, homty), App(Var(0), Constant("x"))),
+        "fst": (Sigma(homty, C_), Fst(Var(0))),
+        "snd": (Sigma(C_, homty), Snd(Var(0))),
+        "ind-path": (Id(C_, Constant("x"), Constant("y")), IndPath(homty, Constant("h"), Var(0))),
+    }
+
+
+@pytest.mark.parametrize("head", ["app", "fst", "snd", "ind-path"])
+def test_whnf_boundary_rule_through_eliminator_heads(head):
+    # e.g. p : Σ(hom, C) gives (fst p) 0 --> x: the arrow's type is read off
+    # the stuck spine below it
+    env, homty = _endpoint_env()
+    ty, arrow = _stuck_arrows(homty)[head]
+    ctx = Context().extend_term(ty)
+    assert whnf(env, ctx, ExtApp(arrow, C.ZERO)) == Constant("x")
+    assert whnf(env, ctx, ExtApp(arrow, C.ONE)) == Constant("y")
+    # off the boundary the application stays stuck
+    inner = ctx.extend_cube(INTERVAL)
+    stuck = ExtApp(C.weaken_cube(arrow, 1, 0), CubeVar(0))
+    assert whnf(env, inner, stuck) == stuck
 
 
 def test_unfold_depth_limit_is_an_error_not_a_hang():
@@ -173,6 +207,17 @@ def test_def_equal_eta_for_functions():
     f = Var(0)
     eta = Lambda(App(Var(1), Var(0)))
     assert def_equal(env, ctx, eta, f, Pi(Universe(0), Universe(0)))
+
+
+def test_def_equal_stuck_applications_with_arguments_equal_after_beta():
+    # f (λz. z) x  versus  f x, for a variable f : C → C
+    env, _ = _endpoint_env()
+    C_, x, y = Constant("C"), Constant("x"), Constant("y")
+    ctx = Context().extend_term(Pi(C_, C_))
+    redex = App(Lambda(Var(0)), x)
+    assert def_equal(env, ctx, App(Var(0), redex), App(Var(0), x), C_)
+    assert def_equal(env, ctx, App(Var(0), redex), App(Var(0), x), None)
+    assert not def_equal(env, ctx, App(Var(0), redex), App(Var(0), y), C_)
 
 
 def test_def_equal_eta_for_pairs():

@@ -1,14 +1,13 @@
 """Mutation suite: every shipped mutant corpus must be rejected, with at
-least one error anchored inside the mutated declaration."""
+least one error anchored inside the mutated declaration.  Each corpus is
+checked once per session, by the ``mutant_reports`` fixture."""
 
 from __future__ import annotations
 
 import pathlib
-import shutil
 
 import pytest
 
-from stt.corpus import corpus_check
 from stt.parser import parse_module
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -44,13 +43,8 @@ def test_mutants_differ_from_their_bases():
 @pytest.mark.parametrize(
     "mutant,base,target", INDEX, ids=[m for m, _, _ in INDEX]
 )
-def test_mutant_is_killed_at_target(tmp_path, mutant, base, target):
-    for f in STDLIB.glob("*.stt"):
-        shutil.copy(f, tmp_path)
-    shutil.copy(STDLIB / "manifest.txt", tmp_path)
-    shutil.copy(MUTANTS / mutant, tmp_path / base)
-
-    report = corpus_check(str(tmp_path / "manifest.txt"))
+def test_mutant_is_killed_at_target(mutant_reports, mutant, base, target):
+    report = mutant_reports[mutant]
     assert not report.ok, f"{mutant} was accepted"
 
     errors = [d for d in report.diagnostics if d.severity == "error"]
@@ -65,15 +59,9 @@ def test_mutant_is_killed_at_target(tmp_path, mutant, base, target):
     ), f"{mutant}: error span escapes the mutated declaration"
 
 
-def test_kill_rate_is_total(tmp_path):
+def test_kill_rate_is_total(mutant_reports):
     killed = 0
     for mutant, base, target in INDEX:
-        case_dir = tmp_path / mutant
-        case_dir.mkdir()
-        for f in STDLIB.glob("*.stt"):
-            shutil.copy(f, case_dir)
-        shutil.copy(STDLIB / "manifest.txt", case_dir)
-        shutil.copy(MUTANTS / mutant, case_dir / base)
-        if not corpus_check(str(case_dir / "manifest.txt")).ok:
+        if not mutant_reports[mutant].ok:
             killed += 1
     assert killed == len(INDEX)

@@ -6,6 +6,17 @@ before structural comparison, and extension applications reduce to their
 boundary values wherever the constraints force the boundary tope.  Weak-head
 normalization performs beta, projections, identity elimination on constant
 paths, constant unfolding up to a depth limit, and the boundary rule.
+
+Each eliminator (application, the projections, ind-path, extension
+application) has one computation rule, ``_contract``, and one typing rule,
+``_elim_type``, shared by weak-head normalization, the walk over stuck
+spines (``_spine``) and ``infer``.
+
+Unfold budget: every unfolding and every contraction spends one step of
+``max_unfold``.  Each ``whnf`` call and each conversion step starts a fresh
+budget, which the normalizations nested in it spend, including the typing
+of a stuck spine for the boundary rule.  Comparing two stuck spines starts
+a fresh budget at every level of the spine.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from .core import (
     TopeOr,
     Universe,
     Var,
+    children,
     subst_cube,
     subst_tope_point,
     substitute,
@@ -135,61 +147,15 @@ class Checker:
                         return t
                     self._budget(steps)
                     t = d
-                case App(f, a):
-                    fw = self._whnf(ctx, f, steps)
-                    match fw:
-                        case Lambda(b):
-                            self._budget(steps)
-                            t = substitute(b, 0, a)
-                        case Split(brs):
-                            t = Split(tuple((tp, App(b, a)) for tp, b in brs))
-                        case _:
-                            return App(fw, a)
-                case Fst(p):
-                    pw = self._whnf(ctx, p, steps)
-                    match pw:
-                        case Pair(a, _):
-                            self._budget(steps)
-                            t = a
-                        case Split(brs):
-                            t = Split(tuple((tp, Fst(b)) for tp, b in brs))
-                        case _:
-                            return Fst(pw)
-                case Snd(p):
-                    pw = self._whnf(ctx, p, steps)
-                    match pw:
-                        case Pair(_, b):
-                            self._budget(steps)
-                            t = b
-                        case Split(brs):
-                            t = Split(tuple((tp, Snd(b)) for tp, b in brs))
-                        case _:
-                            return Snd(pw)
-                case IndPath(m, d, tgt):
-                    tw = self._whnf(ctx, tgt, steps)
-                    match tw:
-                        case Refl(a):
-                            self._budget(steps)
-                            self.env.j_fired += 1
-                            t = substitute(d, 0, a)
-                        case Split(brs):
-                            t = Split(tuple((tp, IndPath(m, d, b)) for tp, b in brs))
-                        case _:
-                            return IndPath(m, d, tw)
-                case ExtApp(f, p):
-                    fw = self._whnf(ctx, f, steps)
-                    match fw:
-                        case ExtLambda(b):
-                            self._budget(steps)
-                            t = subst_cube(b, 0, p)
-                        case Split(brs):
-                            t = Split(tuple((tp, ExtApp(b, p)) for tp, b in brs))
-                        case _:
-                            red = self._boundary_reduce(ctx, fw, p, steps)
-                            if red is None:
-                                return ExtApp(fw, p)
-                            self._budget(steps)
-                            t = red
+                case App(s, _) | Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _):
+                    sw = self._whnf(ctx, s, steps)
+                    if isinstance(sw, Split):
+                        t = Split(tuple((tp, _on(t, b)) for tp, b in sw.branches))
+                        continue
+                    red = self._contract(ctx, t, sw, steps)
+                    if red is None:
+                        return _on(t, sw)
+                    t = red
                 case Split(brs):
                     for tp, b in brs:
                         if T.tope_entails(ctx.cubes, list(ctx.topes), tp):
@@ -201,70 +167,85 @@ class Checker:
                 case _:
                     return t
 
-    def _boundary_reduce(
-        self, ctx: Context, neutral: Term, p, steps: list[int]
-    ) -> Term | None:
-        """The boundary rule: f p reduces to the boundary value at p when the
-        constraints in force entail the boundary tope at p."""
-        ty = self._neutral_type(ctx, neutral, steps)
-        if ty is None:
-            return None
-        tyw = self._whnf(ctx, ty, steps)
-        if not isinstance(tyw, ExtType):
-            return None
-        bt_at_p = subst_tope_point(tyw.boundary_tope, 0, p)
-        if T.tope_entails(ctx.cubes, list(ctx.topes), bt_at_p):
-            return subst_cube(tyw.boundary, 0, p)
+    def _contract(self, ctx: Context, t: Term, sw: Term, steps: list[int]) -> Term | None:
+        """One computation step of eliminator ``t`` on its weak-head scrutinee
+        ``sw``: beta, a projection, J on refl, shape beta, or the boundary
+        rule (``f p`` is the boundary value at ``p`` when the constraints in
+        force entail the boundary tope there).  None when ``t`` is stuck."""
+        match t, sw:
+            case App(_, a), Lambda(b):
+                self._budget(steps)
+                return substitute(b, 0, a)
+            case Fst(_), Pair(a, _):
+                self._budget(steps)
+                return a
+            case Snd(_), Pair(_, b):
+                self._budget(steps)
+                return b
+            case IndPath(_, d, _), Refl(a):
+                self._budget(steps)
+                self.env.j_fired += 1
+                return substitute(d, 0, a)
+            case ExtApp(_, p), ExtLambda(b):
+                self._budget(steps)
+                return subst_cube(b, 0, p)
+            case ExtApp(_, p), _:
+                ty = self._spine(ctx, sw, None, steps)
+                tyw = None if ty is None else self._whnf(ctx, ty, steps)
+                if not isinstance(tyw, ExtType):
+                    return None
+                bt_at_p = subst_tope_point(tyw.boundary_tope, 0, p)
+                if not T.tope_entails(ctx.cubes, list(ctx.topes), bt_at_p):
+                    return None
+                self._budget(steps)
+                return subst_cube(tyw.boundary, 0, p)
         return None
 
-    def _neutral_type(self, ctx: Context, t: Term, steps: list[int]) -> Term | None:
-        """Type of a weak-head-stuck term, or None when unknowable."""
+    def _spine(self, ctx: Context, t: Term, u: Term | None, steps: list[int]) -> Term | None:
+        """Type of the weak-head-stuck term ``t``, or None when unknowable.
+
+        Given ``u``, also compare the two spines: None when they differ,
+        otherwise their common type (best effort), or the opaque marker when
+        it cannot be read off.  Typing alone spends the caller's ``steps``;
+        comparing starts a fresh budget at each spine level."""
+        if u is not None:
+            if type(t) is not type(u):
+                return None
+            steps = [0]
+        miss = None if u is None else _OPAQUE
         match t:
             case Var(i):
-                return ctx.term_type(i) if i < len(ctx.terms) else None
+                if u is not None and u.index != i:
+                    return None
+                return ctx.term_type(i) if i < len(ctx.terms) else miss
             case Constant(name):
+                if u is not None and u.name != name:
+                    return None
                 decl = self.env.decls.get(name)
-                return decl.type if decl is not None else None
-            case App(f, a):
-                fty = self._neutral_type(ctx, f, steps)
-                if fty is None:
+                return decl.type if decl is not None else miss
+            case App(s, _) | Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _):
+                sty = self._spine(ctx, s, None if u is None else _scrutinee(u), steps)
+                if sty is None:
                     return None
-                ftyw = self._whnf(ctx, fty, steps)
-                if isinstance(ftyw, Pi):
-                    return substitute(ftyw.codomain, 0, a)
-                return None
-            case ExtApp(f, p):
-                fty = self._neutral_type(ctx, f, steps)
-                if fty is None:
-                    return None
-                ftyw = self._whnf(ctx, fty, steps)
-                if isinstance(ftyw, ExtType):
-                    return subst_cube(ftyw.codomain, 0, p)
-                return None
-            case Fst(pr):
-                pty = self._neutral_type(ctx, pr, steps)
-                if pty is None:
-                    return None
-                ptyw = self._whnf(ctx, pty, steps)
-                return ptyw.first if isinstance(ptyw, Sigma) else None
-            case Snd(pr):
-                pty = self._neutral_type(ctx, pr, steps)
-                if pty is None:
-                    return None
-                ptyw = self._whnf(ctx, pty, steps)
-                if isinstance(ptyw, Sigma):
-                    return substitute(ptyw.second, 0, Fst(pr))
-                return None
-            case IndPath(m, _, tgt):
-                tty = self._neutral_type(ctx, tgt, steps)
-                if tty is None:
-                    return None
-                ttyw = self._whnf(ctx, tty, steps)
-                if isinstance(ttyw, Id):
-                    return _inst_motive(m, ttyw.lhs, ttyw.rhs, tgt)
-                return None
-            case Annot(_, ty):
-                return ty
+                match t, u:
+                    case ExtApp(_, p1), ExtApp(_, p2):
+                        if not T.tope_entails(ctx.cubes, list(ctx.topes), TopeEq(p1, p2)):
+                            return None
+                    case IndPath(m1, d1, _), IndPath(m2, d2, _):
+                        ctx3 = ctx.extend_term(_OPAQUE).extend_term(_OPAQUE).extend_term(_OPAQUE)
+                        if not self._equal(ctx3, m1, m2, None):
+                            return None
+                        if not self._equal(ctx.extend_term(_OPAQUE), d1, d2, None):
+                            return None
+                stw = self._whnf(ctx, sty, steps)
+                if isinstance(u, App):
+                    dom = stw.domain if isinstance(stw, Pi) else None
+                    if not self._equal(ctx, t.arg, u.arg, dom):
+                        return None
+                ty = _elim_type(t, stw)
+                return miss if ty is None else ty
+            case Refl(a):
+                return _OPAQUE if u is not None and self._equal(ctx, a, u.term, None) else None
         return None
 
     # ------------------------------------------------------------------
@@ -393,74 +374,7 @@ class Checker:
                     ctx2, ExtApp(weaken_cube(tw, 1, 0), CubeVar(0)), b2, None
                 )
             case _:
-                return self._equal_neutral(ctx, tw, uw) is not None
-
-    def _equal_neutral(self, ctx: Context, t: Term, u: Term) -> Term | None:
-        """Spine-directed comparison of stuck terms; returns their common
-        type when equal (best effort), the opaque marker when untypeable."""
-        steps = [0]
-        match (t, u):
-            case (Var(i), Var(j)):
-                if i != j:
-                    return None
-                return ctx.term_type(i) if i < len(ctx.terms) else _OPAQUE
-            case (Constant(n), Constant(m)):
-                if n != m:
-                    return None
-                decl = self.env.decls.get(n)
-                return decl.type if decl is not None else _OPAQUE
-            case (App(f1, a1), App(f2, a2)):
-                fty = self._equal_neutral(ctx, f1, f2)
-                if fty is None:
-                    return None
-                ftyw = self._whnf(ctx, fty, steps)
-                if isinstance(ftyw, Pi):
-                    if not self._equal(ctx, a1, a2, ftyw.domain):
-                        return None
-                    return substitute(ftyw.codomain, 0, a1)
-                if not self._equal(ctx, a1, a2, None):
-                    return None
-                return _OPAQUE
-            case (ExtApp(f1, p1), ExtApp(f2, p2)):
-                fty = self._equal_neutral(ctx, f1, f2)
-                if fty is None:
-                    return None
-                if not T.tope_entails(ctx.cubes, list(ctx.topes), TopeEq(p1, p2)):
-                    return None
-                ftyw = self._whnf(ctx, fty, steps)
-                if isinstance(ftyw, ExtType):
-                    return subst_cube(ftyw.codomain, 0, p1)
-                return _OPAQUE
-            case (Fst(p1), Fst(p2)):
-                pty = self._equal_neutral(ctx, p1, p2)
-                if pty is None:
-                    return None
-                ptyw = self._whnf(ctx, pty, steps)
-                return ptyw.first if isinstance(ptyw, Sigma) else _OPAQUE
-            case (Snd(p1), Snd(p2)):
-                pty = self._equal_neutral(ctx, p1, p2)
-                if pty is None:
-                    return None
-                ptyw = self._whnf(ctx, pty, steps)
-                if isinstance(ptyw, Sigma):
-                    return substitute(ptyw.second, 0, Fst(p1))
-                return _OPAQUE
-            case (IndPath(m1, d1, t1), IndPath(m2, d2, t2)):
-                tty = self._equal_neutral(ctx, t1, t2)
-                if tty is None:
-                    return None
-                ctx3 = ctx.extend_term(_OPAQUE).extend_term(_OPAQUE).extend_term(_OPAQUE)
-                if not self._equal(ctx3, m1, m2, None):
-                    return None
-                if not self._equal(ctx.extend_term(_OPAQUE), d1, d2, None):
-                    return None
-                ttyw = self._whnf(ctx, tty, steps)
-                if isinstance(ttyw, Id):
-                    return _inst_motive(m1, ttyw.lhs, ttyw.rhs, t1)
-                return _OPAQUE
-            case (Refl(a1), Refl(a2)):
-                return _OPAQUE if self._equal(ctx, a1, a2, None) else None
-        return None
+                return self._spine(ctx, tw, uw, steps) is not None
 
     # ------------------------------------------------------------------
     # inference and checking
@@ -486,45 +400,22 @@ class Checker:
                 return Universe(max(la, lb))
             case Lambda(_):
                 raise _fail("E-CANNOT-INFER", "unannotated λ only checks against a Π type")
-            case App(f, a):
+            case App(s, _) | Fst(s) | Snd(s) | ExtApp(s, _):
                 try:
-                    fty = self.whnf(ctx, self.infer(ctx, f))
+                    sty = self.whnf(ctx, self.infer(ctx, s))
                 except CheckFailure as e:
                     return self._infer_after_reduction(ctx, t, e)
-                if not isinstance(fty, Pi):
-                    raise _fail(
-                        "E-NOT-A-FUNCTION",
-                        "application head is not a function",
-                        actual=print_term(fty, ctx),
-                    )
-                self.check(ctx, a, fty.domain)
-                return substitute(fty.codomain, 0, a)
+                ty = _elim_type(t, sty)
+                if ty is None:
+                    code, message = _NOT_ELIMINABLE[type(t)]
+                    raise _fail(code, message, actual=print_term(sty, ctx))
+                if isinstance(t, App):
+                    self.check(ctx, t.arg, sty.domain)
+                elif isinstance(t, ExtApp):
+                    self._check_point(ctx, t.point, sty.shape)
+                return ty
             case Pair(_, _):
                 raise _fail("E-CANNOT-INFER", "a pair only checks against a Σ type")
-            case Fst(p):
-                try:
-                    pty = self.whnf(ctx, self.infer(ctx, p))
-                except CheckFailure as e:
-                    return self._infer_after_reduction(ctx, t, e)
-                if not isinstance(pty, Sigma):
-                    raise _fail(
-                        "E-NOT-A-PAIR",
-                        "projection target is not a pair",
-                        actual=print_term(pty, ctx),
-                    )
-                return pty.first
-            case Snd(p):
-                try:
-                    pty = self.whnf(ctx, self.infer(ctx, p))
-                except CheckFailure as e:
-                    return self._infer_after_reduction(ctx, t, e)
-                if not isinstance(pty, Sigma):
-                    raise _fail(
-                        "E-NOT-A-PAIR",
-                        "projection target is not a pair",
-                        actual=print_term(pty, ctx),
-                    )
-                return substitute(pty.second, 0, Fst(p))
             case Id(ty, l, r):
                 if ty is None:
                     ty = self.infer(ctx, l)
@@ -556,7 +447,7 @@ class Checker:
                 m_lifted = weaken(m, 1, 3)  # move under the base-case binder
                 base_goal = _inst_motive(m_lifted, Var(0), Var(0), Refl(Var(0)))
                 self.check(ctx_d, d, base_goal)
-                return _inst_motive(m, tty.lhs, tty.rhs, tgt)
+                return _elim_type(t, tty)
             case ExtType(sh, cod, bt, bd):
                 cubes = list(ctx.cubes) + [sh.cube]
                 if not T.tope_entails(cubes, [bt], sh.constraint):
@@ -572,35 +463,6 @@ class Checker:
                 raise _fail(
                     "E-CANNOT-INFER", "a shape λ only checks against an extension type"
                 )
-            case ExtApp(f, p):
-                try:
-                    fty = self.whnf(ctx, self.infer(ctx, f))
-                except CheckFailure as e:
-                    return self._infer_after_reduction(ctx, t, e)
-                if not isinstance(fty, ExtType):
-                    raise _fail(
-                        "E-NOT-A-FUNCTION",
-                        "extension application head has no extension type",
-                        actual=print_term(fty, ctx),
-                    )
-                sort = T.sort_of_point(ctx.cubes, p)
-                if sort != fty.shape.cube:
-                    raise _fail(
-                        "E-POINT-SORT",
-                        "point sort does not match the shape's cube",
-                        expected=str(fty.shape.cube),
-                        actual=str(sort),
-                    )
-                constraint_at_p = subst_tope_point(fty.shape.constraint, 0, p)
-                if not T.tope_entails(ctx.cubes, list(ctx.topes), constraint_at_p):
-                    cm = T.countermodel(ctx.cubes, list(ctx.topes), constraint_at_p)
-                    raise _fail(
-                        "E-TOPE-FALSE",
-                        "point is not constrained into the shape",
-                        expected=print_tope(_simplify_tope(constraint_at_p), len(ctx.cubes)),
-                        countermodel=_countermodel_map(cm) if cm else None,
-                    )
-                return subst_cube(fty.codomain, 0, p)
             case Split(_):
                 raise _fail("E-CANNOT-INFER", "a split only checks against a type")
             case Annot(a, ty):
@@ -608,6 +470,26 @@ class Checker:
                 self.check(ctx, a, ty)
                 return ty
         raise _fail("E-CANNOT-INFER", f"cannot infer a type for {type(t).__name__}")
+
+    def _check_point(self, ctx: Context, p, sh) -> None:
+        """The point ``p`` lies in the shape ``sh`` under the constraints in force."""
+        sort = T.sort_of_point(ctx.cubes, p)
+        if sort != sh.cube:
+            raise _fail(
+                "E-POINT-SORT",
+                "point sort does not match the shape's cube",
+                expected=str(sh.cube),
+                actual=str(sort),
+            )
+        constraint_at_p = subst_tope_point(sh.constraint, 0, p)
+        if not T.tope_entails(ctx.cubes, list(ctx.topes), constraint_at_p):
+            cm = T.countermodel(ctx.cubes, list(ctx.topes), constraint_at_p)
+            raise _fail(
+                "E-TOPE-FALSE",
+                "point is not constrained into the shape",
+                expected=print_tope(_simplify_tope(constraint_at_p), len(ctx.cubes)),
+                countermodel=_countermodel_map(cm) if cm else None,
+            )
 
     def _infer_after_reduction(self, ctx: Context, t: Term, e: CheckFailure) -> Term:
         # substitution inside unfolded definitions leaves redexes whose heads
@@ -767,12 +649,62 @@ class Checker:
 
 _OPAQUE = Constant("%opaque")
 
+_NOT_ELIMINABLE = {
+    App: ("E-NOT-A-FUNCTION", "application head is not a function"),
+    Fst: ("E-NOT-A-PAIR", "projection target is not a pair"),
+    Snd: ("E-NOT-A-PAIR", "projection target is not a pair"),
+    ExtApp: ("E-NOT-A-FUNCTION", "extension application head has no extension type"),
+}
+
 
 def _inst_motive(m: Term, a: Term, b: Term, q: Term) -> Term:
     """m[x := a, y := b, p := q] for a motive binding x, y, p."""
     step1 = substitute(m, 2, weaken(a, 2))
     step2 = substitute(step1, 1, weaken(b, 1))
     return substitute(step2, 0, q)
+
+
+# ---------------------------------------------------------------------------
+# eliminators: App, Fst, Snd, IndPath and ExtApp, each with one scrutinee
+
+def _scrutinee(t: Term) -> Term | None:
+    match t:
+        case App(s, _) | Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _):
+            return s
+    return None
+
+
+def _on(t: Term, s: Term) -> Term:
+    """Eliminator ``t`` with its scrutinee replaced by ``s``."""
+    match t:
+        case App(_, a):
+            return App(s, a)
+        case Fst(_):
+            return Fst(s)
+        case Snd(_):
+            return Snd(s)
+        case IndPath(m, d, _):
+            return IndPath(m, d, s)
+        case ExtApp(_, p):
+            return ExtApp(s, p)
+    raise AssertionError(f"_on: {t!r}")
+
+
+def _elim_type(t: Term, stw: Term) -> Term | None:
+    """Type of eliminator ``t`` whose scrutinee has weak-head type ``stw``, or
+    None when ``stw`` has the wrong former."""
+    match t, stw:
+        case App(_, a), Pi(_, cod):
+            return substitute(cod, 0, a)
+        case Fst(_), Sigma(a, _):
+            return a
+        case Snd(p), Sigma(_, b):
+            return substitute(b, 0, Fst(p))
+        case IndPath(m, _, q), Id(_, a, b):
+            return _inst_motive(m, a, b, q)
+        case ExtApp(_, p), ExtType(_, cod, _, _):
+            return subst_cube(cod, 0, p)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -800,36 +732,11 @@ def check(env: CheckEnv, ctx: Context, t: Term, ty: Term) -> Diagnostic | None:
         return Diagnostic("error", "E-UNFOLD-DEPTH", "unfold depth limit exceeded")
 
 
-def _constants_of(t: Term | None, acc: set[str]) -> set[str]:
-    if t is None:
-        return acc
-    match t:
-        case Constant(name):
-            acc.add(name)
-        case Pi(a, b) | Sigma(a, b) | App(a, b) | Pair(a, b):
-            _constants_of(a, acc)
-            _constants_of(b, acc)
-        case Lambda(b) | ExtLambda(b) | Fst(b) | Snd(b) | Refl(b):
-            _constants_of(b, acc)
-        case Id(ty, l, r):
-            _constants_of(ty, acc)
-            _constants_of(l, acc)
-            _constants_of(r, acc)
-        case IndPath(m, d, p):
-            _constants_of(m, acc)
-            _constants_of(d, acc)
-            _constants_of(p, acc)
-        case ExtType(_, cod, _, bd):
-            _constants_of(cod, acc)
-            _constants_of(bd, acc)
-        case ExtApp(f, _):
-            _constants_of(f, acc)
-        case Split(brs):
-            for _, b in brs:
-                _constants_of(b, acc)
-        case Annot(a, ty):
-            _constants_of(a, acc)
-            _constants_of(ty, acc)
+def _constants_of(t: Term, acc: set[str]) -> set[str]:
+    if isinstance(t, Constant):
+        acc.add(t.name)
+    for s, _, _ in children(t):
+        _constants_of(s, acc)
     return acc
 
 
@@ -857,7 +764,8 @@ def check_declaration(env: CheckEnv, decl: Declaration) -> list[Diagnostic]:
             )
         ]
     refs = _constants_of(decl.type, set())
-    _constants_of(decl.body, refs)
+    if decl.body is not None:
+        _constants_of(decl.body, refs)
     usage: set[str] = set()
     for r in refs:
         usage |= env.axiom_usage.get(r, frozenset())

@@ -24,7 +24,7 @@ import sys
 import traceback
 
 from .batch import BatchResult, check_files
-from .corpus import corpus_check, load_manifest
+from .corpus import corpus_check
 from .diagnostics import Diagnostic
 
 
@@ -117,8 +117,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    manifest = load_manifest(args.manifest)
-    report = corpus_check(manifest, max_unfold=args.max_unfold)
+    report = corpus_check(args.manifest, max_unfold=args.max_unfold)
     if args.json:
         entries = [
             {
@@ -152,7 +151,7 @@ def cmd_corpus(args) -> int:
             print(d.render(), file=sys.stderr)
         status = "corpus ok" if report.ok else "corpus FAILED"
         print(f"{status}: {len(report.results)} entries in {report.wall_seconds:.2f}s")
-    return 0 if report.ok else 1
+    return 2 if report.input_failure else 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

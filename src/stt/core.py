@@ -508,6 +508,37 @@ def subst_cube(t: Term, level: int, value: CubePoint) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# Immediate subterms
+
+def children(t: Term) -> tuple[tuple[Term, int, int], ...]:
+    """The subterms directly below ``t``, each as ``(subterm, k, c)`` with the
+    ``k`` term and ``c`` cube binders it sits under.  Points and topes are
+    not terms and are left out."""
+    match t:
+        case Var() | Universe() | Constant():
+            return ()
+        case Pi(a, b) | Sigma(a, b):
+            return ((a, 0, 0), (b, 1, 0))
+        case Lambda(b):
+            return ((b, 1, 0),)
+        case App(a, b) | Pair(a, b) | Annot(a, b):
+            return ((a, 0, 0), (b, 0, 0))
+        case Fst(a) | Snd(a) | Refl(a) | ExtApp(a, _):
+            return ((a, 0, 0),)
+        case Id(ty, l, r):
+            return ((l, 0, 0), (r, 0, 0)) if ty is None else ((ty, 0, 0), (l, 0, 0), (r, 0, 0))
+        case IndPath(m, d, p):
+            return ((m, 3, 0), (d, 1, 0), (p, 0, 0))
+        case ExtType(_, cod, _, bd):
+            return ((cod, 0, 1), (bd, 0, 1))
+        case ExtLambda(b):
+            return ((b, 0, 1),)
+        case Split(brs):
+            return tuple((b, 0, 0) for _, b in brs)
+    raise AssertionError(f"children: {t!r}")
+
+
+# ---------------------------------------------------------------------------
 # Scope validation
 
 def point_in_scope(p: CubePoint, cube_depth: int) -> bool:
@@ -539,54 +570,19 @@ def term_in_scope(t: Term, cube_depth: int, term_depth: int) -> bool:
     match t:
         case Var(i):
             return 0 <= i < term_depth
-        case Universe() | Constant():
-            return True
-        case Pi(a, b) | Sigma(a, b):
-            return term_in_scope(a, cube_depth, term_depth) and term_in_scope(
-                b, cube_depth, term_depth + 1
-            )
-        case Lambda(b):
-            return term_in_scope(b, cube_depth, term_depth + 1)
-        case App(f, a) | Pair(f, a):
-            return term_in_scope(f, cube_depth, term_depth) and term_in_scope(
-                a, cube_depth, term_depth
-            )
-        case Fst(p) | Snd(p) | Refl(p):
-            return term_in_scope(p, cube_depth, term_depth)
-        case Id(ty, l, r):
-            ok = ty is None or term_in_scope(ty, cube_depth, term_depth)
-            return (
-                ok
-                and term_in_scope(l, cube_depth, term_depth)
-                and term_in_scope(r, cube_depth, term_depth)
-            )
-        case IndPath(m, d, p):
-            return (
-                term_in_scope(m, cube_depth, term_depth + 3)
-                and term_in_scope(d, cube_depth, term_depth + 1)
-                and term_in_scope(p, cube_depth, term_depth)
-            )
-        case ExtType(sh, cod, bt, bd):
-            return (
-                tope_in_scope(sh.constraint, cube_depth + 1)
-                and term_in_scope(cod, cube_depth + 1, term_depth)
-                and tope_in_scope(bt, cube_depth + 1)
-                and term_in_scope(bd, cube_depth + 1, term_depth)
-            )
-        case ExtLambda(b):
-            return term_in_scope(b, cube_depth + 1, term_depth)
-        case ExtApp(f, p):
-            return term_in_scope(f, cube_depth, term_depth) and point_in_scope(p, cube_depth)
+        case ExtType(sh, _, bt, _):
+            if not all(tope_in_scope(tp, cube_depth + 1) for tp in (sh.constraint, bt)):
+                return False
+        case ExtApp(_, p):
+            if not point_in_scope(p, cube_depth):
+                return False
         case Split(brs):
-            return all(
-                tope_in_scope(tp, cube_depth) and term_in_scope(b, cube_depth, term_depth)
-                for tp, b in brs
-            )
-        case Annot(a, ty):
-            return term_in_scope(a, cube_depth, term_depth) and term_in_scope(
-                ty, cube_depth, term_depth
-            )
-    return False
+            if not all(tope_in_scope(tp, cube_depth) for tp, _ in brs):
+                return False
+    for s, k, c in children(t):  # a plain loop: one frame per nesting level
+        if not term_in_scope(s, cube_depth + c, term_depth + k):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

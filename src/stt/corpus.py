@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .batch import check_files
+from .diagnostics import Diagnostic
+from .lexer import Span
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,7 @@ class CorpusReport:
     results: list[EntryResult] = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     wall_seconds: float = 0.0
+    input_failure: bool = False  # an unreadable or unparsable manifest or corpus file
 
     @property
     def ok(self) -> bool:
@@ -66,40 +69,68 @@ def default_manifest_path() -> str:
     return str(resources.files("stt").joinpath("stdlib/manifest.txt"))
 
 
+class ManifestError(Exception):
+    """A manifest that cannot be read (E-IO) or holds a malformed record
+    (E-MANIFEST, spanning the record's line)."""
+
+    def __init__(self, diag: Diagnostic):
+        super().__init__(diag.render())
+        self.diag = diag
+
+
+def _record_error(path: str, start: int, lineno: int, raw: str, message: str) -> ManifestError:
+    text = raw.rstrip("\r\n")
+    span = Span(start, start + len(text.encode("utf-8")), lineno, 1, lineno, len(text) + 1)
+    return ManifestError(Diagnostic("error", "E-MANIFEST", message, span=span, file=path))
+
+
 def load_manifest(path: str | None = None) -> CorpusManifest:
     path = path or default_manifest_path()
     entries: list[ManifestEntry] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split("|")]
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: malformed manifest record")
-            file, name, anchor, axioms, tier = parts
-            if tier not in ("PROVED", "STATED"):
-                raise ValueError(f"{path}:{lineno}: unknown tier {tier!r}")
-            axiom_set = (
-                frozenset()
-                if axioms == "-"
-                else frozenset(a.strip() for a in axioms.split(",") if a.strip())
-            )
-            entries.append(ManifestEntry(file, name, anchor, axiom_set, tier))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = list(fh)  # line ends kept as written, so offsets are exact
+    except OSError as e:
+        message = f"cannot read manifest '{path}': {e.strerror}"
+        raise ManifestError(Diagnostic("error", "E-IO", message, file=path)) from None
+    offset = 0
+    for lineno, raw in enumerate(lines, 1):
+        start, offset = offset, offset + len(raw.encode("utf-8"))
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split("|")]
+        if len(parts) != 5:
+            raise _record_error(path, start, lineno, raw, "malformed manifest record")
+        file, name, anchor, axioms, tier = parts
+        if tier not in ("PROVED", "STATED"):
+            raise _record_error(path, start, lineno, raw, f"unknown tier {tier!r}")
+        axiom_set = (
+            frozenset()
+            if axioms == "-"
+            else frozenset(a.strip() for a in axioms.split(",") if a.strip())
+        )
+        entries.append(ManifestEntry(file, name, anchor, axiom_set, tier))
     return CorpusManifest(path, entries)
 
 
 def corpus_check(
     manifest: CorpusManifest | str | None = None, max_unfold: int = 10_000
 ) -> CorpusReport:
-    """Check every corpus file and verify each manifest entry's contract."""
+    """Check every corpus file and verify each manifest entry's contract.  A
+    manifest that cannot be loaded gives a report holding its diagnostic."""
     if not isinstance(manifest, CorpusManifest):
-        manifest = load_manifest(manifest)
+        try:
+            manifest = load_manifest(manifest)
+        except ManifestError as e:
+            empty = CorpusManifest(e.diag.file, [])
+            return CorpusReport(empty, diagnostics=[e.diag], input_failure=True)
     base = os.path.dirname(manifest.path)
     files = [os.path.join(base, f) for f in manifest.files()]
     batch = check_files(files, max_unfold=max_unfold)
     report = CorpusReport(manifest=manifest)
     report.diagnostics = batch.all_diagnostics
+    report.input_failure = batch.has_io_or_parse_failure
     report.wall_seconds = batch.wall_seconds
     by_file = {os.path.relpath(key, base): batch.reports[key] for key in batch.order}
 

@@ -297,6 +297,7 @@ def enumerate_models(atom_list: list[Atom], hypotheses: list[Tope]) -> list[Weak
 # Entailment
 
 _memo: dict[object, bool] = {}
+_MEMO_MAX = 1 << 16  # cleared when full; C1 fills 9761 entries, a corpus run 75
 
 
 def _blank_repr(t: Tope) -> str:
@@ -376,6 +377,8 @@ def tope_entails(
         return hit
     mentioned = _mentioned_atoms(nhyps + [ngoal])
     result = all(m.satisfies(ngoal) for m in enumerate_models(mentioned, nhyps))
+    if len(_memo) >= _MEMO_MAX:
+        _memo.clear()
     _memo[key] = result
     return result
 

@@ -254,3 +254,45 @@ def test_deep_binders_fail_their_importers(tmp_path):
     assert r.returncode == 2
     codes = sorted(d["code"] for d in json.loads(r.stdout)["diagnostics"])
     assert codes == ["E-DEPENDS-ON-FAILED", "E-NESTING-DEPTH"]
+
+
+def _one_entry_manifest(tmp_path, source: str | None) -> str:
+    if source is not None:
+        (tmp_path / "one.stt").write_text(source, encoding="utf-8")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("one.stt | one | anchor | - | PROVED\n", encoding="utf-8")
+    return str(manifest)
+
+
+@pytest.mark.parametrize(
+    "source,code",
+    [("def one : U := (U\n", "E-PARSE"), (None, "E-IO")],
+    ids=["unclosed", "missing"],
+)
+def test_corpus_input_failure_exits_two(tmp_path, source, code):
+    r = run_cli("corpus", "--json", "--manifest", _one_entry_manifest(tmp_path, source))
+    assert r.returncode == 2, r.stdout + r.stderr
+    doc = json.loads(r.stdout)
+    assert code in [d["code"] for d in doc["diagnostics"]]
+    assert doc["summary"]["failed"] == 1
+
+
+def test_corpus_missing_manifest_is_an_io_diagnostic(tmp_path):
+    missing = str(tmp_path / "nowhere.txt")
+    r = run_cli("corpus", "--manifest", missing)
+    assert r.returncode == 2
+    assert "E-IO" in r.stderr and missing in r.stderr
+    assert "E-INTERNAL" not in r.stderr and "Traceback" not in r.stderr
+
+
+def test_corpus_malformed_manifest_names_the_record(tmp_path):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("# header\n\nok.stt | ok | a | - | PROVED\nbroken | record\n", "utf-8")
+    r = run_cli("corpus", "--manifest", str(manifest))
+    assert r.returncode == 2
+    assert f"{manifest}:4:1: error[E-MANIFEST]: malformed manifest record" in r.stderr
+    assert "E-INTERNAL" not in r.stderr and "Traceback" not in r.stderr
+    rj = run_cli("corpus", "--json", "--manifest", str(manifest))
+    assert rj.returncode == 2
+    (d,) = json.loads(rj.stdout)["diagnostics"]
+    assert (d["code"], d["file"], d["start"]["line"]) == ("E-MANIFEST", str(manifest), 4)

@@ -3,6 +3,7 @@ validation, and the canonical shape table."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -287,3 +288,31 @@ def test_resolver_shadowing_cases(src, expected):
 
     got = Resolver({}).resolve_term(parse_expr(src))
     assert got == expected
+
+
+def test_children_enter_the_fields_walk_enters_500():
+    # every term-valued field, and every split branch, is a child, in field
+    # order; and each child sits under the binders the index walk counts:
+    # weakening the node in both namespaces weakens each child at its depth
+    rng = random.Random(36)
+    stack = [C.Annot(C.Var(0), C.Id(None, C.Var(1), C.Refl(C.Var(0))))]
+    for _ in range(500):
+        depth, cubes = rng.randrange(0, 3), rng.randrange(0, 3)
+        stack.append(random_cube_term(rng, depth, cubes, rng.randrange(0, 14)))
+        stack.append(random_term(rng, depth, rng.randrange(0, 10)))
+    seen = set()
+    while stack:
+        t = stack.pop()
+        seen.add(type(t))
+        kids = C.children(t)
+        if isinstance(t, C.Split):
+            fields = [b for _, b in t.branches]
+        else:
+            fields = [getattr(t, f.name) for f in dataclasses.fields(t)]
+        assert [s for s, _, _ in kids] == [v for v in fields if isinstance(v, C.Term)]
+        shifted = C.children(weaken_cube(weaken(t, 1, 0), 1, 0))
+        assert [s for s, _, _ in shifted] == [
+            weaken_cube(weaken(s, 1, k), 1, c) for s, k, c in kids
+        ]
+        stack.extend(s for s, _, _ in kids)
+    assert seen == set(C.Term.__args__)

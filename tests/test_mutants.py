@@ -10,23 +10,14 @@ import pytest
 
 from stt.parser import parse_module
 
+import golden
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 STDLIB = ROOT / "src" / "stt" / "stdlib"
 MUTANTS = pathlib.Path(__file__).resolve().parent / "mutants"
 
 
-def _load_index():
-    rows = []
-    for line in (MUTANTS / "index.txt").read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        mutant, base, target = (p.strip() for p in line.split("|"))
-        rows.append((mutant, base, target))
-    return rows
-
-
-INDEX = _load_index()
+INDEX = golden.mutant_index()
 
 
 def test_at_least_twenty_mutants_shipped():

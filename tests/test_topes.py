@@ -322,6 +322,26 @@ def test_memoization_transparency():
     )
 
 
+def test_memo_stays_within_its_cap(monkeypatch):
+    import stt.topes
+
+    rng = random.Random(20260810)
+    ctx = [INTERVAL, INTERVAL, INTERVAL]
+    queries = []
+    for _ in range(200):
+        hyps = [_tope(rng, 3, 2) for _ in range(rng.randrange(0, 3))]
+        queries.append((hyps, _tope(rng, 3, 2)))
+    clear_memo()
+    unbounded = [tope_entails(ctx, h, g) for h, g in queries]
+    assert len(stt.topes._memo) > 8
+    monkeypatch.setattr(stt.topes, "_MEMO_MAX", 8)
+    clear_memo()
+    for (h, g), want in zip(queries + queries, unbounded + unbounded):
+        assert tope_entails(ctx, h, g) == want == oracle_entails(3, h, g)
+        assert len(stt.topes._memo) <= 8
+    clear_memo()
+
+
 def test_degenerate_constant_only_queries():
     assert tope_entails([], [], TopeLeq(ZERO, ONE))
     assert tope_entails([], [], TopeEq(ZERO, ZERO))

@@ -19,6 +19,11 @@ from .diagnostics import Diagnostic
 from .parser import parse_module
 
 
+def read_failure(e: OSError | UnicodeDecodeError) -> str:
+    """Why a file could not be read, for an E-IO message."""
+    return "not valid UTF-8" if isinstance(e, UnicodeDecodeError) else e.strerror
+
+
 @dataclass
 class FileReport:
     path: str  # as given on the command line or via imports
@@ -106,11 +111,10 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
         try:
             with open(key, "r", encoding="utf-8") as fh:
                 report.source = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             report.io_error = True
-            report.parse_diagnostics.append(
-                Diagnostic("error", "E-IO", f"cannot read '{shown}': {e.strerror}", file=shown)
-            )
+            message = f"cannot read '{shown}': {read_failure(e)}"
+            report.parse_diagnostics.append(Diagnostic("error", "E-IO", message, file=shown))
             continue
         decls[key], pdiags, found = parse_module(report.source)
         for d in pdiags:

@@ -9,8 +9,9 @@ paths, constant unfolding up to a depth limit, and the boundary rule.
 
 Each eliminator (application, the projections, ind-path, extension
 application) has one computation rule, ``_contract``, and one typing rule,
-``_elim_type``, shared by weak-head normalization, the walk over stuck
-spines (``_spine``) and ``infer``.
+``_elim_type``, shared by weak-head normalization, the two walks over stuck
+spines (``_spine_type`` types one, ``_equal_spine`` compares two) and
+``infer``.
 
 Unfold budget: every unfolding and every contraction spends one step of
 ``max_unfold``.  Each ``whnf`` call and each conversion step starts a fresh
@@ -190,7 +191,7 @@ class Checker:
                 self._budget(steps)
                 return subst_cube(b, 0, p)
             case ExtApp(_, p), _:
-                ty = self._spine(ctx, sw, None, steps)
+                ty = self._spine_type(ctx, sw, steps)
                 tyw = None if ty is None else self._whnf(ctx, ty, steps)
                 if not isinstance(tyw, ExtType):
                     return None
@@ -201,30 +202,35 @@ class Checker:
                 return subst_cube(tyw.boundary, 0, p)
         return None
 
-    def _spine(self, ctx: Context, t: Term, u: Term | None, steps: list[int]) -> Term | None:
+    def _spine_type(self, ctx: Context, t: Term, steps: list[int]) -> Term | None:
         """Type of the weak-head-stuck term ``t``, or None when unknowable.
-
-        Given ``u``, also compare the two spines: None when they differ,
-        otherwise their common type (best effort), or the opaque marker when
-        it cannot be read off.  Typing alone spends the caller's ``steps``;
-        comparing starts a fresh budget at each spine level."""
-        if u is not None:
-            if type(t) is not type(u):
-                return None
-            steps = [0]
-        miss = None if u is None else _OPAQUE
+        Spends the caller's ``steps``."""
         match t:
             case Var(i):
-                if u is not None and u.index != i:
-                    return None
-                return ctx.term_type(i) if i < len(ctx.terms) else miss
+                return ctx.term_type(i) if i < len(ctx.terms) else None
             case Constant(name):
-                if u is not None and u.name != name:
-                    return None
                 decl = self.env.decls.get(name)
-                return decl.type if decl is not None else miss
+                return decl.type if decl is not None else None
             case App(s, _) | Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _):
-                sty = self._spine(ctx, s, None if u is None else _scrutinee(u), steps)
+                sty = self._spine_type(ctx, s, steps)
+                return None if sty is None else _elim_type(t, self._whnf(ctx, sty, steps))
+        return None
+
+    def _equal_spine(self, ctx: Context, t: Term, u: Term) -> Term | None:
+        """Compare the weak-head-stuck terms ``t`` and ``u``: None when their
+        spines differ, otherwise their common type (best effort), or the
+        opaque marker when it cannot be read off.  Each spine level starts a
+        fresh budget."""
+        if type(t) is not type(u):
+            return None
+        match t:
+            case Var(i) if u.index == i:
+                return ctx.term_type(i) if i < len(ctx.terms) else _OPAQUE
+            case Constant(name) if u.name == name:
+                decl = self.env.decls.get(name)
+                return decl.type if decl is not None else _OPAQUE
+            case App(s, _) | Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _):
+                sty = self._equal_spine(ctx, s, _scrutinee(u))
                 if sty is None:
                     return None
                 match t, u:
@@ -237,15 +243,15 @@ class Checker:
                             return None
                         if not self._equal(ctx.extend_term(_OPAQUE), d1, d2, None):
                             return None
-                stw = self._whnf(ctx, sty, steps)
-                if isinstance(u, App):
+                stw = self._whnf(ctx, sty, [0])
+                if isinstance(t, App):
                     dom = stw.domain if isinstance(stw, Pi) else None
                     if not self._equal(ctx, t.arg, u.arg, dom):
                         return None
                 ty = _elim_type(t, stw)
-                return miss if ty is None else ty
+                return _OPAQUE if ty is None else ty
             case Refl(a):
-                return _OPAQUE if u is not None and self._equal(ctx, a, u.term, None) else None
+                return _OPAQUE if self._equal(ctx, a, u.term, None) else None
         return None
 
     # ------------------------------------------------------------------
@@ -374,7 +380,7 @@ class Checker:
                     ctx2, ExtApp(weaken_cube(tw, 1, 0), CubeVar(0)), b2, None
                 )
             case _:
-                return self._spine(ctx, tw, uw, steps) is not None
+                return self._equal_spine(ctx, tw, uw) is not None
 
     # ------------------------------------------------------------------
     # inference and checking

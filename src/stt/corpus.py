@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .batch import check_files
+from .batch import check_files, read_failure
 from .diagnostics import Diagnostic
 from .lexer import Span
 
@@ -90,8 +90,8 @@ def load_manifest(path: str | None = None) -> CorpusManifest:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = list(fh)  # line ends kept as written, so offsets are exact
-    except OSError as e:
-        message = f"cannot read manifest '{path}': {e.strerror}"
+    except (OSError, UnicodeDecodeError) as e:
+        message = f"cannot read manifest '{path}': {read_failure(e)}"
         raise ManifestError(Diagnostic("error", "E-IO", message, file=path)) from None
     offset = 0
     for lineno, raw in enumerate(lines, 1):

@@ -256,9 +256,9 @@ def test_deep_binders_fail_their_importers(tmp_path):
     assert codes == ["E-DEPENDS-ON-FAILED", "E-NESTING-DEPTH"]
 
 
-def _one_entry_manifest(tmp_path, source: str | None) -> str:
+def _one_entry_manifest(tmp_path, source: bytes | None) -> str:
     if source is not None:
-        (tmp_path / "one.stt").write_text(source, encoding="utf-8")
+        (tmp_path / "one.stt").write_bytes(source)
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("one.stt | one | anchor | - | PROVED\n", encoding="utf-8")
     return str(manifest)
@@ -266,8 +266,8 @@ def _one_entry_manifest(tmp_path, source: str | None) -> str:
 
 @pytest.mark.parametrize(
     "source,code",
-    [("def one : U := (U\n", "E-PARSE"), (None, "E-IO")],
-    ids=["unclosed", "missing"],
+    [(b"def one : U := (U\n", "E-PARSE"), (None, "E-IO"), (b"def one : U := U\n\xff\n", "E-IO")],
+    ids=["unclosed", "missing", "not-utf8"],
 )
 def test_corpus_input_failure_exits_two(tmp_path, source, code):
     r = run_cli("corpus", "--json", "--manifest", _one_entry_manifest(tmp_path, source))
@@ -282,6 +282,15 @@ def test_corpus_missing_manifest_is_an_io_diagnostic(tmp_path):
     r = run_cli("corpus", "--manifest", missing)
     assert r.returncode == 2
     assert "E-IO" in r.stderr and missing in r.stderr
+    assert "E-INTERNAL" not in r.stderr and "Traceback" not in r.stderr
+
+
+def test_corpus_manifest_not_utf8_is_an_io_diagnostic(tmp_path):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes(b"one.stt | one | anchor | - | PROVED\n\xff\xfe\n")
+    r = run_cli("corpus", "--manifest", str(manifest))
+    assert r.returncode == 2
+    assert f"{manifest}:error[E-IO]: cannot read manifest '{manifest}': not valid UTF-8" in r.stderr
     assert "E-INTERNAL" not in r.stderr and "Traceback" not in r.stderr
 
 

@@ -8,8 +8,7 @@ renders it.  ``tests/test_golden.py`` compares it byte for byte against
 ``tests/golden/diagnostics.json``, so any change to a verdict, code, span,
 message or printed term shows up there.
 
-    python3 tools/golden.py          # rewrite tests/golden/diagnostics.json
-    python3 tools/golden.py --check  # exit 1 if the output differs from it
+    python3 tools/golden.py  # rewrite tests/golden/diagnostics.json
 """
 
 from __future__ import annotations
@@ -98,20 +97,15 @@ def document(mutant_reports: dict[str, CorpusReport]) -> str:
     return json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=1) + "\n"
 
 
-def main(argv: list[str]) -> int:
+def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         reports = {
             m: run_mutant(m, base, pathlib.Path(tmp) / m) for m, base, _ in mutant_index()
         }
         text = document(reports)
-    if "--check" in argv:
-        same = GOLDEN.read_text(encoding="utf-8") == text
-        print("golden: identical" if same else "golden: DIFFERS", file=sys.stderr)
-        return 0 if same else 1
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(text, encoding="utf-8")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()

@@ -6,8 +6,7 @@ declaration's transitive postulate set; ``stt corpus`` runs the bundled
 corpus against its manifest.  ``--json`` switches to machine-readable
 output whose content, apart from the ``timing`` object, is byte-identical
 across runs on identical inputs.  Files are checked one after another in one
-thread; ``--jobs`` is accepted for compatibility and does not change the
-work done or the output.
+thread.
 
 Exit codes: 0 clean, 1 type errors, 2 I/O or parse failure of any input
 (including ``E-NESTING-DEPTH`` for a declaration nested too deeply to parse
@@ -161,12 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="accepted for compatibility; files are always checked in one thread",
-        )
-        p.add_argument(
             "--max-unfold", type=int, default=10_000, help="definition unfolding limit"
         )
 
@@ -194,9 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     if args.max_unfold < 1:
         print("error: --max-unfold must be at least 1", file=sys.stderr)
         return 2

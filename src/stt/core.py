@@ -311,9 +311,6 @@ class Context:
     def extend_term(self, ty: "Term", defn: "Term | None" = None) -> "Context":
         return Context(self.cubes, self.topes, self.terms + ((ty, defn),))
 
-    def cube_sort(self, index: int) -> Cube:
-        return self.cubes[len(self.cubes) - 1 - index]
-
     def term_type(self, index: int) -> "Term":
         ty = self.terms[len(self.terms) - 1 - index][0]
         return weaken(ty, index + 1, 0)
@@ -480,11 +477,6 @@ def substitute(t: Term, level: int, value: Term) -> Term:
 def weaken_point(p: CubePoint, by: int, frm: int) -> CubePoint:
     """Shift cube indices >= ``frm`` in a point up by ``by``."""
     return _point(p, (frm, None, by), 0)
-
-
-def subst_point(p: CubePoint, level: int, value: CubePoint) -> CubePoint:
-    """Substitute a point for cube index ``level`` in a point."""
-    return _point(p, (level, value, 0), 0)
 
 
 def weaken_tope_cube(t: Tope, by: int, frm: int) -> Tope:

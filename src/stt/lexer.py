@@ -5,13 +5,21 @@ ASCII alias; both spellings produce a token with the same kind and the same
 ``canon`` value, so the rest of the pipeline never sees the difference.  The
 alias table is fixed and closed.
 
+The lexer is one compiled alternation of named groups (``_TOKEN_RE``).
+Alternatives are tried left to right, so their order is the priority
+order: whitespace, ``--`` comment, ``{-``, directive, glyph (each fixed
+spelling that is not an identifier: glyph keywords, the lambda alias ``\\``
+and symbols, longest first), identifier, natural.  Glyphs go ahead of
+identifiers because ``U₁`` starts with ``U``; no symbol starts like an
+identifier or a natural.  Nested ``{- -}`` comments are not regular, so
+they are the one loop.
+
 Source files are UTF-8.  Spans are byte offsets into the encoded source,
 with 1-based line and column (in code points) for the start and end.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import re
 from dataclasses import dataclass
@@ -88,9 +96,6 @@ _SYMBOL_CANON = {
     "|": "|",
 }
 
-# Longest match first.
-_SYMBOLS = sorted(_SYMBOL_CANON, key=len, reverse=True)
-
 _KEYWORD_CANON = {
     "def": "def",
     "postulate": "postulate",
@@ -108,6 +113,7 @@ _KEYWORD_CANON = {
     "Π": "Pi",
     "lambda": "lambda",
     "λ": "lambda",
+    "\\": "lambda",
     "pi1": "pi1",
     "π₁": "pi1",
     "pi2": "pi2",
@@ -128,44 +134,37 @@ _KEYWORD_CANON = {
     "∂Δ¹": "dDelta1",
 }
 
-# Keyword spellings containing non-ASCII glyphs; tried before the identifier
-# rule because U₁ starts with a plain ASCII letter.
-_GLYPH_KEYWORDS = sorted(
-    (k for k in _KEYWORD_CANON if not k.isascii()), key=len, reverse=True
-)
+# Spelling -> (kind, lexeme, canon).  Tokens of a fixed spelling take the
+# table's own string as their lexeme instead of a fresh slice of the source.
+_SPELLINGS = {s: (TokenKind.KEYWORD, s, c) for s, c in _KEYWORD_CANON.items()}
+_SPELLINGS.update((s, (TokenKind.SYMBOL, s, c)) for s, c in _SYMBOL_CANON.items())
 
 # Identifiers: ASCII word chars and primes, with single interior hyphens so
 # names like path-inv lex as one token while "->" and "--" stay symbols.
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*(?:-[A-Za-z0-9_']+)*")
-_NAT_RE = re.compile(r"[0-9]+")
-_DIRECTIVE_RE = re.compile(r"#(import|section)[^\n]*")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_']*(?:-[A-Za-z0-9_']+)*"
 
+# The spellings that are not identifiers: glyph keywords, "\" and symbols.
+# Longest first, so that "\/" wins over "\" and "|->" over "|".
+_GLYPHS = sorted(
+    (s for s in _SPELLINGS if not re.fullmatch(_IDENT, s)), key=len, reverse=True
+)
 
-def _line_col(offsets: list[int], pos: int) -> tuple[int, int]:
-    # offsets holds the char index of each line start
-    line = bisect.bisect_right(offsets, pos) - 1
-    return line + 1, pos - offsets[line] + 1
-
-
-class _Cursor:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0  # char position
-        self.byte = 0  # byte position of self.pos
-        self.line_starts = [0]
-        for i, ch in enumerate(source):
-            if ch == "\n":
-                self.line_starts.append(i + 1)
-
-    def advance(self, n_chars: int) -> None:
-        chunk = self.source[self.pos : self.pos + n_chars]
-        self.pos += n_chars
-        self.byte += len(chunk.encode("utf-8"))
-
-    def span_from(self, start_pos: int, start_byte: int) -> Span:
-        line, col = _line_col(self.line_starts, start_pos)
-        eline, ecol = _line_col(self.line_starts, self.pos)
-        return Span(start_byte, self.byte, line, col, eline, ecol)
+_TOKEN_RE = re.compile(
+    "|".join(
+        f"(?P<{group}>{pattern})"
+        for group, pattern in (
+            ("space", r"[ \t\r\n]+"),
+            ("line", r"--[^\n]*"),
+            ("block", r"\{-"),
+            ("directive", r"#(?:import|section)[^\n]*"),
+            ("glyph", "|".join(map(re.escape, _GLYPHS))),
+            ("ident", _IDENT),
+            ("nat", r"[0-9]+"),
+        )
+    )
+)
+_NESTING_RE = re.compile(r"\{-|-\}")
+_LAYOUT = {"space", "line", "block"}
 
 
 def tokenize(source: str, keep_trivia: bool = False) -> list[Token]:
@@ -175,123 +174,49 @@ def tokenize(source: str, keep_trivia: bool = False) -> list[Token]:
     LAYOUT tokens, so that concatenating all lexemes reproduces the source
     exactly.
     """
-    cur = _Cursor(source)
     out: list[Token] = []
     n = len(source)
-
-    def emit_trivia(start_pos: int, start_byte: int) -> None:
-        if keep_trivia and cur.pos > start_pos:
-            span = cur.span_from(start_pos, start_byte)
-            out.append(Token(TokenKind.LAYOUT, source[start_pos : cur.pos], span, ""))
-
-    while cur.pos < n:
-        start_pos, start_byte = cur.pos, cur.byte
-        ch = source[cur.pos]
-
-        if ch in " \t\r\n":
-            while cur.pos < n and source[cur.pos] in " \t\r\n":
-                cur.advance(1)
-            emit_trivia(start_pos, start_byte)
-            continue
-
-        if source.startswith("--", cur.pos):
-            while cur.pos < n and source[cur.pos] != "\n":
-                cur.advance(1)
-            emit_trivia(start_pos, start_byte)
-            continue
-
-        if source.startswith("{-", cur.pos):
+    encode = not source.isascii()
+    pos = byte = line_start = 0  # line_start: char offset of the current line
+    line = 1
+    while pos < n:
+        m = _TOKEN_RE.match(source, pos)
+        group, end = (m.lastgroup, m.end()) if m else ("invalid", pos + 1)
+        if group == "block":
             depth = 0
-            while cur.pos < n:
-                if source.startswith("{-", cur.pos):
-                    depth += 1
-                    cur.advance(2)
-                elif source.startswith("-}", cur.pos):
-                    depth -= 1
-                    cur.advance(2)
-                    if depth == 0:
-                        break
-                else:
-                    cur.advance(1)
-            if depth != 0:
-                raise LexError(
-                    "E-UNTERMINATED-COMMENT",
-                    "unterminated block comment",
-                    cur.span_from(start_pos, start_byte),
-                )
-            emit_trivia(start_pos, start_byte)
-            continue
-
-        if ch == "#":
-            m = _DIRECTIVE_RE.match(source, cur.pos)
-            if m is None:
-                cur.advance(1)
-                raise LexError(
-                    "E-INVALID-CHARACTER",
-                    "invalid character '#'",
-                    cur.span_from(start_pos, start_byte),
-                )
-            cur.advance(m.end() - m.start())
-            text = m.group(0)
-            canon = "#import" if m.group(1) == "import" else "#section"
-            out.append(
-                Token(TokenKind.KEYWORD, text, cur.span_from(start_pos, start_byte), canon)
-            )
-            continue
-
-        hit = None
-        for glyph in _GLYPH_KEYWORDS:
-            if source.startswith(glyph, cur.pos):
-                hit = glyph
-                break
-        if hit is not None:
-            cur.advance(len(hit))
-            span = cur.span_from(start_pos, start_byte)
-            out.append(Token(TokenKind.KEYWORD, hit, span, _KEYWORD_CANON[hit]))
-            continue
-
-        m = _IDENT_RE.match(source, cur.pos)
-        if m is not None:
-            text = m.group(0)
-            cur.advance(len(text))
-            span = cur.span_from(start_pos, start_byte)
-            if text in _KEYWORD_CANON:
-                out.append(Token(TokenKind.KEYWORD, text, span, _KEYWORD_CANON[text]))
+            for delim in _NESTING_RE.finditer(source, pos):
+                depth += 1 if delim.group() == "{-" else -1
+                if depth == 0:
+                    end = delim.end()
+                    break
             else:
-                out.append(Token(TokenKind.IDENT, text, span, text))
-            continue
+                group, end = "unterminated", n
+        text = source[pos:end]
+        # in an ASCII source byte offsets are char offsets
+        end_byte = byte + len(text.encode("utf-8")) if encode else end
+        end_line, end_line_start = line, line_start
+        if "\n" in text:
+            end_line += text.count("\n")
+            end_line_start = source.rfind("\n", pos, end) + 1
 
-        m = _NAT_RE.match(source, cur.pos)
-        if m is not None:
-            text = m.group(0)
-            cur.advance(len(text))
-            out.append(Token(TokenKind.NAT, text, cur.span_from(start_pos, start_byte), text))
-            continue
-
-        # "\" alone is the lambda alias; "\/" must win first.
-        if ch == "\\" and not source.startswith("\\/", cur.pos):
-            cur.advance(1)
-            out.append(
-                Token(TokenKind.KEYWORD, "\\", cur.span_from(start_pos, start_byte), "lambda")
-            )
-            continue
-
-        sym = None
-        for s in _SYMBOLS:
-            if source.startswith(s, cur.pos):
-                sym = s
-                break
-        if sym is not None:
-            cur.advance(len(sym))
-            span = cur.span_from(start_pos, start_byte)
-            out.append(Token(TokenKind.SYMBOL, sym, span, _SYMBOL_CANON[sym]))
-            continue
-
-        cur.advance(1)
-        raise LexError(
-            "E-INVALID-CHARACTER",
-            f"invalid character {ch!r}",
-            cur.span_from(start_pos, start_byte),
-        )
-
+        if keep_trivia or group not in _LAYOUT:
+            col, end_col = pos - line_start + 1, end - end_line_start + 1
+            span = Span(byte, end_byte, line, col, end_line, end_col)
+            if group == "invalid":
+                raise LexError("E-INVALID-CHARACTER", f"invalid character {text!r}", span)
+            if group == "unterminated":
+                raise LexError("E-UNTERMINATED-COMMENT", "unterminated block comment", span)
+            if group == "glyph" or (group == "ident" and text in _SPELLINGS):
+                kind, text, canon = _SPELLINGS[text]
+            elif group == "ident":
+                kind, canon = TokenKind.IDENT, text
+            elif group == "nat":
+                kind, canon = TokenKind.NAT, text
+            elif group == "directive":
+                kind = TokenKind.KEYWORD
+                canon = "#import" if text.startswith("#import") else "#section"
+            else:
+                kind, canon = TokenKind.LAYOUT, ""
+            out.append(Token(kind, text, span, canon))
+        pos, byte, line, line_start = end, end_byte, end_line, end_line_start
     return out

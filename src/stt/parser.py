@@ -14,6 +14,8 @@ Operator precedence, loosest to tightest: ``→`` (right associative), ``∨``,
 
 from __future__ import annotations
 
+import re
+
 from .diagnostics import Diagnostic
 from .lexer import LexError, Span, Token, TokenKind, tokenize
 from . import surface as S
@@ -46,6 +48,10 @@ _ATOM_KEYWORDS = {
     "dDelta1",
 }
 _ATOM_SYMBOLS = {"(", "[", "⟨"}
+
+# The lexer gives a directive the rest of its line; a line comment may
+# follow the quoted path.
+_IMPORT_RE = re.compile(r'#import\s*"([^"]*)"\s*(?:--.*)?')
 
 
 class _Parser:
@@ -413,9 +419,13 @@ def parse_module(
     imports = []
     for t in tokens:
         if t.canon == "#import":
-            rest = t.lexeme[len("#import") :].strip()
-            if rest.startswith('"') and rest.endswith('"') and len(rest) >= 2:
-                imports.append((rest[1:-1], t.span))
+            m = _IMPORT_RE.fullmatch(t.lexeme)
+            if m is not None:
+                imports.append((m.group(1), t.span))
+            else:
+                found = t.lexeme.strip()
+                message = f"expected #import \"path\", found '{found}'"
+                diags.append(Diagnostic("error", "E-PARSE", message, t.span))
 
     eof_span = tokens[-1].span if tokens else Span(0, 0, 1, 1, 1, 1)
     p = _Parser(tokens, eof_span)

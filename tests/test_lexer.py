@@ -5,6 +5,7 @@ from __future__ import annotations
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stt.lexer import LexError, Token, TokenKind, tokenize
 
@@ -76,17 +77,31 @@ def test_line_and_column_positions():
     assert (by_lex[":"].line, by_lex[":"].col) == (2, 3)
 
 
-def test_invalid_character():
+@pytest.mark.parametrize(
+    "src,start,line,col",
+    [("def f : U := €", 13, 1, 14), ("λ ↦ €", 7, 1, 5), ("Δ¹ x\n  €", 9, 2, 3)],
+    ids=["ascii", "after-glyphs", "second-line"],
+)
+def test_invalid_character(src, start, line, col):
     with pytest.raises(LexError) as e:
-        tokenize("def f : U := €")
+        tokenize(src)
     assert e.value.code == "E-INVALID-CHARACTER"
-    assert e.value.span.start == 13
+    assert e.value.message == "invalid character '€'"
+    assert (e.value.span.start, e.value.span.end) == (start, start + 3)
+    assert (e.value.span.line, e.value.span.col) == (line, col)
 
 
-def test_unterminated_comment():
+@pytest.mark.parametrize(
+    "src,start,line,col",
+    [("{- {- -}", 0, 1, 1), ("Δ¹\n{- {- -}", 5, 2, 1)],
+    ids=["ascii", "after-glyphs"],
+)
+def test_unterminated_comment(src, start, line, col):
     with pytest.raises(LexError) as e:
-        tokenize("{- {- -}")
+        tokenize(src)
     assert e.value.code == "E-UNTERMINATED-COMMENT"
+    assert (e.value.span.start, e.value.span.end) == (start, len(src.encode("utf-8")))
+    assert (e.value.span.line, e.value.span.col) == (line, col)
 
 
 def test_hyphenated_identifiers_do_not_eat_operators():
@@ -122,3 +137,44 @@ def test_line_and_column_agree_with_a_recount_from_byte_offsets():
             s = t.span
             assert (s.line, s.col) == _recount(encoded, s.start), t
             assert (s.end_line, s.end_col) == _recount(encoded, s.end), t
+
+
+# Pieces of source over the lexer's alphabet.  The rejects (stray glyph
+# parts, comment delimiters, quotes, invalid characters) fail on their own
+# outside a comment or directive; half the drawn texts leave them out, so
+# that long texts that lex are drawn as often as texts that do not.
+_LEXABLE = (
+    list("λ↦→≤≡∧∨∼×⟨⟩ΣΠ⊤⊥⋆") + ["U₁", "Δ¹", "Δ²", "Λ²₁", "∂Δ¹", "π₁", "π₂"]
+    + ["{- a -}", "{- {- -} -}", "--", "#import", "#section", "\n", "\r", " ", "\t"]
+    + ["->", "|->", "<=", "===", ":=", ":", "|", "~", "*", "(", ")", "[", "]", "{", "}"]
+    + ["\\", "\\/", "/\\", ",", "x", "a-b", "def", "U1", "ind-path", "0", "42", "_"]
+)
+_REJECTS = ["{-", "-}", "#", '"', "-", "'", "Δ", "¹", "₁", "€", "é", "\x00"]
+_SOURCES = st.one_of(
+    st.lists(st.sampled_from(_LEXABLE), max_size=30).map("".join),
+    st.lists(st.sampled_from(_LEXABLE + _REJECTS), max_size=30).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SOURCES)
+def test_tokens_tile_the_source_or_the_error_lies_inside_it(src):
+    encoded = src.encode("utf-8")
+    try:
+        toks = tokenize(src, keep_trivia=True)
+    except LexError as e:
+        assert 0 <= e.span.start < e.span.end <= len(encoded)
+        assert (e.span.line, e.span.col) == _recount(encoded, e.span.start)
+        assert (e.span.end_line, e.span.end_col) == _recount(encoded, e.span.end)
+        with pytest.raises(LexError):
+            tokenize(src)
+        return
+    pos = 0
+    for t in toks:
+        assert t.span.start == pos < t.span.end, t
+        assert (t.span.line, t.span.col) == _recount(encoded, t.span.start), t
+        assert (t.span.end_line, t.span.end_col) == _recount(encoded, t.span.end), t
+        pos = t.span.end
+    assert pos == len(encoded)
+    assert "".join(t.lexeme for t in toks) == src
+    assert tokenize(src) == [t for t in toks if t.kind != TokenKind.LAYOUT]

@@ -2,10 +2,11 @@
 
 Each file names its dependencies with ``#import "path"`` directives resolved
 relative to its own directory; there is no search path.  Every file is read,
-lexed and parsed once, when it is first reached.  Files are then checked one
-after another, in one thread, in a deterministic dependency order.  Every
-file sees exactly the declarations of its transitive import closure, and the
-names in that closure that failed to check.
+lexed and parsed once, when it is first reached.  A file that cannot be read
+is an E-IO at each ``#import`` naming it, or in itself if named directly.
+Files are then checked one after another, in one thread, in a deterministic
+dependency order.  Every file sees exactly the declarations of its transitive
+import closure, and the names in that closure that failed to check.
 """
 
 from __future__ import annotations
@@ -100,30 +101,40 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
     reports: dict[str, FileReport] = {}
     decls: dict[str, list] = {}
     imports: dict[str, list[str]] = {}
-    queue = [(p, _norm(p)) for p in paths]
+    unreadable: dict[str, str] = {}  # key -> why the file could not be read
+    # (shown path, key, (importing report, directive span) or None)
+    queue = [(p, _norm(p), None) for p in paths]
 
     while queue:
-        shown, key = queue.pop(0)
-        if key in reports:
-            continue
-        report = reports[key] = FileReport(path=shown)
-        decls[key], imports[key] = [], []
-        try:
-            with open(key, "r", encoding="utf-8") as fh:
-                report.source = fh.read()
-        except (OSError, UnicodeDecodeError) as e:
-            report.io_error = True
-            message = f"cannot read '{shown}': {read_failure(e)}"
-            report.parse_diagnostics.append(Diagnostic("error", "E-IO", message, file=shown))
-            continue
-        decls[key], pdiags, found = parse_module(report.source)
-        for d in pdiags:
-            d.file = shown
-        report.parse_diagnostics.extend(pdiags)
-        for rel, _span in found:
-            dep_key = _norm(os.path.join(os.path.dirname(key), rel))
-            imports[key].append(dep_key)
-            queue.append((os.path.join(os.path.dirname(shown), rel), dep_key))
+        shown, key, directive = queue.pop(0)
+        if key not in reports:
+            report = reports[key] = FileReport(path=shown)
+            decls[key], imports[key] = [], []
+            try:
+                with open(key, "r", encoding="utf-8") as fh:
+                    report.source = fh.read()
+            except (OSError, UnicodeDecodeError) as e:
+                report.io_error = True
+                unreadable[key] = read_failure(e)
+            else:
+                decls[key], pdiags, found = parse_module(report.source)
+                for d in pdiags:
+                    d.file = shown
+                report.parse_diagnostics.extend(pdiags)
+                for rel, span in found:
+                    dep_key = _norm(os.path.join(os.path.dirname(key), rel))
+                    imports[key].append(dep_key)
+                    dep_shown = os.path.join(os.path.dirname(shown), rel)
+                    queue.append((dep_shown, dep_key, (report, span)))
+        elif directive is None:
+            continue  # named twice on the command line
+        if key in unreadable:
+            # an unreadable import is reported at each directive naming it
+            owner, span = directive or (reports[key], None)
+            message = f"cannot read '{shown}': {unreadable[key]}"
+            owner.parse_diagnostics.append(
+                Diagnostic("error", "E-IO", message, span, file=owner.path)
+            )
 
     # deterministic topological order: repeatedly take the lexicographically
     # first file whose imports are all placed

@@ -320,20 +320,10 @@ class Context:
         return weaken(d, index + 1, 0) if d is not None else None
 
 
-@dataclass(frozen=True)
-class TelescopeEntry:
-    layer: str  # "term" | "cube" | "tope"
-    name: str
-    # the resolved annotation: a Term for term params, a Cube for cube
-    # params, a Tope for tope params
-    annot: object
-
-
 @dataclass
 class Declaration:
     name: str
-    telescope: tuple[TelescopeEntry, ...]
-    type: "Term"  # closed: telescope already folded in
+    type: "Term"  # closed: the parameters are folded in
     body: "Term | None"  # None marks a postulate
     span: object = None
 

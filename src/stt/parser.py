@@ -51,7 +51,7 @@ _ATOM_SYMBOLS = {"(", "[", "⟨"}
 
 # The lexer gives a directive the rest of its line; a line comment may
 # follow the quoted path.
-_IMPORT_RE = re.compile(r'#import\s*"([^"]*)"\s*(?:--.*)?')
+_IMPORT_RE = re.compile(r'#import\s*"([^"]+)"\s*(?:--.*)?')
 
 
 class _Parser:

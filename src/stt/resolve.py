@@ -46,7 +46,6 @@ from .core import (
     Snd,
     Split,
     STAR,
-    TelescopeEntry,
     Term,
     Tope,
     TopeAnd,
@@ -465,28 +464,24 @@ def resolve(decl: S.SurfaceDecl, env: dict[str, object]) -> Declaration:
             "E-DUPLICATE-NAME", f"duplicate declaration name '{decl.name}'", decl.name_span
         )
     r = Resolver(env)
-    telescope: list[TelescopeEntry] = []
     folds: list[tuple[str, object]] = []  # ("term", type) | ("cube", cube) | ("tope", tope)
     for p in decl.params:
         if isinstance(p, S.SGroup):
             if Resolver.is_cube_expr(p.annot):
                 cube = r.resolve_cube(p.annot)
                 for name in p.names:
-                    telescope.append(TelescopeEntry("cube", name, cube))
                     folds.append(("cube", cube))
                     r._push("cube", (name,))
             else:
                 ty = r.resolve_term(p.annot)
                 for i, name in enumerate(p.names):
                     entry_ty = weaken(ty, i)
-                    telescope.append(TelescopeEntry("term", name, entry_ty))
                     folds.append(("term", entry_ty))
                     r._push("term", (name,))
         else:
             # a tope hypothesis binds an anonymous unit coordinate
             r._push("cube", ("_",))
             tope = r.resolve_tope(p.tope)
-            telescope.append(TelescopeEntry("tope", "_", tope))
             folds.append(("tope", tope))
     ty = r.resolve_term(decl.type)
     body = r.resolve_term(decl.body) if decl.body is not None else None
@@ -507,4 +502,4 @@ def resolve(decl: S.SurfaceDecl, env: dict[str, object]) -> Declaration:
         raise ResolveError(
             "E-SCOPE", f"resolved declaration '{decl.name}' escapes its scope", decl.span
         )
-    return Declaration(decl.name, tuple(telescope), ty, body, decl.span)
+    return Declaration(decl.name, ty, body, decl.span)

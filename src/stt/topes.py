@@ -8,8 +8,10 @@ mentions.  The backend therefore enumerates those orderings exhaustively;
 soundness and completeness hold by construction, and exactness is cheap
 because realistic queries involve at most four coordinates.
 
-Results are memoized on a canonical form of the query (hypotheses sorted,
-atoms renamed by first occurrence), so hit rates survive reordering.
+Verdicts are memoized on the query as asked: the cube context, the
+hypotheses in their given order and the goal, with no canonical form, so a
+reordered or renamed query is a new entry.  The memo is cleared when it
+reaches ``_MEMO_MAX`` entries.
 """
 
 from __future__ import annotations
@@ -57,36 +59,11 @@ class WeakOrderModel:
     levels: int
     assignment: tuple[tuple[Atom, int], ...]
 
-    def rank_of(self, atom: Atom) -> int:
-        for a, r in self.assignment:
-            if a == atom:
-                return r
-        raise KeyError(atom)
-
-    def eval_point(self, p: CubePoint) -> int:
-        match p:
-            case Zero():
-                return 0
-            case One():
-                return self.levels + 1
-            case _:
-                return self.rank_of(_atom_of(p))
-
     def satisfies(self, tope: Tope) -> bool:
-        match tope:
-            case TopeTop():
-                return True
-            case TopeBottom():
-                return False
-            case TopeLeq(l, r):
-                return self.eval_point(l) <= self.eval_point(r)
-            case TopeEq(l, r):
-                return self.eval_point(l) == self.eval_point(r)
-            case TopeAnd(l, r):
-                return self.satisfies(l) and self.satisfies(r)
-            case TopeOr(l, r):
-                return self.satisfies(l) or self.satisfies(r)
-        raise AssertionError(f"satisfies: {tope!r}")
+        """Whether the model satisfies a tope in atomic form over its atoms."""
+        table = {a: k for k, (a, _) in enumerate(self.assignment, 2)}
+        ranks = tuple(r for _, r in self.assignment)
+        return _holds(_numbered(tope, table), (0, self.levels + 1, *ranks))
 
     def value_strings(self) -> dict[Atom, str]:
         out = {}
@@ -248,120 +225,95 @@ def normalize_tope(cube_context: tuple[Cube, ...], t: Tope) -> Tope:
     return norm(t)
 
 
-def _mentioned_atoms(topes: list[Tope]) -> list[Atom]:
-    seen: dict[Atom, None] = {}
-
-    def walk_point(p: CubePoint) -> None:
-        match p:
-            case Zero() | One() | Star():
-                return
-            case _:
-                seen.setdefault(_atom_of(p))
-
-    def walk(t: Tope) -> None:
-        match t:
-            case TopeLeq(l, r) | TopeEq(l, r):
-                walk_point(l)
-                walk_point(r)
-            case TopeAnd(l, r) | TopeOr(l, r):
-                walk(l)
-                walk(r)
-            case _:
-                return
-
-    for t in topes:
-        walk(t)
-    return sorted(seen)
-
-
 # ---------------------------------------------------------------------------
-# Model enumeration
+# Evaluation on rank tuples
+#
+# A query is decided on value vectors ``(0, top, r_0, ..., r_{n-1})``: slot 0
+# holds the rank of 0, slot 1 the rank of 1 and slot k + 2 the rank of atom k.
+# A numbered tope names slots instead of points: ``("<=", i, j)`` and
+# ``("=", i, j)`` compare two slots, ``("and", a, b)`` and ``("or", a, b)``
+# combine numbered topes, and TOP and BOT are ``0 <= 1`` and ``1 <= 0``.
+
+
+def _numbered(t: Tope, table: dict[Atom, int]) -> tuple:
+    """A tope in atomic form with its atoms replaced by slots from the table;
+    an atom not yet in the table gets the next free slot."""
+
+    def slot(p: CubePoint) -> int:
+        match p:
+            case Zero():
+                return 0
+            case One():
+                return 1
+        return table.setdefault(_atom_of(p), len(table) + 2)
+
+    match t:
+        case TopeTop():
+            return ("<=", 0, 1)
+        case TopeBottom():
+            return ("<=", 1, 0)
+        case TopeLeq(l, r):
+            return ("<=", slot(l), slot(r))
+        case TopeEq(l, r):
+            return ("=", slot(l), slot(r))
+        case TopeAnd(l, r):
+            return ("and", _numbered(l, table), _numbered(r, table))
+        case TopeOr(l, r):
+            return ("or", _numbered(l, table), _numbered(r, table))
+    raise AssertionError(f"_numbered: {t!r}")
+
+
+def _holds(t: tuple, v: tuple[int, ...]) -> bool:
+    match t:
+        case ("<=", i, j):
+            return v[i] <= v[j]
+        case ("=", i, j):
+            return v[i] == v[j]
+        case ("and", a, b):
+            return _holds(a, v) and _holds(b, v)
+        case ("or", a, b):
+            return _holds(a, v) or _holds(b, v)
+    raise AssertionError(f"_holds: {t!r}")
+
+
+def _models(n: int, hypotheses: list[tuple]):
+    """The value vectors of the weak orderings of n atoms that satisfy the
+    numbered hypotheses: fewest levels first, then rank tuples in
+    lexicographic order."""
+    for levels in range(n + 1):
+        top = levels + 1
+        for ranks in itertools.product(range(top + 1), repeat=n):
+            if len({r for r in ranks if 0 < r < top}) != levels:
+                continue  # middle levels must all be inhabited
+            v = (0, top, *ranks)
+            if all(_holds(h, v) for h in hypotheses):
+                yield v
+
+
+def _model(atom_list: list[Atom], v: tuple[int, ...]) -> WeakOrderModel:
+    return WeakOrderModel(v[1] - 1, tuple(zip(atom_list, v[2:])))
+
 
 def enumerate_models(atom_list: list[Atom], hypotheses: list[Tope]) -> list[WeakOrderModel]:
     """All weak orderings of the atoms in the closed chain satisfying the
     hypotheses.  Hypotheses must be in atomic form over ``atom_list``."""
-    n = len(atom_list)
-    out: list[WeakOrderModel] = []
-    for levels in range(n + 1):
-        for ranks in itertools.product(range(levels + 2), repeat=n):
-            used = set(r for r in ranks if 1 <= r <= levels)
-            if len(used) != levels:
-                continue  # middle levels must all be inhabited
-            model = WeakOrderModel(levels, tuple(zip(atom_list, ranks)))
-            if all(model.satisfies(h) for h in hypotheses):
-                out.append(model)
-    return out
+    table = {a: k for k, a in enumerate(atom_list, 2)}
+    hyps = [_numbered(h, table) for h in hypotheses]
+    return [_model(atom_list, v) for v in _models(len(atom_list), hyps)]
 
 
 # ---------------------------------------------------------------------------
 # Entailment
 
 _memo: dict[object, bool] = {}
-_MEMO_MAX = 1 << 16  # cleared when full; C1 fills 9761 entries, a corpus run 75
+_MEMO_MAX = 1 << 16  # cleared when full; C1 fills about 33.7k entries, a corpus run 105
 
 
-def _blank_repr(t: Tope) -> str:
-    match t:
-        case TopeTop():
-            return "T"
-        case TopeBottom():
-            return "F"
-        case TopeLeq(l, r):
-            return f"L({_blank_point(l)},{_blank_point(r)})"
-        case TopeEq(l, r):
-            return f"E({_blank_point(l)},{_blank_point(r)})"
-        case TopeAnd(l, r):
-            return f"A({_blank_repr(l)},{_blank_repr(r)})"
-        case TopeOr(l, r):
-            return f"O({_blank_repr(l)},{_blank_repr(r)})"
-    raise AssertionError
-
-
-def _blank_point(p: CubePoint) -> str:
-    match p:
-        case Zero():
-            return "0"
-        case One():
-            return "1"
-        case _:
-            return "x"
-
-
-def _rename_atoms(topes: list[Tope]) -> tuple[Tope, ...]:
-    table: dict[Atom, Atom] = {}
-
-    def ren_point(p: CubePoint) -> CubePoint:
-        match p:
-            case Zero() | One() | Star():
-                return p
-            case _:
-                a = _atom_of(p)
-                if a not in table:
-                    table[a] = (len(table), ())
-                i, _ = table[a]
-                return CubeVar(i)
-
-    def ren(t: Tope) -> Tope:
-        match t:
-            case TopeTop() | TopeBottom():
-                return t
-            case TopeLeq(l, r):
-                return TopeLeq(ren_point(l), ren_point(r))
-            case TopeEq(l, r):
-                return TopeEq(ren_point(l), ren_point(r))
-            case TopeAnd(l, r):
-                return TopeAnd(ren(l), ren(r))
-            case TopeOr(l, r):
-                return TopeOr(ren(l), ren(r))
-        raise AssertionError
-
-    return tuple(ren(t) for t in topes)
-
-
-def _canonical_key(hyps: list[Tope], goal: Tope) -> object:
-    ordered = sorted(hyps, key=lambda t: (_blank_repr(t), repr(t)))
-    renamed = _rename_atoms(ordered + [goal])
-    return (renamed[:-1], renamed[-1])
+def _numbered_query(
+    cube_context: tuple[Cube, ...], hypotheses: list[Tope], goal: Tope, table: dict[Atom, int]
+) -> tuple[list[tuple], tuple]:
+    hyps = [_numbered(normalize_tope(cube_context, h), table) for h in hypotheses]
+    return hyps, _numbered(normalize_tope(cube_context, goal), table)
 
 
 def tope_entails(
@@ -369,14 +321,13 @@ def tope_entails(
 ) -> bool:
     """True iff every weak-order model of the hypotheses satisfies the goal."""
     ctx = tuple(cube_context)
-    nhyps = [normalize_tope(ctx, h) for h in hypotheses]
-    ngoal = normalize_tope(ctx, goal)
-    key = _canonical_key(nhyps, ngoal)
+    key = (ctx, tuple(hypotheses), goal)
     hit = _memo.get(key)
     if hit is not None:
         return hit
-    mentioned = _mentioned_atoms(nhyps + [ngoal])
-    result = all(m.satisfies(ngoal) for m in enumerate_models(mentioned, nhyps))
+    table: dict[Atom, int] = {}
+    hyps, ngoal = _numbered_query(ctx, hypotheses, goal, table)
+    result = all(_holds(ngoal, v) for v in _models(len(table), hyps))
     if len(_memo) >= _MEMO_MAX:
         _memo.clear()
     _memo[key] = result
@@ -399,14 +350,17 @@ def tope_iff(
 def countermodel(
     cube_context: list[Cube] | tuple[Cube, ...], hypotheses: list[Tope], goal: Tope
 ) -> WeakOrderModel | None:
-    """A model of the hypotheses violating the goal, if any."""
+    """The first model of the hypotheses, over the mentioned atoms in sorted
+    order, that violates the goal, if any."""
     ctx = tuple(cube_context)
-    nhyps = [normalize_tope(ctx, h) for h in hypotheses]
-    ngoal = normalize_tope(ctx, goal)
-    mentioned = _mentioned_atoms(nhyps + [ngoal])
-    for m in enumerate_models(mentioned, nhyps):
-        if not m.satisfies(ngoal):
-            return m
+    seen: dict[Atom, int] = {}  # a first pass only collects the atoms
+    _numbered_query(ctx, hypotheses, goal, seen)
+    mentioned = sorted(seen)
+    table = {a: k for k, a in enumerate(mentioned, 2)}
+    hyps, ngoal = _numbered_query(ctx, hypotheses, goal, table)
+    for v in _models(len(mentioned), hyps):
+        if not _holds(ngoal, v):
+            return _model(mentioned, v)
     return None
 
 

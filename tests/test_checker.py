@@ -109,13 +109,13 @@ def test_whnf_j_computation_on_constant_path():
 
 def test_whnf_unfolds_definitions():
     env = CheckEnv()
-    env.decls["two"] = C.Declaration("two", (), Universe(1), Universe(0))
+    env.decls["two"] = C.Declaration("two", Universe(1), Universe(0))
     assert whnf(env, Context(), Constant("two")) == Universe(0)
 
 
 def test_whnf_leaves_postulates_stuck():
     env = CheckEnv()
-    env.decls["ax"] = C.Declaration("ax", (), Universe(0), None)
+    env.decls["ax"] = C.Declaration("ax", Universe(0), None)
     assert whnf(env, Context(), Constant("ax")) == Constant("ax")
 
 
@@ -131,9 +131,9 @@ def _endpoint_env():
     """Postulates C, x, y : C and h : hom, where hom is <{t : 2 | TOP} -> C |
     dDelta1 |-> [x, y]>, the type of arrows from x to y."""
     env = CheckEnv()
-    env.decls["C"] = C.Declaration("C", (), Universe(0), None)
-    env.decls["x"] = C.Declaration("x", (), Constant("C"), None)
-    env.decls["y"] = C.Declaration("y", (), Constant("C"), None)
+    env.decls["C"] = C.Declaration("C", Universe(0), None)
+    env.decls["x"] = C.Declaration("x", Constant("C"), None)
+    env.decls["y"] = C.Declaration("y", Constant("C"), None)
     boundary = Split(
         (
             (TopeEq(CubeVar(0), C.ZERO), Constant("x")),
@@ -143,7 +143,7 @@ def _endpoint_env():
     homty = ExtType(
         Shape(INTERVAL, TOP), Constant("C"), SHAPE_ENDPOINTS.constraint, boundary
     )
-    env.decls["h"] = C.Declaration("h", (), homty, None)
+    env.decls["h"] = C.Declaration("h", homty, None)
     return env, homty
 
 
@@ -185,7 +185,7 @@ def test_unfold_depth_limit_is_an_error_not_a_hang():
     # a self-unfolding definition cannot be produced by check_declaration,
     # so force one directly to exercise the limiter
     env = CheckEnv(max_unfold=5)
-    env.decls["spin"] = C.Declaration("spin", (), Universe(0), Constant("spin"))
+    env.decls["spin"] = C.Declaration("spin", Universe(0), Constant("spin"))
     d = check(env, Context(), Universe(0), Constant("spin"))
     assert d is not None and d.code == "E-UNFOLD-DEPTH"
     # inside an equality the exhausted budget propagates, never "not equal"
@@ -243,9 +243,9 @@ def test_check_accepts_anything_under_inconsistent_topes():
 
 def test_def_equal_splits_disjunctive_hypotheses():
     env = CheckEnv()
-    env.decls["C"] = C.Declaration("C", (), Universe(0), None)
-    env.decls["x"] = C.Declaration("x", (), Constant("C"), None)
-    env.decls["y"] = C.Declaration("y", (), Constant("C"), None)
+    env.decls["C"] = C.Declaration("C", Universe(0), None)
+    env.decls["x"] = C.Declaration("x", Constant("C"), None)
+    env.decls["y"] = C.Declaration("y", Constant("C"), None)
     split = Split(
         (
             (TopeEq(CubeVar(0), ZERO), Constant("x")),

@@ -145,7 +145,7 @@ def test_import_may_end_in_a_line_comment(tmp_path):
     assert json.loads(r.stdout)["summary"]["files"] == 2
 
 
-@pytest.mark.parametrize("directive", ["#import lib.stt", '#importx "lib.stt"'])
+@pytest.mark.parametrize("directive", ["#import lib.stt", '#importx "lib.stt"', '#import ""'])
 def test_malformed_import_is_a_parse_error(tmp_path, directive):
     r = _import_lib(tmp_path, directive)
     assert r.returncode == 2
@@ -155,6 +155,21 @@ def test_malformed_import_is_a_parse_error(tmp_path, directive):
     assert '#import "path"' in parse[0]["message"]
     assert parse[0]["start"] == {"line": 1, "col": 1}
     assert parse[0]["end"] == {"line": 1, "col": len(directive) + 1}
+
+
+def test_unreadable_import_is_reported_at_each_directive(tmp_path):
+    (tmp_path / "lib.stt").write_text(
+        '#import "nope.stt"\ndef base (A : U) : U := A\n', encoding="utf-8"
+    )
+    (tmp_path / "main.stt").write_text(
+        'def use (A : U) : U := A\n#import "lib.stt"\n#import "nope.stt"\n', encoding="utf-8"
+    )
+    r = run_cli("check", "--json", str(tmp_path / "main.stt"))
+    assert r.returncode == 2
+    io = [d for d in json.loads(r.stdout)["diagnostics"] if d["code"] == "E-IO"]
+    where = sorted((pathlib.Path(d["file"]).name, d["start"]["line"]) for d in io)
+    assert where == [("lib.stt", 1), ("main.stt", 3)]
+    assert all("cannot read" in d["message"] and "nope.stt" in d["message"] for d in io)
 
 
 def test_corpus_subcommand():

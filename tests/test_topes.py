@@ -233,48 +233,102 @@ def _points(n):
     return [ZERO, ONE] + [CubeVar(i) for i in range(n)]
 
 
-def _atomic(rng, n):
-    pts = _points(n)
-    l, r = rng.choice(pts), rng.choice(pts)
-    return TopeLeq(l, r) if rng.random() < 0.5 else TopeEq(l, r)
+def _tope_over(rng, pts, depth):
+    roll = 0.0 if depth == 0 else rng.random()
+    if roll < 0.4:
+        l, r = rng.choice(pts), rng.choice(pts)
+        return TopeLeq(l, r) if rng.random() < 0.5 else TopeEq(l, r)
+    ctor = TopeAnd if roll < 0.7 else TopeOr
+    return ctor(_tope_over(rng, pts, depth - 1), _tope_over(rng, pts, depth - 1))
 
 
 def _tope(rng, n, depth):
-    if depth == 0:
-        return _atomic(rng, n)
-    roll = rng.random()
-    if roll < 0.4:
-        return _atomic(rng, n)
-    ctor = TopeAnd if roll < 0.7 else TopeOr
-    return ctor(_tope(rng, n, depth - 1), _tope(rng, n, depth - 1))
+    return _tope_over(rng, _points(n), depth)
 
 
-def test_exhaustive_two_atom_agreement_with_oracle():
-    """All sequents over <= 2 atoms with <= 2 atomic hypotheses."""
-    n = 2
-    ctx = [INTERVAL, INTERVAL]
-    pts = _points(n)
-    atomics = [TopeLeq(a, b) for a in pts for b in pts] + [
-        TopeEq(a, b) for a in pts for b in pts
-    ]
-    checked = 0
-    for h1 in atomics:
-        for h2 in atomics:
-            for goal in atomics:
-                got = tope_entails(ctx, [h1, h2], goal)
-                want = oracle_entails(n, [h1, h2], goal)
-                assert got == want, (h1, h2, goal)
-                checked += 1
-    assert checked == len(atomics) ** 3
+def _coordinate(var, path):
+    for step in path:
+        var = PointFst(var) if step == 0 else PointSnd(var)
+    return var
 
 
-def test_thousand_seeded_three_atom_sequents_agree_with_oracle():
-    rng = random.Random(20260809)
-    ctx = [INTERVAL, INTERVAL, INTERVAL]
-    for _ in range(1000):
-        hyps = [_tope(rng, 3, 2) for _ in range(rng.randrange(0, 3))]
-        goal = _tope(rng, 3, 2)
-        assert tope_entails(ctx, hyps, goal) == oracle_entails(3, hyps, goal)
+def _points_of(t):
+    match t:
+        case TopeLeq(l, r) | TopeEq(l, r):
+            return {l, r}
+        case TopeAnd(l, r) | TopeOr(l, r):
+            return _points_of(l) | _points_of(r)
+    return set()
+
+
+SQUARE = CubeProd(INTERVAL, INTERVAL)
+
+
+def test_countermodel_is_the_first_violating_model_over_sorted_atoms():
+    rng = random.Random(20261018)
+    violated = 0
+    for ctx in (CTX3, [SQUARE, SQUARE], [SQUARE, INTERVAL, INTERVAL]):
+        depth = len(ctx)
+        pts = [ZERO, ONE]
+        pts += [_coordinate(CubeVar(depth - 1 - pos), path) for pos, path in atoms(ctx)]
+        squares = [CubeVar(depth - 1 - pos) for pos, c in enumerate(ctx) if c == SQUARE]
+        for _ in range(150):
+            hyps = [_tope_over(rng, pts, 2) for _ in range(rng.randrange(0, 3))]
+            if len(squares) == 2 and rng.random() < 0.5:
+                hyps.append(TopeEq(*squares))  # expands componentwise
+            goal = _tope_over(rng, pts, 2)
+            nhyps = [normalize_tope(tuple(ctx), h) for h in hyps]
+            ngoal = normalize_tope(tuple(ctx), goal)
+            # normalized points name each cube variable by its position
+            seen = set().union(*map(_points_of, nhyps + [ngoal]))
+            mentioned = sorted(a for a in atoms(ctx) if _coordinate(CubeVar(a[0]), a[1]) in seen)
+            models = enumerate_models(mentioned, nhyps)
+            want = next((m for m in models if not m.satisfies(ngoal)), None)
+            assert countermodel(ctx, hyps, goal) == want, (ctx, hyps, goal)
+            violated += want is not None
+    assert violated > 100
+
+
+@st.composite
+def permuted_queries(draw, n=3):
+    def tope(depth):
+        pts = _points(n)
+        if depth == 0 or draw(st.booleans()):
+            l, r = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+            return TopeLeq(l, r) if draw(st.booleans()) else TopeEq(l, r)
+        ctor = TopeAnd if draw(st.booleans()) else TopeOr
+        return ctor(tope(depth - 1), tope(depth - 1))
+
+    hyps = [tope(2) for _ in range(draw(st.integers(0, 3)))]
+    goal = tope(2)
+    perm = draw(st.permutations(range(n)))
+    order = draw(st.permutations(range(len(hyps))))
+    return hyps, goal, perm, order
+
+
+def _renamed(t, perm):
+    def point(p):
+        return CubeVar(perm[p.index]) if isinstance(p, CubeVar) else p
+
+    match t:
+        case TopeLeq(l, r):
+            return TopeLeq(point(l), point(r))
+        case TopeEq(l, r):
+            return TopeEq(point(l), point(r))
+        case TopeAnd(l, r):
+            return TopeAnd(_renamed(l, perm), _renamed(r, perm))
+        case TopeOr(l, r):
+            return TopeOr(_renamed(l, perm), _renamed(r, perm))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(permuted_queries())
+def test_verdicts_survive_permuted_coordinates_and_reordered_hypotheses(query):
+    hyps, goal, perm, order = query
+    want = oracle_entails(3, hyps, goal)
+    assert tope_entails(CTX3, hyps, goal) == want
+    moved = [_renamed(hyps[i], perm) for i in order]
+    assert tope_entails(CTX3, moved, _renamed(goal, perm)) == want
 
 
 # -- logic properties ---------------------------------------------------------

@@ -6,7 +6,7 @@ lexed and parsed once, when it is first reached.  A file that cannot be read
 is an E-IO at each ``#import`` naming it, or in itself if named directly.
 Files are then checked one after another, in one thread, in a deterministic
 dependency order.  Every file sees exactly the declarations of its transitive
-import closure, and the names in that closure that failed to check.
+import closure, and the names in that closure that failed to parse or check.
 """
 
 from __future__ import annotations
@@ -47,6 +47,11 @@ class BatchResult:
     order: list[str]  # normalized paths in deterministic processing order
     j_fired: int = 0
     wall_seconds: float = 0.0
+
+    @property
+    def files_read(self) -> int:
+        """The files that were read; ``order`` also holds the unreadable ones."""
+        return sum(1 for r in self.reports.values() if not r.io_error)
 
     @property
     def all_diagnostics(self) -> list[Diagnostic]:
@@ -178,6 +183,8 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
             env.axioms.update(dep_env.axioms)
             env.axiom_usage.update(dep_env.axiom_usage)
             env.failed.update(dep_env.failed)
+        # a declaration that failed to parse after its name was read
+        env.failed.update(d.decl for d in report.parse_diagnostics if d.decl is not None)
         before = set(env.decls)
         _, cdiags, _ = check_module(env, decls[key])
         for d in cdiags:

@@ -3,21 +3,28 @@
 Equality is judged under the tope constraints in force: an inconsistent
 constraint zone identifies everything, disjunctive constraints are split
 before structural comparison, and extension applications reduce to their
-boundary values wherever the constraints force the boundary tope.  Weak-head
-normalization performs beta, projections, identity elimination on constant
-paths, constant unfolding up to a depth limit, and the boundary rule.
+boundary values wherever the constraints force the boundary tope.  Two
+syntactically equal terms are equal at once, before the constraints are
+consulted and before either side is normalized.  Weak-head normalization
+performs beta, projections, identity elimination on constant paths,
+constant unfolding up to a depth limit, and the boundary rule.
 
-Each eliminator (application, the projections, ind-path, extension
-application) has one computation rule, ``_contract``, and one typing rule,
-``_elim_type``, shared by weak-head normalization, the two walks over stuck
-spines (``_spine_type`` types one, ``_equal_spine`` compares two) and
-``infer``.
+Beta works on a whole application spine ``f a₁ … aₙ``: the head is
+normalized once, as many of its leading λs as there are arguments are
+instantiated in one simultaneous substitution, and the arguments left over
+are applied to the result.  Each other eliminator (the projections,
+ind-path, extension application) has one computation rule, ``_contract``.
+Every eliminator has one typing rule, ``_elim_type``, shared by the two
+walks over stuck spines (``_spine_type`` types one, ``_equal_spine``
+compares two) and ``infer``.
 
 Unfold budget: every unfolding and every contraction spends one step of
-``max_unfold``.  Each ``whnf`` call and each conversion step starts a fresh
-budget, which the normalizations nested in it spend, including the typing
-of a stuck spine for the boundary rule.  Comparing two stuck spines starts
-a fresh budget at every level of the spine.
+``max_unfold``, and beta spends one step per λ it consumes, as many as
+one-argument-at-a-time beta would.  Each ``whnf`` call and each conversion
+step starts a fresh budget, which the normalizations nested in it spend,
+including the typing of a stuck spine for the boundary rule.  Comparing two
+stuck spines starts a fresh budget at every level of the spine.  A
+conversion problem whose sides are syntactically equal spends no steps.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from .core import (
     Universe,
     Var,
     children,
+    instantiate,
     subst_cube,
     subst_tope_point,
     substitute,
@@ -148,7 +156,25 @@ class Checker:
                         return t
                     self._budget(steps)
                     t = d
-                case App(s, _) | Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _):
+                case App():
+                    args = []
+                    while isinstance(t, App):
+                        args.append(t.arg)
+                        t = t.fn
+                    args.reverse()
+                    hw = self._whnf(ctx, t, steps)
+                    n = 0
+                    while n < len(args) and isinstance(hw, Lambda):
+                        self._budget(steps)  # one step per λ consumed
+                        hw = hw.body
+                        n += 1
+                    if n:
+                        t = _apply(instantiate(hw, tuple(reversed(args[:n]))), args[n:])
+                    elif isinstance(hw, Split):
+                        t = Split(tuple((tp, _apply(b, args)) for tp, b in hw.branches))
+                    else:
+                        return _apply(hw, args)
+                case Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _):
                     sw = self._whnf(ctx, s, steps)
                     if isinstance(sw, Split):
                         t = Split(tuple((tp, _on(t, b)) for tp, b in sw.branches))
@@ -169,14 +195,12 @@ class Checker:
                     return t
 
     def _contract(self, ctx: Context, t: Term, sw: Term, steps: list[int]) -> Term | None:
-        """One computation step of eliminator ``t`` on its weak-head scrutinee
-        ``sw``: beta, a projection, J on refl, shape beta, or the boundary
-        rule (``f p`` is the boundary value at ``p`` when the constraints in
-        force entail the boundary tope there).  None when ``t`` is stuck."""
+        """One computation step of eliminator ``t``, not an application, on its
+        weak-head scrutinee ``sw``: a projection, J on refl, shape beta, or the
+        boundary rule (``f p`` is the boundary value at ``p`` when the
+        constraints in force entail the boundary tope there).  None when
+        ``t`` is stuck.  Beta is ``_whnf``'s, on a whole application spine."""
         match t, sw:
-            case App(_, a), Lambda(b):
-                self._budget(steps)
-                return substitute(b, 0, a)
             case Fst(_), Pair(a, _):
                 self._budget(steps)
                 return a
@@ -273,6 +297,8 @@ class Checker:
         return None
 
     def _equal(self, ctx: Context, t: Term, u: Term, ty: Term | None) -> bool:
+        if t == u:
+            return True
         if not T.tope_consistent(ctx.cubes, list(ctx.topes)):
             return True
         branches = self._split_or_hypothesis(ctx)
@@ -665,9 +691,7 @@ _NOT_ELIMINABLE = {
 
 def _inst_motive(m: Term, a: Term, b: Term, q: Term) -> Term:
     """m[x := a, y := b, p := q] for a motive binding x, y, p."""
-    step1 = substitute(m, 2, weaken(a, 2))
-    step2 = substitute(step1, 1, weaken(b, 1))
-    return substitute(step2, 0, q)
+    return instantiate(m, (q, b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -681,10 +705,8 @@ def _scrutinee(t: Term) -> Term | None:
 
 
 def _on(t: Term, s: Term) -> Term:
-    """Eliminator ``t`` with its scrutinee replaced by ``s``."""
+    """Eliminator ``t``, not an application, with its scrutinee replaced by ``s``."""
     match t:
-        case App(_, a):
-            return App(s, a)
         case Fst(_):
             return Fst(s)
         case Snd(_):
@@ -694,6 +716,13 @@ def _on(t: Term, s: Term) -> Term:
         case ExtApp(_, p):
             return ExtApp(s, p)
     raise AssertionError(f"_on: {t!r}")
+
+
+def _apply(f: Term, args) -> Term:
+    """``f`` applied to ``args``, the first argument innermost."""
+    for a in args:
+        f = App(f, a)
+    return f
 
 
 def _elim_type(t: Term, stw: Term) -> Term | None:

@@ -83,7 +83,7 @@ def cmd_check(args) -> int:
         print(
             emit_json(
                 diags,
-                {"files": len(batch.order), "declarations": decls},
+                {"files": batch.files_read, "declarations": decls},
                 batch.wall_seconds,
             )
         )
@@ -91,7 +91,7 @@ def cmd_check(args) -> int:
         _print_human(batch, args.explain_tope)
         checked = sum(len(r.decl_names) for r in batch.reports.values())
         errs = sum(1 for d in diags if d.severity == "error")
-        print(f"checked {len(batch.order)} file(s), {checked} declaration(s), {errs} error(s)")
+        print(f"checked {batch.files_read} file(s), {checked} declaration(s), {errs} error(s)")
     return batch.exit_code()
 
 

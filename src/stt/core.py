@@ -337,28 +337,28 @@ class Declaration:
 #
 # ``_walk`` rebuilds a term under one *action* per namespace, term and cube,
 # counting the term binders ``k`` and cube binders ``c`` it has crossed.  An
-# action is the triple ``(cut, value, by)``.  In the term namespace, an index
-# below ``cut + k`` is kept.  With ``value`` None, every index at or above it
-# rises by ``by`` (weakening).  With a ``value``, index ``cut + k`` becomes
-# ``value`` shifted over the ``k`` term and ``c`` cube binders crossed, and
-# larger indices drop by one (substitution).  The cube namespace reads the
-# same with ``c`` in place of ``k``; its values are points.  A None action
-# leaves its namespace alone, and a walk with no cube action never enters
-# points or topes.  The value is shifted once per occurrence, not once per
-# binder.  ``_point`` and ``_tope`` apply a cube action below ``c`` binders.
+# action is the triple ``(cut, values, by)``, with ``values`` a tuple.  In the
+# term namespace, an index below ``cut + k`` is kept, index ``cut + k + j``
+# becomes ``values[j]`` shifted over the ``k`` term and ``c`` cube binders
+# crossed, and every index above those moves by ``by - len(values)``.  So
+# weakening has no values and a positive ``by``, and substitution of ``n``
+# values at once has ``by`` 0 and lowers the indices above them by ``n``.
+# The cube namespace reads the same with ``c`` in place of ``k``; its values
+# are points.  A None action leaves its namespace alone, and a walk with no
+# cube action never enters points or topes.  A value is shifted once per
+# occurrence, not once per binder.  ``_point`` and ``_tope`` apply a cube
+# action below ``c`` binders.
 
 def _point(p: CubePoint, act, c: int) -> CubePoint:
     match p:
         case CubeVar(i):
-            cut, value, by = act
-            cut += c
-            if i < cut:
+            cut, values, by = act
+            j = i - cut - c
+            if j < 0:
                 return p
-            if value is None:
-                return CubeVar(i + by)
-            if i > cut:
-                return CubeVar(i - 1)
-            return _point(value, (0, None, c), 0) if c else value
+            if j >= len(values):
+                return CubeVar(i + by - len(values))
+            return _point(values[j], (0, (), c), 0) if c else values[j]
         case Zero() | One() | Star():
             return p
         case PointPair(a, b):
@@ -390,17 +390,15 @@ def _walk(t: Term, tact, cact, k: int, c: int) -> Term:
         case Var(i):
             if tact is None:
                 return t
-            cut, value, by = tact
-            cut += k
-            if i < cut:
+            cut, values, by = tact
+            j = i - cut - k
+            if j < 0:
                 return t
-            if value is None:
-                return Var(i + by)
-            if i > cut:
-                return Var(i - 1)
+            if j >= len(values):
+                return Var(i + by - len(values))
             if k or c:
-                return _walk(value, (0, None, k) if k else None, (0, None, c) if c else None, 0, 0)
-            return value
+                return _walk(values[j], (0, (), k) if k else None, (0, (), c) if c else None, 0, 0)
+            return values[j]
         case Universe() | Constant():
             return t
         case Pi(a, b):
@@ -455,38 +453,44 @@ def _walk(t: Term, tact, cact, k: int, c: int) -> Term:
 
 def weaken(t: Term, by: int, frm: int = 0) -> Term:
     """Shift term indices >= ``frm`` up by ``by``."""
-    return _walk(t, (frm, None, by), None, 0, 0) if by else t
+    return _walk(t, (frm, (), by), None, 0, 0) if by else t
+
+
+def instantiate(t: Term, values: tuple[Term, ...]) -> Term:
+    """Simultaneous substitution of ``values[j]`` for term index ``j``, in one
+    walk; the indices above them drop by ``len(values)``."""
+    return _walk(t, (0, values, 0), None, 0, 0)
 
 
 def substitute(t: Term, level: int, value: Term) -> Term:
     """Capture-avoiding substitution of ``value`` for term index ``level``;
     indices above the level are decremented."""
-    return _walk(t, (level, value, 0), None, 0, 0)
+    return _walk(t, (level, (value,), 0), None, 0, 0)
 
 
 def weaken_point(p: CubePoint, by: int, frm: int) -> CubePoint:
     """Shift cube indices >= ``frm`` in a point up by ``by``."""
-    return _point(p, (frm, None, by), 0)
+    return _point(p, (frm, (), by), 0)
 
 
 def weaken_tope_cube(t: Tope, by: int, frm: int) -> Tope:
     """Shift cube indices >= ``frm`` in a tope up by ``by``."""
-    return _tope(t, (frm, None, by), 0)
+    return _tope(t, (frm, (), by), 0)
 
 
 def subst_tope_point(t: Tope, level: int, value: CubePoint) -> Tope:
     """Substitute a point for cube index ``level`` in a tope."""
-    return _tope(t, (level, value, 0), 0)
+    return _tope(t, (level, (value,), 0), 0)
 
 
 def weaken_cube(t: Term, by: int, frm: int) -> Term:
     """Shift cube indices >= ``frm`` up by ``by`` throughout a term."""
-    return _walk(t, None, (frm, None, by), 0, 0) if by else t
+    return _walk(t, None, (frm, (), by), 0, 0) if by else t
 
 
 def subst_cube(t: Term, level: int, value: CubePoint) -> Term:
     """Substitute a point for cube index ``level`` throughout a term."""
-    return _walk(t, None, (level, value, 0), 0, 0)
+    return _walk(t, None, (level, (value,), 0), 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.eof_span = eof_span
+        self.decl_name: str | None = None  # of the declaration being parsed, once read
 
     # -- token plumbing ----------------------------------------------------
 
@@ -355,7 +356,9 @@ class _Parser:
     def declaration(self) -> S.SurfaceDecl:
         kw = self.next()
         is_def = kw.canon == "def"
+        self.decl_name = None
         name_tok = self.expect_ident("declaration name")
+        self.decl_name = name_tok.lexeme
         params: list[S.SParam] = []
         while True:
             if self.at("("):
@@ -405,6 +408,7 @@ def parse_module(
     source: str,
 ) -> tuple[list[S.SurfaceDecl], list[Diagnostic], list[tuple[str, Span]]]:
     """Parse all declarations, reporting one diagnostic per malformed one.
+    A declaration that fails after its name was read names it as ``decl``.
 
     Also returns the paths of the ``#import "..."`` directives, in source
     order; a source that does not lex has none.
@@ -448,13 +452,12 @@ def parse_module(
         try:
             decls.append(p.declaration())
         except ParseFailure as e:
-            diags.append(Diagnostic("error", "E-PARSE", e.message, e.span))
+            diags.append(Diagnostic("error", "E-PARSE", e.message, e.span, decl=p.decl_name))
             _resync(p)
         except RecursionError:
+            message = "declaration is nested too deeply"
             diags.append(
-                Diagnostic(
-                    "error", "E-NESTING-DEPTH", "declaration is nested too deeply", t.span
-                )
+                Diagnostic("error", "E-NESTING-DEPTH", message, t.span, decl=p.decl_name)
             )
             _resync(p)
     return decls, diags, imports

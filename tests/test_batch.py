@@ -51,3 +51,20 @@ def test_failed_import_is_reported_as_failed_not_unbound(tmp_path):
     codes = {d.decl: d.code for d in batch.all_diagnostics}
     assert codes == {"base": "E-TYPE-MISMATCH", "use": "E-DEPENDS-ON-FAILED"}
     assert batch.exit_code() == 1
+
+
+def test_declaration_that_fails_to_parse_is_failed_here_and_in_importers(tmp_path):
+    (tmp_path / "base.stt").write_text(
+        "def base (A : U : U := A\ndef use (A : U) : U := base A\n", encoding="utf-8"
+    )
+    (tmp_path / "main.stt").write_text(
+        '#import "base.stt"\ndef use2 (A : U) : U := base A\n', encoding="utf-8"
+    )
+    batch = check_files([str(tmp_path / "main.stt")])
+    found = sorted((d.decl, d.code) for d in batch.all_diagnostics)
+    assert found == [
+        ("base", "E-PARSE"),
+        ("use", "E-DEPENDS-ON-FAILED"),
+        ("use2", "E-DEPENDS-ON-FAILED"),
+    ]
+    assert batch.exit_code() == 2

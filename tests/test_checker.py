@@ -91,6 +91,34 @@ def test_whnf_beta():
     assert whnf(env, Context(), t) == Constant("c")
 
 
+def test_whnf_beta_on_a_whole_spine():
+    env = CheckEnv()
+    a, b, c = Constant("a"), Constant("b"), Constant("c")
+    k2 = Lambda(Lambda(Pair(Var(1), Var(0))))
+    # exactly applied, over-applied (the leftover argument is re-applied)
+    # and under-applied (the unconsumed λ stays, its body instantiated)
+    assert whnf(env, Context(), App(App(k2, a), b)) == Pair(a, b)
+    over = App(App(App(Lambda(Lambda(Var(1))), a), b), c)
+    assert whnf(env, Context(), over) == App(a, c)
+    assert whnf(env, Context(), App(k2, a)) == Lambda(Pair(a, Var(0)))
+    # a head that is itself a redex reduces before the spine
+    assert whnf(env, Context(), App(App(App(Lambda(k2), c), a), b)) == Pair(a, b)
+
+
+def test_whnf_spends_one_step_per_lambda_consumed():
+    t = App(App(App(Lambda(Lambda(Lambda(Var(2)))), Constant("a")), Universe(0)), Universe(0))
+    assert whnf(CheckEnv(max_unfold=3), Context(), t) == Constant("a")
+    with pytest.raises(UnfoldDepthExceeded):
+        whnf(CheckEnv(max_unfold=2), Context(), t)
+
+
+def test_def_equal_is_syntactic_before_unfolding():
+    # equal terms are equal without spending the budget on either side
+    env = CheckEnv(max_unfold=1)
+    env.decls["spin"] = C.Declaration("spin", Universe(0), Constant("spin"))
+    assert def_equal(env, Context(), Constant("spin"), Constant("spin"), None)
+
+
 def test_whnf_projections():
     env = CheckEnv()
     p = Pair(Universe(0), Constant("c"))

@@ -172,6 +172,36 @@ def test_unreadable_import_is_reported_at_each_directive(tmp_path):
     assert all("cannot read" in d["message"] and "nope.stt" in d["message"] for d in io)
 
 
+def test_only_files_that_were_read_are_counted(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "main.stt").write_text(
+        '#import "nope.stt"\n#import "sub"\ndef a (A : U) : U := A\n', encoding="utf-8"
+    )
+    r = run_cli("check", str(tmp_path / "main.stt"))
+    assert r.returncode == 2
+    assert "checked 1 file(s), 1 declaration(s), 2 error(s)" in r.stdout
+    doc = json.loads(run_cli("check", "--json", str(tmp_path / "main.stt")).stdout)
+    assert doc["summary"]["files"] == 1
+
+
+# k parameters: one step unfolds the definition, then one per λ consumed
+_UNFOLD_BOUNDARY = (
+    "def k5 (A : U) (B : U) (C : U) (D : U) (E : U) : U := A\n"
+    "def use (X : U) (x : X) : k5 X U U U U := x\n"
+)
+
+
+def test_applied_definition_spends_one_step_per_parameter(tmp_path):
+    f = tmp_path / "k5.stt"
+    f.write_text(_UNFOLD_BOUNDARY, encoding="utf-8")
+    r = run_cli("check", "--json", "--max-unfold", "5", str(f))
+    assert r.returncode == 1
+    assert [(d["decl"], d["code"]) for d in json.loads(r.stdout)["diagnostics"]] == [
+        ("use", "E-UNFOLD-DEPTH")
+    ]
+    assert run_cli("check", "--max-unfold", "6", str(f)).returncode == 0
+
+
 def test_corpus_subcommand():
     r = run_cli("corpus")
     assert r.returncode == 0, r.stdout + r.stderr

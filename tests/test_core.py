@@ -16,6 +16,7 @@ from stt.core import (
     CubeVar,
     INTERVAL,
     Shape,
+    instantiate,
     subst_cube,
     subst_tope_point,
     substitute,
@@ -107,6 +108,51 @@ def test_substitute_matches_named_oracle_500():
         expected = from_named(named_subst(nt, target, nv), reduced_stack)
         got = substitute(t, level, v)
         assert got == expected
+
+
+def _one_at_a_time(t, values):
+    # the highest index first, each value weakened over the slots still bound
+    for j in reversed(range(len(values))):
+        t = substitute(t, j, weaken(values[j], j))
+    return t
+
+
+@pytest.mark.parametrize("cube_terms", [False, True], ids=["terms", "cube-terms"])
+def test_instantiate_equals_one_substitution_at_a_time_500(cube_terms):
+    # values with free term (and cube) indices, placed under term binders
+    # and, in cube terms, under cube binders too
+    rng = random.Random(8080 + cube_terms)
+
+    def term(depth, size):
+        if cube_terms:
+            return random_cube_term(rng, depth, 2, size)
+        return random_term(rng, depth, size)
+
+    for _ in range(500):
+        depth, n = rng.randrange(0, 3), 1 + rng.randrange(0, 4)
+        t = term(depth + n, rng.randrange(0, 16))
+        values = tuple(term(depth, rng.randrange(0, 6)) for _ in range(n))
+        assert instantiate(t, values) == _one_at_a_time(t, values)
+
+
+def test_instantiate_places_each_value_at_its_index():
+    a, b = C.Constant("a"), C.Constant("b")
+    body = C.Lambda(C.Pair(C.Var(1), C.Pair(C.Var(2), C.Var(3))))
+    assert instantiate(body, (a, b)) == C.Lambda(C.Pair(a, C.Pair(b, C.Var(1))))
+
+
+def test_inst_motive_equals_three_substitutions_500():
+    from stt.checker import _inst_motive
+
+    rng = random.Random(8082)
+    for _ in range(500):
+        depth, cubes = rng.randrange(0, 3), rng.randrange(0, 2)
+        m = random_cube_term(rng, depth + 3, cubes, rng.randrange(0, 14))
+        a, b, q = (random_cube_term(rng, depth, cubes, rng.randrange(0, 6)) for _ in range(3))
+        three_steps = substitute(
+            substitute(substitute(m, 2, weaken(a, 2)), 1, weaken(b, 1)), 0, q
+        )
+        assert _inst_motive(m, a, b, q) == three_steps
 
 
 # -- the cube layer: terms with extension types, splits, points and topes ----

@@ -4,6 +4,8 @@ Each file names its dependencies with ``#import "path"`` directives resolved
 relative to its own directory; there is no search path.  Every file is read,
 lexed and parsed once, when it is first reached.  A file that cannot be read
 is an E-IO at each ``#import`` naming it, or in itself if named directly.
+In a file with a failed ``#import``, unreadable or malformed, a name that
+cannot be found is E-DEPENDS-ON-FAILED rather than E-UNBOUND-NAME.
 Files are then checked one after another, in one thread, in a deterministic
 dependency order.  Every file sees exactly the declarations of its transitive
 import closure, and the names in that closure that failed to parse or check.
@@ -107,7 +109,8 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
     decls: dict[str, list] = {}
     imports: dict[str, list[str]] = {}
     unreadable: dict[str, str] = {}  # key -> why the file could not be read
-    # (shown path, key, (importing report, directive span) or None)
+    import_failed: set[str] = set()  # keys of files with an #import that failed
+    # (shown path, key, (importing key, directive span) or None)
     queue = [(p, _norm(p), None) for p in paths]
 
     while queue:
@@ -127,15 +130,20 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
                     d.file = shown
                 report.parse_diagnostics.extend(pdiags)
                 for rel, span in found:
+                    if rel is None:
+                        import_failed.add(key)
+                        continue
                     dep_key = _norm(os.path.join(os.path.dirname(key), rel))
                     imports[key].append(dep_key)
                     dep_shown = os.path.join(os.path.dirname(shown), rel)
-                    queue.append((dep_shown, dep_key, (report, span)))
+                    queue.append((dep_shown, dep_key, (key, span)))
         elif directive is None:
             continue  # named twice on the command line
         if key in unreadable:
             # an unreadable import is reported at each directive naming it
-            owner, span = directive or (reports[key], None)
+            owner_key, span = directive or (key, None)
+            import_failed.add(owner_key)
+            owner = reports[owner_key]
             message = f"cannot read '{shown}': {unreadable[key]}"
             owner.parse_diagnostics.append(
                 Diagnostic("error", "E-IO", message, span, file=owner.path)
@@ -186,7 +194,7 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
         # a declaration that failed to parse after its name was read
         env.failed.update(d.decl for d in report.parse_diagnostics if d.decl is not None)
         before = set(env.decls)
-        _, cdiags, _ = check_module(env, decls[key])
+        _, cdiags, _ = check_module(env, decls[key], import_failed=key in import_failed)
         for d in cdiags:
             d.file = report.path
         report.check_diagnostics.extend(cdiags)

@@ -18,13 +18,10 @@ Every eliminator has one typing rule, ``_elim_type``, shared by the two
 walks over stuck spines (``_spine_type`` types one, ``_equal_spine``
 compares two) and ``infer``.
 
-Unfold budget: every unfolding and every contraction spends one step of
-``max_unfold``, and beta spends one step per λ it consumes, as many as
-one-argument-at-a-time beta would.  Each ``whnf`` call and each conversion
-step starts a fresh budget, which the normalizations nested in it spend,
-including the typing of a stuck spine for the boundary rule.  Comparing two
-stuck spines starts a fresh budget at every level of the spine.  A
-conversion problem whose sides are syntactically equal spends no steps.
+Unfold budget: each declaration has one budget of ``max_unfold`` steps,
+spent by every unfolding, every contraction, every λ that beta consumes,
+every split of a disjunctive hypothesis and every pair of ``Split``
+branches compared on their overlap; syntactically equal sides spend none.
 """
 
 from __future__ import annotations
@@ -127,19 +124,17 @@ def _countermodel_map(model: T.WeakOrderModel) -> dict[str, str]:
 class Checker:
     def __init__(self, env: CheckEnv):
         self.env = env
+        self.steps = 0  # unfold steps spent, against env.max_unfold
+
+    def _budget(self) -> None:
+        self.steps += 1
+        if self.steps > self.env.max_unfold:
+            raise UnfoldDepthExceeded()
 
     # ------------------------------------------------------------------
     # weak-head normalization
 
     def whnf(self, ctx: Context, t: Term) -> Term:
-        return self._whnf(ctx, t, [0])
-
-    def _budget(self, steps: list[int]) -> None:
-        steps[0] += 1
-        if steps[0] > self.env.max_unfold:
-            raise UnfoldDepthExceeded()
-
-    def _whnf(self, ctx: Context, t: Term, steps: list[int]) -> Term:
         while True:
             match t:
                 case Annot(a, _):
@@ -148,13 +143,13 @@ class Checker:
                     decl = self.env.decls.get(name)
                     if decl is None or decl.body is None:
                         return t
-                    self._budget(steps)
+                    self._budget()
                     t = decl.body
                 case Var(i):
                     d = ctx.term_def(i) if i < len(ctx.terms) else None
                     if d is None:
                         return t
-                    self._budget(steps)
+                    self._budget()
                     t = d
                 case App():
                     args = []
@@ -162,10 +157,10 @@ class Checker:
                         args.append(t.arg)
                         t = t.fn
                     args.reverse()
-                    hw = self._whnf(ctx, t, steps)
+                    hw = self.whnf(ctx, t)
                     n = 0
                     while n < len(args) and isinstance(hw, Lambda):
-                        self._budget(steps)  # one step per λ consumed
+                        self._budget()  # one step per λ consumed
                         hw = hw.body
                         n += 1
                     if n:
@@ -175,18 +170,18 @@ class Checker:
                     else:
                         return _apply(hw, args)
                 case Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _):
-                    sw = self._whnf(ctx, s, steps)
+                    sw = self.whnf(ctx, s)
                     if isinstance(sw, Split):
                         t = Split(tuple((tp, _on(t, b)) for tp, b in sw.branches))
                         continue
-                    red = self._contract(ctx, t, sw, steps)
+                    red = self._contract(ctx, t, sw)
                     if red is None:
                         return _on(t, sw)
                     t = red
                 case Split(brs):
                     for tp, b in brs:
                         if T.tope_entails(ctx.cubes, list(ctx.topes), tp):
-                            self._budget(steps)
+                            self._budget()
                             t = b
                             break
                     else:
@@ -194,41 +189,40 @@ class Checker:
                 case _:
                     return t
 
-    def _contract(self, ctx: Context, t: Term, sw: Term, steps: list[int]) -> Term | None:
+    def _contract(self, ctx: Context, t: Term, sw: Term) -> Term | None:
         """One computation step of eliminator ``t``, not an application, on its
         weak-head scrutinee ``sw``: a projection, J on refl, shape beta, or the
         boundary rule (``f p`` is the boundary value at ``p`` when the
         constraints in force entail the boundary tope there).  None when
-        ``t`` is stuck.  Beta is ``_whnf``'s, on a whole application spine."""
+        ``t`` is stuck.  Beta is ``whnf``'s, on a whole application spine."""
         match t, sw:
             case Fst(_), Pair(a, _):
-                self._budget(steps)
+                self._budget()
                 return a
             case Snd(_), Pair(_, b):
-                self._budget(steps)
+                self._budget()
                 return b
             case IndPath(_, d, _), Refl(a):
-                self._budget(steps)
+                self._budget()
                 self.env.j_fired += 1
                 return substitute(d, 0, a)
             case ExtApp(_, p), ExtLambda(b):
-                self._budget(steps)
+                self._budget()
                 return subst_cube(b, 0, p)
             case ExtApp(_, p), _:
-                ty = self._spine_type(ctx, sw, steps)
-                tyw = None if ty is None else self._whnf(ctx, ty, steps)
+                ty = self._spine_type(ctx, sw)
+                tyw = None if ty is None else self.whnf(ctx, ty)
                 if not isinstance(tyw, ExtType):
                     return None
                 bt_at_p = subst_tope_point(tyw.boundary_tope, 0, p)
                 if not T.tope_entails(ctx.cubes, list(ctx.topes), bt_at_p):
                     return None
-                self._budget(steps)
+                self._budget()
                 return subst_cube(tyw.boundary, 0, p)
         return None
 
-    def _spine_type(self, ctx: Context, t: Term, steps: list[int]) -> Term | None:
-        """Type of the weak-head-stuck term ``t``, or None when unknowable.
-        Spends the caller's ``steps``."""
+    def _spine_type(self, ctx: Context, t: Term) -> Term | None:
+        """Type of the weak-head-stuck term ``t``, or None when unknowable."""
         match t:
             case Var(i):
                 return ctx.term_type(i) if i < len(ctx.terms) else None
@@ -236,15 +230,14 @@ class Checker:
                 decl = self.env.decls.get(name)
                 return decl.type if decl is not None else None
             case App(s, _) | Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _):
-                sty = self._spine_type(ctx, s, steps)
-                return None if sty is None else _elim_type(t, self._whnf(ctx, sty, steps))
+                sty = self._spine_type(ctx, s)
+                return None if sty is None else _elim_type(t, self.whnf(ctx, sty))
         return None
 
     def _equal_spine(self, ctx: Context, t: Term, u: Term) -> Term | None:
         """Compare the weak-head-stuck terms ``t`` and ``u``: None when their
         spines differ, otherwise their common type (best effort), or the
-        opaque marker when it cannot be read off.  Each spine level starts a
-        fresh budget."""
+        opaque marker when it cannot be read off."""
         if type(t) is not type(u):
             return None
         match t:
@@ -267,7 +260,7 @@ class Checker:
                             return None
                         if not self._equal(ctx.extend_term(_OPAQUE), d1, d2, None):
                             return None
-                stw = self._whnf(ctx, sty, [0])
+                stw = self.whnf(ctx, sty)
                 if isinstance(t, App):
                     dom = stw.domain if isinstance(stw, Pi) else None
                     if not self._equal(ctx, t.arg, u.arg, dom):
@@ -289,6 +282,7 @@ class Checker:
     def _split_or_hypothesis(self, ctx: Context) -> list[Context] | None:
         for i, h in enumerate(ctx.topes):
             if isinstance(h, TopeOr):
+                self._budget()
                 rest = ctx.topes[:i] + ctx.topes[i + 1 :]
                 return [
                     Context(ctx.cubes, rest + (h.lhs,), ctx.terms),
@@ -305,9 +299,8 @@ class Checker:
         if branches is not None:
             return all(self._equal(c, t, u, ty) for c in branches)
 
-        steps = [0]
         if ty is not None:
-            tyw = self._whnf(ctx, ty, steps)
+            tyw = self.whnf(ctx, ty)
             match tyw:
                 case Pi(dom, cod):
                     ctx2 = ctx.extend_term(dom)
@@ -333,9 +326,8 @@ class Checker:
         return all(self._equal(ctx.extend_tope(tp), t, u, ty) for tp, _ in brs)
 
     def _equal_whnf(self, ctx: Context, t: Term, u: Term, ty: Term | None) -> bool:
-        steps = [0]
-        tw = self._whnf(ctx, t, steps)
-        uw = self._whnf(ctx, u, steps)
+        tw = self.whnf(ctx, t)
+        uw = self.whnf(ctx, u)
         if tw == uw:
             return True
         if isinstance(tw, Split) and tw.branches:
@@ -658,6 +650,7 @@ class Checker:
                     self.check(ctx.extend_tope(tp), b, ty)
                 for i in range(len(brs)):
                     for j in range(i + 1, len(brs)):
+                        self._budget()
                         ctx_ij = ctx.extend_tope(brs[i][0]).extend_tope(brs[j][0])
                         if not self.def_equal(ctx_ij, brs[i][1], brs[j][1], ty):
                             raise _fail(
@@ -814,7 +807,7 @@ def check_declaration(env: CheckEnv, decl: Declaration) -> list[Diagnostic]:
 
 
 def check_module(
-    env: CheckEnv, decls: list
+    env: CheckEnv, decls: list, import_failed: bool = False
 ) -> tuple[CheckEnv, list[Diagnostic], dict[str, frozenset[str]]]:
     """Sequentially resolve and check surface declarations.
 
@@ -822,7 +815,9 @@ def check_module(
     it, here or in an importing file, produce one E-DEPENDS-ON-FAILED
     diagnostic rather than an error cascade.  A declaration too deep for the
     resolver or the kernel to recurse through is reported as
-    E-NESTING-DEPTH, a resource limit, like one too deep to parse.
+    E-NESTING-DEPTH, a resource limit, like one too deep to parse.  When an
+    ``#import`` of the file failed, a name that cannot be found is blamed on
+    that import, as E-DEPENDS-ON-FAILED.
     """
     from .resolve import FAILED, ResolveError, resolve
 
@@ -834,7 +829,10 @@ def check_module(
             declaration = resolve(sdecl, name_table)
             errs = check_declaration(env, declaration)
         except ResolveError as e:
-            errs = [Diagnostic("error", e.code, e.message, span=e.span or sdecl.span)]
+            code, message = e.code, e.message
+            if code == "E-UNBOUND-NAME" and import_failed:
+                code, message = "E-DEPENDS-ON-FAILED", f"{message}; an #import of this file failed"
+            errs = [Diagnostic("error", code, message, span=e.span or sdecl.span)]
         except RecursionError:
             message = "declaration is nested too deeply to check"
             errs = [Diagnostic("error", "E-NESTING-DEPTH", message, span=sdecl.span)]

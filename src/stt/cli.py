@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
-            "--max-unfold", type=int, default=10_000, help="definition unfolding limit"
+            "--max-unfold", type=int, default=10_000, help="unfold steps per declaration"
         )
 
     pc = sub.add_parser("check", help="type check files")

@@ -406,12 +406,12 @@ def _respan(e: S.SExpr, span: Span):
 
 def parse_module(
     source: str,
-) -> tuple[list[S.SurfaceDecl], list[Diagnostic], list[tuple[str, Span]]]:
+) -> tuple[list[S.SurfaceDecl], list[Diagnostic], list[tuple[str | None, Span]]]:
     """Parse all declarations, reporting one diagnostic per malformed one.
     A declaration that fails after its name was read names it as ``decl``.
 
-    Also returns the paths of the ``#import "..."`` directives, in source
-    order; a source that does not lex has none.
+    Also returns the ``#import`` directives as (path, span) in source order,
+    with path None for a malformed one; a source that does not lex has none.
     """
     decls: list[S.SurfaceDecl] = []
     diags: list[Diagnostic] = []
@@ -424,9 +424,8 @@ def parse_module(
     for t in tokens:
         if t.canon == "#import":
             m = _IMPORT_RE.fullmatch(t.lexeme)
-            if m is not None:
-                imports.append((m.group(1), t.span))
-            else:
+            imports.append((m and m.group(1), t.span))
+            if m is None:
                 found = t.lexeme.strip()
                 message = f"expected #import \"path\", found '{found}'"
                 diags.append(Diagnostic("error", "E-PARSE", message, t.span))
@@ -469,8 +468,8 @@ def _resync(p: _Parser) -> None:
 
 
 def imports_of(source: str) -> list[tuple[str, Span]]:
-    """Paths of the ``#import "..."`` directives, in source order."""
-    return parse_module(source)[2]
+    """Paths of the well-formed ``#import "..."`` directives, in source order."""
+    return [(path, span) for path, span in parse_module(source)[2] if path is not None]
 
 
 def parse_expr(source: str) -> S.SExpr:

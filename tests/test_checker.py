@@ -112,6 +112,28 @@ def test_whnf_spends_one_step_per_lambda_consumed():
         whnf(CheckEnv(max_unfold=2), Context(), t)
 
 
+def test_one_budget_spans_every_normalization_of_a_checker():
+    env = CheckEnv(max_unfold=3)
+    env.decls["two"] = C.Declaration("two", Universe(1), Universe(0))
+    checker = Checker(env)
+    for _ in range(3):
+        assert checker.whnf(Context(), Constant("two")) == Universe(0)
+    with pytest.raises(UnfoldDepthExceeded):
+        checker.whnf(Context(), Constant("two"))
+    assert Checker(env).whnf(Context(), Constant("two")) == Universe(0)  # a fresh budget
+
+
+def test_disjunction_split_spends_one_step():
+    # one step splits t ≡ 0 ∨ t ≡ 1, then each branch contracts fst (a, b) once
+    ctx = Context().extend_cube(INTERVAL)
+    ctx = ctx.extend_tope(TopeOr(TopeEq(CubeVar(0), ZERO), TopeEq(CubeVar(0), ONE)))
+    a = Constant("a")
+    t = Fst(Pair(a, Constant("b")))
+    assert def_equal(CheckEnv(max_unfold=3), ctx, t, a, None)
+    with pytest.raises(UnfoldDepthExceeded):
+        def_equal(CheckEnv(max_unfold=2), ctx, t, a, None)
+
+
 def test_def_equal_is_syntactic_before_unfolding():
     # equal terms are equal without spending the budget on either side
     env = CheckEnv(max_unfold=1)

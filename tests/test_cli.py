@@ -172,6 +172,26 @@ def test_unreadable_import_is_reported_at_each_directive(tmp_path):
     assert all("cannot read" in d["message"] and "nope.stt" in d["message"] for d in io)
 
 
+@pytest.mark.parametrize(
+    "directive,failure", [("#import lib.stt", "E-PARSE"), ('#import "nope.stt"', "E-IO")]
+)
+def test_names_lost_to_a_failed_import_depend_on_it(tmp_path, directive, failure):
+    (tmp_path / "lib.stt").write_text("def base (A : U) : U := A\n", encoding="utf-8")
+    (tmp_path / "main.stt").write_text(
+        directive + "\ndef use (A : U) : U := (base A)\ndef use2 (A : U) : U := (base A)\n",
+        encoding="utf-8",
+    )
+    r = run_cli("check", "--json", str(tmp_path / "main.stt"))
+    assert r.returncode == 2
+    diags = json.loads(r.stdout)["diagnostics"]
+    assert [(d.get("decl"), d["code"]) for d in diags] == [
+        (None, failure),
+        ("use", "E-DEPENDS-ON-FAILED"),
+        ("use2", "E-DEPENDS-ON-FAILED"),
+    ]
+    assert all("an #import of this file failed" in d["message"] for d in diags[1:])
+
+
 def test_only_files_that_were_read_are_counted(tmp_path):
     (tmp_path / "sub").mkdir()
     (tmp_path / "main.stt").write_text(
@@ -184,7 +204,10 @@ def test_only_files_that_were_read_are_counted(tmp_path):
     assert doc["summary"]["files"] == 1
 
 
-# k parameters: one step unfolds the definition, then one per λ consumed
+# One budget per declaration.  Normalizing `k5 X U U U U` spends 1 + 5 = 6
+# steps: one to unfold `k5`, then one per λ consumed.  `use` normalizes it
+# three times: checking its type is well formed, reading the type the body
+# `x` is checked against, and comparing that type with `X`.  3 × 6 = 18.
 _UNFOLD_BOUNDARY = (
     "def k5 (A : U) (B : U) (C : U) (D : U) (E : U) : U := A\n"
     "def use (X : U) (x : X) : k5 X U U U U := x\n"
@@ -194,12 +217,26 @@ _UNFOLD_BOUNDARY = (
 def test_applied_definition_spends_one_step_per_parameter(tmp_path):
     f = tmp_path / "k5.stt"
     f.write_text(_UNFOLD_BOUNDARY, encoding="utf-8")
-    r = run_cli("check", "--json", "--max-unfold", "5", str(f))
+    r = run_cli("check", "--json", "--max-unfold", "17", str(f))
     assert r.returncode == 1
     assert [(d["decl"], d["code"]) for d in json.loads(r.stdout)["diagnostics"]] == [
         ("use", "E-UNFOLD-DEPTH")
     ]
-    assert run_cli("check", "--max-unfold", "6", str(f)).returncode == 0
+    assert run_cli("check", "--max-unfold", "18", str(f)).returncode == 0
+
+
+def test_split_overlap_pairs_spend_the_budget(tmp_path):
+    # nothing unfolds; the three branches make three overlap pairs, one step each
+    f = tmp_path / "split.stt"
+    f.write_text(
+        "def s (A : U) (t : 2) : U := [t ≡ 0 ↦ A, t ≤ 1 ↦ A, t ≡ 1 ↦ A]\n", encoding="utf-8"
+    )
+    r = run_cli("check", "--json", "--max-unfold", "2", str(f))
+    assert r.returncode == 1
+    assert [(d["decl"], d["code"]) for d in json.loads(r.stdout)["diagnostics"]] == [
+        ("s", "E-UNFOLD-DEPTH")
+    ]
+    assert run_cli("check", "--max-unfold", "3", str(f)).returncode == 0
 
 
 def test_corpus_subcommand():

@@ -188,11 +188,19 @@ def test_tier_mismatch_is_a_tier_violation(tmp_path, report, name, old, new, det
 
 
 def test_exhausted_unfold_budget_is_a_resource_limit_not_a_type_error():
-    """At --max-unfold 50 the budget runs out inside conversion checks; the
-    declarations that hit it say so instead of reporting a type mismatch."""
+    """At --max-unfold 50 a declaration's budget runs out inside conversion
+    checks; the declarations that hit it say so instead of reporting a type
+    mismatch."""
     rep = corpus_check(max_unfold=50)
     codes = [d.code for d in rep.diagnostics]
     assert "E-UNFOLD-DEPTH" in codes
     assert "E-TYPE-MISMATCH" not in codes
     hit = {d.decl for d in rep.diagnostics if d.code == "E-UNFOLD-DEPTH"}
-    assert {"comp-id", "id-comp", "yoneda-comput"} <= hit
+    assert {
+        "filler-id-left",
+        "filler-id-right",
+        "hom-retype",
+        "id-isEquiv",
+        "isCovariant",
+        "isGroupoidal",
+    } <= hit

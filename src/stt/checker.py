@@ -18,6 +18,19 @@ Every eliminator has one typing rule, ``_elim_type``, shared by the two
 walks over stuck spines (``_spine_type`` types one, ``_equal_spine``
 compares two) and ``infer``.
 
+``infer`` types an application spine ``f a₁ … aₙ`` in one pass
+(``_infer_spine``), following Coquand's one-walk instantiation of a
+telescope: the head is inferred once, and while its type is a syntactic
+``Π`` each argument takes one binder.  ``aₖ`` is checked against that
+binder's domain with ``a₁ … aₖ₋₁`` instantiated in one walk, and then stays
+pending instead of being substituted into the codomain.  The pending
+arguments are instantiated only when the codomain is not a syntactic ``Π``
+(which is then normalized) and at the end of the spine.  Normalizing a
+``Π`` spends nothing, so this spends the steps that typing one application
+at a time would.  A failure while typing the prefix ``f a₁ … aₖ`` is
+replayed as that recursion would meet it: ``_infer_after_reduction`` gets
+it on ``f a₁ … aₖ₊₁``, and a failure at the last argument propagates.
+
 Unfold budget: each declaration has one budget of ``max_unfold`` steps,
 spent by every unfolding, every contraction, every λ that beta consumes,
 every split of a disjunctive hypothesis and every pair of ``Split``
@@ -424,7 +437,9 @@ class Checker:
                 return Universe(max(la, lb))
             case Lambda(_):
                 raise _fail("E-CANNOT-INFER", "unannotated λ only checks against a Π type")
-            case App(s, _) | Fst(s) | Snd(s) | ExtApp(s, _):
+            case App():
+                return self._infer_spine(ctx, t)
+            case Fst(s) | Snd(s) | ExtApp(s, _):
                 try:
                     sty = self.whnf(ctx, self.infer(ctx, s))
                 except CheckFailure as e:
@@ -433,9 +448,7 @@ class Checker:
                 if ty is None:
                     code, message = _NOT_ELIMINABLE[type(t)]
                     raise _fail(code, message, actual=print_term(sty, ctx))
-                if isinstance(t, App):
-                    self.check(ctx, t.arg, sty.domain)
-                elif isinstance(t, ExtApp):
+                if isinstance(t, ExtApp):
                     self._check_point(ctx, t.point, sty.shape)
                 return ty
             case Pair(_, _):
@@ -514,6 +527,37 @@ class Checker:
                 expected=print_tope(_simplify_tope(constraint_at_p), len(ctx.cubes)),
                 countermodel=_countermodel_map(cm) if cm else None,
             )
+
+    def _infer_spine(self, ctx: Context, t: Term) -> Term:
+        """Type of the application spine ``t = f a₁ … aₙ``; see the module
+        docstring for the rule and its failure replay."""
+        spine = []  # f a₁ … aₙ, then f a₁ … aₙ₋₁, down to f a₁
+        while isinstance(t, App):
+            spine.append(t)
+            t = t.fn
+        failure = None
+        try:
+            ty = self.infer(ctx, t)
+        except CheckFailure as e:
+            failure = e
+        pending: tuple[Term, ...] = ()  # the arguments consumed, the last first
+        for tk in reversed(spine):  # tk is f a₁ … aₖ
+            try:
+                if failure is not None:
+                    ty, pending, failure = self._infer_after_reduction(ctx, tk, failure), (), None
+                    continue
+                if not isinstance(ty, Pi):
+                    ty, pending = self.whnf(ctx, instantiate(ty, pending)), ()
+                    if not isinstance(ty, Pi):
+                        code, message = _NOT_ELIMINABLE[App]
+                        raise _fail(code, message, actual=print_term(ty, ctx))
+                self.check(ctx, tk.arg, instantiate(ty.domain, pending))
+                ty, pending = ty.codomain, (tk.arg,) + pending
+            except CheckFailure as e:
+                failure = e
+        if failure is not None:
+            raise failure
+        return instantiate(ty, pending)
 
     def _infer_after_reduction(self, ctx: Context, t: Term, e: CheckFailure) -> Term:
         # substitution inside unfolded definitions leaves redexes whose heads
@@ -662,7 +706,9 @@ class Checker:
                 return
             case _:
                 inferred = self.infer(ctx, t)
-                if not self.def_equal(ctx, inferred, ty, None):
+                # ty == inferred costs nothing; otherwise compare against the
+                # already normalized tyw rather than normalizing ty again
+                if inferred != ty and not self.def_equal(ctx, inferred, tyw, None):
                     raise _fail(
                         "E-TYPE-MISMATCH",
                         "inferred type does not match the expected type",

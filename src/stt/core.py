@@ -459,7 +459,7 @@ def weaken(t: Term, by: int, frm: int = 0) -> Term:
 def instantiate(t: Term, values: tuple[Term, ...]) -> Term:
     """Simultaneous substitution of ``values[j]`` for term index ``j``, in one
     walk; the indices above them drop by ``len(values)``."""
-    return _walk(t, (0, values, 0), None, 0, 0)
+    return _walk(t, (0, values, 0), None, 0, 0) if values else t
 
 
 def substitute(t: Term, level: int, value: Term) -> Term:

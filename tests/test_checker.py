@@ -375,6 +375,101 @@ def test_not_a_function_and_not_a_pair_codes():
     assert d.code == "E-NOT-A-PAIR"
 
 
+# -- application spines ----------------------------------------------------------
+
+_T, _c, _d, _e = (Constant(n) for n in "Tcde")
+
+
+def _spine_env() -> CheckEnv:
+    """Postulates T : U; c, d, e : T; and an 8-binder telescope
+    f : Π (A : U) (x1 … x6 : A) (p : Id A x1 x2), Id A x1 x6."""
+    env = CheckEnv()
+    env.decls["T"] = C.Declaration("T", Universe(0), None)
+    for n in "cde":
+        env.decls[n] = C.Declaration(n, _T, None)
+    ty = Pi(Id(Var(6), Var(5), Var(4)), Id(Var(7), Var(6), Var(1)))
+    for k in range(6, 0, -1):
+        ty = Pi(Var(k - 1), ty)
+    env.decls["f"] = C.Declaration("f", Pi(Universe(0), ty), None)
+    return env
+
+
+_SPINE_ARGS = [_T, _c, _c, _d, _d, _e, _e, Refl(_c)]
+
+
+def _spine(head, args):
+    for a in args:
+        head = App(head, a)
+    return head
+
+
+def _infer_outcome(env, t):
+    """(type or (code, message, expected, actual), unfold steps spent)."""
+    checker = Checker(env)
+    try:
+        return checker.infer(Context(), t), checker.steps
+    except Exception as exc:
+        d = exc.diag
+        return (d.code, d.message, d.expected, d.actual), checker.steps
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_infer_spine_equals_one_argument_at_a_time(n):
+    env = _spine_env()
+    expected = env.decls["f"].type
+    for a in _SPINE_ARGS[:n]:
+        expected = C.substitute(expected.codomain, 0, a)
+    assert infer(env, Context(), _spine(Constant("f"), _SPINE_ARGS[:n])) == expected
+
+
+@pytest.mark.parametrize(
+    "k, bad, diag",
+    [
+        (0, _c, ("E-TYPE-MISMATCH", "inferred type does not match the expected type", "U", "T")),
+        (1, _T, ("E-TYPE-MISMATCH", "inferred type does not match the expected type", "T", "U")),
+        (5, Universe(0), ("E-TYPE-MISMATCH", "inferred type does not match the expected type", "T", "U₁")),
+        (7, Refl(_d), ("E-TYPE-MISMATCH", "refl endpoints are not definitionally equal", "Id T c c", "refl d")),
+    ],
+)
+def test_ill_typed_argument_in_a_spine_is_reported_at_that_argument(k, bad, diag):
+    args = list(_SPINE_ARGS)
+    args[k] = bad
+    assert _infer_outcome(_spine_env(), _spine(Constant("f"), args)) == (diag, 0)
+
+
+def test_spine_head_type_reaches_its_pi_by_unfolding_mid_spine():
+    # g : Π (A : U), K A  with  K := λ A ↦ Π (x y : A), Id A x y: after T the
+    # codomain is K T, which unfolds (one step) and consumes one λ (one step)
+    env = _spine_env()
+    body = Lambda(Pi(Var(0), Pi(Var(1), Id(Var(2), Var(1), Var(0)))))
+    env.decls["K"] = C.Declaration("K", Pi(Universe(0), Universe(0)), body)
+    env.decls["g"] = C.Declaration("g", Pi(Universe(0), App(Constant("K"), Var(0))), None)
+    t = _spine(Constant("g"), [_T, _c, _d])
+    assert _infer_outcome(env, t) == (Id(_T, _c, _d), 2)
+
+
+@pytest.mark.parametrize("extra", [[_c], [_c, _d]])
+def test_too_many_arguments_is_not_a_function(extra):
+    t = _spine(Constant("f"), _SPINE_ARGS + extra)
+    code, message = "E-NOT-A-FUNCTION", "application head is not a function"
+    assert _infer_outcome(_spine_env(), t) == ((code, message, None, "Id T c e"), 0)
+
+
+def test_spine_failures_go_through_reduction_as_before():
+    env = _spine_env()
+    # a λ head cannot be inferred; each prefix is reduced and retried:
+    # (λ x y ↦ x) c reduces for one step, then the whole spine for two
+    lam = _spine(Lambda(Lambda(Var(1))), [_c, _d])
+    assert _infer_outcome(env, lam) == (_T, 3)
+    # U₁ as an argument cannot be inferred; the next prefix h U₁ c unfolds h
+    # and consumes two λs, and its reduct c is inferred instead
+    env.decls["h"] = C.Declaration("h", Pi(Universe(0), Pi(_T, _T)), Lambda(Lambda(Var(0))))
+    assert _infer_outcome(env, _spine(Constant("h"), [Universe(1), _c])) == (_T, 3)
+    # at the last argument the failure propagates
+    (code, message, _, _), steps = _infer_outcome(env, App(Constant("h"), Universe(1)))
+    assert (code, message, steps) == ("E-CANNOT-INFER", "U₁ has no type in this theory", 0)
+
+
 def test_check_refl_accepts_and_rejects():
     _, diags, _ = _check_src(
         "def ok (A : U) (a : A) : Id A a a := refl a"

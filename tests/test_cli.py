@@ -3,6 +3,7 @@ machine-readable diagnostics."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import pathlib
 import shutil
@@ -206,8 +207,10 @@ def test_only_files_that_were_read_are_counted(tmp_path):
 
 # One budget per declaration.  Normalizing `k5 X U U U U` spends 1 + 5 = 6
 # steps: one to unfold `k5`, then one per λ consumed.  `use` normalizes it
-# three times: checking its type is well formed, reading the type the body
-# `x` is checked against, and comparing that type with `X`.  3 × 6 = 18.
+# twice: checking its type is well formed, and reading the type the body `x`
+# is checked against.  Comparing `X`, the type inferred for `x`, with that
+# type reuses the normal form already read, which is `X`, so it spends
+# nothing.  2 × 6 = 12.
 _UNFOLD_BOUNDARY = (
     "def k5 (A : U) (B : U) (C : U) (D : U) (E : U) : U := A\n"
     "def use (X : U) (x : X) : k5 X U U U U := x\n"
@@ -217,12 +220,29 @@ _UNFOLD_BOUNDARY = (
 def test_applied_definition_spends_one_step_per_parameter(tmp_path):
     f = tmp_path / "k5.stt"
     f.write_text(_UNFOLD_BOUNDARY, encoding="utf-8")
-    r = run_cli("check", "--json", "--max-unfold", "17", str(f))
+    r = run_cli("check", "--json", "--max-unfold", "11", str(f))
     assert r.returncode == 1
     assert [(d["decl"], d["code"]) for d in json.loads(r.stdout)["diagnostics"]] == [
         ("use", "E-UNFOLD-DEPTH")
     ]
-    assert run_cli("check", "--max-unfold", "18", str(f)).returncode == 0
+    assert run_cli("check", "--max-unfold", "12", str(f)).returncode == 0
+
+
+def test_generated_module_of_long_spines_checks(tmp_path):
+    # the benchmark's frontend module: up to 8 arguments applied to 8-binder
+    # telescopes; the generator is loaded from its file, not edited
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", ROOT / "perfbench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    f = tmp_path / "frontend.stt"
+    f.write_text(inputs.frontend_module(3), encoding="utf-8")
+    r = run_cli("check", "--json", str(f))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["diagnostics"] == []
+    assert doc["summary"]["declarations"] == 2000
 
 
 def test_split_overlap_pairs_spend_the_budget(tmp_path):

@@ -199,7 +199,6 @@ def test_exhausted_unfold_budget_is_a_resource_limit_not_a_type_error():
     assert {
         "filler-id-left",
         "filler-id-right",
-        "hom-retype",
         "id-isEquiv",
         "isCovariant",
         "isGroupoidal",

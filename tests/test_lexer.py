@@ -178,3 +178,29 @@ def test_tokens_tile_the_source_or_the_error_lies_inside_it(src):
     assert pos == len(encoded)
     assert "".join(t.lexeme for t in toks) == src
     assert tokenize(src) == [t for t in toks if t.kind != TokenKind.LAYOUT]
+
+
+def test_spans_and_tokens_are_immutable():
+    tok = tokenize("def")[0]
+    with pytest.raises(AttributeError):
+        tok.span.start = 1
+    with pytest.raises(AttributeError):
+        tok.canon = "postulate"
+    assert tok.span.cover(tok.span) == tok.span
+
+
+def test_skeleton_never_descends_into_a_span():
+    # every span moves when a comment line is put in front of the source; if
+    # skeleton read a span (spans are tuples, which it does walk) the
+    # skeletons would differ
+    from stt.parser import parse_module
+    from stt.surface import skeleton
+
+    stdlib = pathlib.Path(__file__).resolve().parent.parent / "src" / "stt" / "stdlib"
+    for f in sorted(stdlib.glob("*.stt")):
+        src = f.read_text(encoding="utf-8")
+        decls, diags, _ = parse_module(src)
+        moved, moved_diags, _ = parse_module("-- Δ¹\n  \n" + src)
+        assert not diags and not moved_diags
+        assert decls != moved, f.name  # the spans did move
+        assert [skeleton(d) for d in decls] == [skeleton(d) for d in moved], f.name

@@ -27,9 +27,11 @@ pending instead of being substituted into the codomain.  The pending
 arguments are instantiated only when the codomain is not a syntactic ``Π``
 (which is then normalized) and at the end of the spine.  Normalizing a
 ``Π`` spends nothing, so this spends the steps that typing one application
-at a time would.  A failure while typing the prefix ``f a₁ … aₖ`` is
-replayed as that recursion would meet it: ``_infer_after_reduction`` gets
-it on ``f a₁ … aₖ₊₁``, and a failure at the last argument propagates.
+at a time would.  A λ head has no type to walk; a β-redex ``(λ x ↦ b) a₁ …
+aₙ`` is typed by the let rule for definitions in context (Coquand, 1996):
+``a₁ : A`` is inferred, ``b a₂ … aₙ`` is inferred under ``x : A := a₁``,
+and ``a₁`` is put back for ``x`` in the result.  So ``a₁`` must be
+inferable, and nothing is reduced.  Every failure propagates.
 
 Unfold budget: each declaration has one budget of ``max_unfold`` steps,
 spent by every unfolding, every contraction, every λ that beta consumes,
@@ -66,7 +68,9 @@ from .core import (
     Split,
     Term,
     Tope,
+    TopeAnd,
     TopeEq,
+    TopeLeq,
     TopeOr,
     Universe,
     Var,
@@ -115,8 +119,6 @@ def _atom_name(atom: T.Atom) -> str:
 
 def _simplify_tope(t: Tope) -> Tope:
     """Collapse projection-of-pair redexes in displayed topes."""
-    from .core import TopeAnd, TopeEq, TopeLeq, TopeOr
-
     match t:
         case TopeLeq(l, r):
             return TopeLeq(T.norm_point(l), T.norm_point(r))
@@ -351,11 +353,7 @@ class Checker:
         match (tw, uw):
             case (Universe(l1), Universe(l2)):
                 return l1 == l2
-            case (Pi(a1, b1), Pi(a2, b2)):
-                return self._equal(ctx, a1, a2, None) and self._equal(
-                    ctx.extend_term(a1), b1, b2, None
-                )
-            case (Sigma(a1, b1), Sigma(a2, b2)):
+            case (Pi(a1, b1), Pi(a2, b2)) | (Sigma(a1, b1), Sigma(a2, b2)):
                 return self._equal(ctx, a1, a2, None) and self._equal(
                     ctx.extend_term(a1), b1, b2, None
                 )
@@ -440,10 +438,7 @@ class Checker:
             case App():
                 return self._infer_spine(ctx, t)
             case Fst(s) | Snd(s) | ExtApp(s, _):
-                try:
-                    sty = self.whnf(ctx, self.infer(ctx, s))
-                except CheckFailure as e:
-                    return self._infer_after_reduction(ctx, t, e)
+                sty = self.whnf(ctx, self.infer(ctx, s))
                 ty = _elim_type(t, sty)
                 if ty is None:
                     code, message = _NOT_ELIMINABLE[type(t)]
@@ -485,17 +480,8 @@ class Checker:
                 base_goal = _inst_motive(m_lifted, Var(0), Var(0), Refl(Var(0)))
                 self.check(ctx_d, d, base_goal)
                 return _elim_type(t, tty)
-            case ExtType(sh, cod, bt, bd):
-                cubes = list(ctx.cubes) + [sh.cube]
-                if not T.tope_entails(cubes, [bt], sh.constraint):
-                    raise _fail(
-                        "E-BOUNDARY",
-                        "boundary tope does not carve a sub-shape of the domain shape",
-                    )
-                ctx2 = ctx.extend_cube(sh.cube)
-                level = self.type_level(ctx2.extend_tope(sh.constraint), cod)
-                self.check(ctx2.extend_tope(bt), bd, cod)
-                return Universe(level)
+            case ExtType():
+                return Universe(self._ext_formation(ctx, t, self.type_level))
             case ExtLambda(_):
                 raise _fail(
                     "E-CANNOT-INFER", "a shape λ only checks against an extension type"
@@ -530,44 +516,27 @@ class Checker:
 
     def _infer_spine(self, ctx: Context, t: Term) -> Term:
         """Type of the application spine ``t = f a₁ … aₙ``; see the module
-        docstring for the rule and its failure replay."""
+        docstring for the rule, and for the let rule when ``f`` is a λ."""
         spine = []  # f a₁ … aₙ, then f a₁ … aₙ₋₁, down to f a₁
         while isinstance(t, App):
             spine.append(t)
             t = t.fn
-        failure = None
-        try:
-            ty = self.infer(ctx, t)
-        except CheckFailure as e:
-            failure = e
+        if isinstance(t, Lambda):  # the let rule: b a₂ … aₙ under x := a₁
+            a1 = spine[-1].arg
+            rest = [weaken(tk.arg, 1) for tk in reversed(spine[:-1])]
+            ty = self.infer(ctx.extend_term(self.infer(ctx, a1), a1), _apply(t.body, rest))
+            return substitute(ty, 0, a1)
+        ty = self.infer(ctx, t)
         pending: tuple[Term, ...] = ()  # the arguments consumed, the last first
         for tk in reversed(spine):  # tk is f a₁ … aₖ
-            try:
-                if failure is not None:
-                    ty, pending, failure = self._infer_after_reduction(ctx, tk, failure), (), None
-                    continue
+            if not isinstance(ty, Pi):
+                ty, pending = self.whnf(ctx, instantiate(ty, pending)), ()
                 if not isinstance(ty, Pi):
-                    ty, pending = self.whnf(ctx, instantiate(ty, pending)), ()
-                    if not isinstance(ty, Pi):
-                        code, message = _NOT_ELIMINABLE[App]
-                        raise _fail(code, message, actual=print_term(ty, ctx))
-                self.check(ctx, tk.arg, instantiate(ty.domain, pending))
-                ty, pending = ty.codomain, (tk.arg,) + pending
-            except CheckFailure as e:
-                failure = e
-        if failure is not None:
-            raise failure
+                    code, message = _NOT_ELIMINABLE[App]
+                    raise _fail(code, message, actual=print_term(ty, ctx))
+            self.check(ctx, tk.arg, instantiate(ty.domain, pending))
+            ty, pending = ty.codomain, (tk.arg,) + pending
         return instantiate(ty, pending)
-
-    def _infer_after_reduction(self, ctx: Context, t: Term, e: CheckFailure) -> Term:
-        # substitution inside unfolded definitions leaves redexes whose heads
-        # are literal λs or pairs; reduce and retry before giving up
-        if e.diag.code not in ("E-CANNOT-INFER",):
-            raise e
-        red = self.whnf(ctx, t)
-        if red == t:
-            raise e
-        return self.infer(ctx, red)
 
     def type_level(self, ctx: Context, t: Term) -> int:
         """Universe level of a term used as a type; U itself has level 1."""
@@ -598,18 +567,26 @@ class Checker:
                 self.type_level(ctx, a)
                 self.type_level_or_top(ctx.extend_term(a), b)
                 return
-            case ExtType(sh, cod, bt, bd):
-                cubes = list(ctx.cubes) + [sh.cube]
-                if not T.tope_entails(cubes, [bt], sh.constraint):
-                    raise _fail(
-                        "E-BOUNDARY",
-                        "boundary tope does not carve a sub-shape of the domain shape",
-                    )
-                ctx2 = ctx.extend_cube(sh.cube)
-                self.type_level_or_top(ctx2.extend_tope(sh.constraint), cod)
-                self.check(ctx2.extend_tope(bt), bd, cod)
+            case ExtType():
+                self._ext_formation(ctx, tw, self.type_level_or_top)
                 return
         self.type_level(ctx, tw)
+
+    def _ext_formation(self, ctx: Context, e: ExtType, codomain_rule):
+        """Formation of the extension type ``e``: its boundary tope carves a
+        sub-shape of its shape, ``codomain_rule`` accepts its codomain, whose
+        result is returned, and the boundary value has the codomain type."""
+        sh = e.shape
+        cubes = list(ctx.cubes) + [sh.cube]
+        if not T.tope_entails(cubes, [e.boundary_tope], sh.constraint):
+            raise _fail(
+                "E-BOUNDARY",
+                "boundary tope does not carve a sub-shape of the domain shape",
+            )
+        ctx2 = ctx.extend_cube(sh.cube)
+        result = codomain_rule(ctx2.extend_tope(sh.constraint), e.codomain)
+        self.check(ctx2.extend_tope(e.boundary_tope), e.boundary, e.codomain)
+        return result
 
     def check(self, ctx: Context, t: Term, ty: Term) -> None:
         # glue: under unsatisfiable constraints everything checks

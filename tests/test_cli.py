@@ -245,6 +245,41 @@ def test_generated_module_of_long_spines_checks(tmp_path):
     assert doc["summary"]["declarations"] == 2000
 
 
+_H_PRELUDE = "postulate T : U\npostulate c : T\ndef h (A : U) (x : T) : T := x\n"
+
+
+def test_argument_without_a_type_is_rejected_even_when_reduction_drops_it(tmp_path):
+    f = tmp_path / "dropped.stt"
+    f.write_text(
+        _H_PRELUDE
+        + "def bad1 : T := h U₁ c\n"
+        + "def bad2 : T := h (fst (λ x ↦ x)) c\n"
+        + "def bad3 : T := (λ x ↦ c) U₁\n",
+        encoding="utf-8",
+    )
+    r = run_cli("check", "--json", str(f))
+    assert r.returncode == 1
+    assert [(d["decl"], d["code"]) for d in json.loads(r.stdout)["diagnostics"]] == [
+        ("bad1", "E-CANNOT-INFER"),
+        ("bad2", "E-CANNOT-INFER"),
+        ("bad3", "E-CANNOT-INFER"),
+    ]
+
+
+def test_long_lambda_spine_binds_its_arguments_without_unfolding(tmp_path):
+    # (λ x₀ … x₂₉₉ ↦ x₀) c … c: the let rule binds each argument and reduces
+    # nothing, so one unfold step of budget is plenty
+    n = 300
+    f = tmp_path / "spine.stt"
+    f.write_text(
+        "postulate T : U\npostulate c : T\n"
+        f"def big : T := (λ {' '.join(f'x{i}' for i in range(n))} ↦ x0) {' '.join(['c'] * n)}\n",
+        encoding="utf-8",
+    )
+    r = run_cli("check", "--max-unfold", "1", str(f))
+    assert r.returncode == 0, r.stderr
+
+
 def test_split_overlap_pairs_spend_the_budget(tmp_path):
     # nothing unfolds; the three branches make three overlap pairs, one step each
     f = tmp_path / "split.stt"

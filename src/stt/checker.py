@@ -33,6 +33,12 @@ aₙ`` is typed by the let rule for definitions in context (Coquand, 1996):
 and ``a₁`` is put back for ``x`` in the result.  So ``a₁`` must be
 inferable, and nothing is reduced.  Every failure propagates.
 
+A type is validated through its weak-head form, unless reducing it put an
+introduction form in for a variable, which can land where typing infers
+(``E (c , d)`` to ``fst (c , d) ~ c``); then the type as written is.  An
+untyped ``Id`` in a well-formed type gets its endpoint type from
+``_endpoint_type``, which types a stuck left side by its reduct's spine.
+
 Unfold budget: each declaration has one budget of ``max_unfold`` steps,
 spent by every unfolding, every contraction, every λ that beta consumes,
 every split of a disjunctive hypothesis and every pair of ``Split``
@@ -93,7 +99,9 @@ class CheckFailure(Exception):
 
 
 class UnfoldDepthExceeded(Exception):
-    pass
+    @property
+    def diag(self) -> Diagnostic:  # a resource limit, not a type error
+        return Diagnostic("error", "E-UNFOLD-DEPTH", "unfold depth limit exceeded")
 
 
 @dataclass
@@ -120,14 +128,10 @@ def _atom_name(atom: T.Atom) -> str:
 def _simplify_tope(t: Tope) -> Tope:
     """Collapse projection-of-pair redexes in displayed topes."""
     match t:
-        case TopeLeq(l, r):
-            return TopeLeq(T.norm_point(l), T.norm_point(r))
-        case TopeEq(l, r):
-            return TopeEq(T.norm_point(l), T.norm_point(r))
-        case TopeAnd(l, r):
-            return TopeAnd(_simplify_tope(l), _simplify_tope(r))
-        case TopeOr(l, r):
-            return TopeOr(_simplify_tope(l), _simplify_tope(r))
+        case TopeLeq(l, r) | TopeEq(l, r):
+            return type(t)(T.norm_point(l), T.norm_point(r))
+        case TopeAnd(l, r) | TopeOr(l, r):
+            return type(t)(_simplify_tope(l), _simplify_tope(r))
         case _:
             return t
 
@@ -140,6 +144,7 @@ class Checker:
     def __init__(self, env: CheckEnv):
         self.env = env
         self.steps = 0  # unfold steps spent, against env.max_unfold
+        self._bound_intro = False  # set when reduction substitutes an introduction form
 
     def _budget(self) -> None:
         self.steps += 1
@@ -179,6 +184,7 @@ class Checker:
                         hw = hw.body
                         n += 1
                     if n:
+                        self._bound_intro |= any(type(a) in _INTRO for a in args[:n])
                         t = _apply(instantiate(hw, tuple(reversed(args[:n]))), args[n:])
                     elif isinstance(hw, Split):
                         t = Split(tuple((tp, _apply(b, args)) for tp, b in hw.branches))
@@ -220,6 +226,7 @@ class Checker:
             case IndPath(_, d, _), Refl(a):
                 self._budget()
                 self.env.j_fired += 1
+                self._bound_intro |= type(a) in _INTRO
                 return substitute(d, 0, a)
             case ExtApp(_, p), ExtLambda(b):
                 self._budget()
@@ -336,19 +343,15 @@ class Checker:
                     )
         return self._equal_whnf(ctx, t, u, ty)
 
-    def _split_branches(self, ctx: Context, brs, t: Term, u: Term, ty: Term | None) -> bool:
-        # branch topes cover the zone by typing, so casing on them is sound
-        return all(self._equal(ctx.extend_tope(tp), t, u, ty) for tp, _ in brs)
-
     def _equal_whnf(self, ctx: Context, t: Term, u: Term, ty: Term | None) -> bool:
         tw = self.whnf(ctx, t)
         uw = self.whnf(ctx, u)
         if tw == uw:
             return True
-        if isinstance(tw, Split) and tw.branches:
-            return self._split_branches(ctx, tw.branches, tw, uw, ty)
-        if isinstance(uw, Split) and uw.branches:
-            return self._split_branches(ctx, uw.branches, tw, uw, ty)
+        for w in (tw, uw):
+            if isinstance(w, Split) and w.branches:
+                # branch topes cover the zone by typing, so casing on them is sound
+                return all(self._equal(ctx.extend_tope(tp), tw, uw, ty) for tp, _ in w.branches)
 
         match (tw, uw):
             case (Universe(l1), Universe(l2)):
@@ -433,11 +436,11 @@ class Checker:
                 la = self.type_level(ctx, a)
                 lb = self.type_level(ctx.extend_term(a), b)
                 return Universe(max(la, lb))
-            case Lambda(_):
-                raise _fail("E-CANNOT-INFER", "unannotated λ only checks against a Π type")
+            case Lambda() | Pair() | Refl() | ExtLambda() | Split():
+                raise _fail("E-CANNOT-INFER", _INTRO[type(t)][2])
             case App():
                 return self._infer_spine(ctx, t)
-            case Fst(s) | Snd(s) | ExtApp(s, _):
+            case Fst(s) | Snd(s) | ExtApp(s, _) | IndPath(_, _, s):
                 sty = self.whnf(ctx, self.infer(ctx, s))
                 ty = _elim_type(t, sty)
                 if ty is None:
@@ -445,9 +448,19 @@ class Checker:
                     raise _fail(code, message, actual=print_term(sty, ctx))
                 if isinstance(t, ExtApp):
                     self._check_point(ctx, t.point, sty.shape)
+                elif isinstance(t, IndPath):
+                    a_ty = self._endpoint_type(ctx, sty)
+                    ctx_m = (
+                        ctx.extend_term(a_ty)
+                        .extend_term(weaken(a_ty, 1))
+                        .extend_term(Id(weaken(a_ty, 2), Var(1), Var(0)))
+                    )
+                    self.type_level(ctx_m, t.motive)
+                    ctx_d = ctx.extend_term(a_ty)
+                    m_lifted = weaken(t.motive, 1, 3)  # move under the base-case binder
+                    base_goal = _inst_motive(m_lifted, Var(0), Var(0), Refl(Var(0)))
+                    self.check(ctx_d, t.base, base_goal)
                 return ty
-            case Pair(_, _):
-                raise _fail("E-CANNOT-INFER", "a pair only checks against a Σ type")
             case Id(ty, l, r):
                 if ty is None:
                     ty = self.infer(ctx, l)
@@ -458,36 +471,8 @@ class Checker:
                     self.check(ctx, l, ty)
                     self.check(ctx, r, ty)
                 return Universe(level)
-            case Refl(_):
-                raise _fail("E-CANNOT-INFER", "refl only checks against an Id type")
-            case IndPath(m, d, tgt):
-                tty = self.whnf(ctx, self.infer(ctx, tgt))
-                if not isinstance(tty, Id):
-                    raise _fail(
-                        "E-TYPE-MISMATCH",
-                        "ind-path target is not an identity proof",
-                        actual=print_term(tty, ctx),
-                    )
-                a_ty = tty.type if tty.type is not None else self.infer(ctx, tty.lhs)
-                ctx_m = (
-                    ctx.extend_term(a_ty)
-                    .extend_term(weaken(a_ty, 1))
-                    .extend_term(Id(weaken(a_ty, 2), Var(1), Var(0)))
-                )
-                self.type_level(ctx_m, m)
-                ctx_d = ctx.extend_term(a_ty)
-                m_lifted = weaken(m, 1, 3)  # move under the base-case binder
-                base_goal = _inst_motive(m_lifted, Var(0), Var(0), Refl(Var(0)))
-                self.check(ctx_d, d, base_goal)
-                return _elim_type(t, tty)
             case ExtType():
                 return Universe(self._ext_formation(ctx, t, self.type_level))
-            case ExtLambda(_):
-                raise _fail(
-                    "E-CANNOT-INFER", "a shape λ only checks against an extension type"
-                )
-            case Split(_):
-                raise _fail("E-CANNOT-INFER", "a split only checks against a type")
             case Annot(a, ty):
                 self.type_level_or_top(ctx, ty)
                 self.check(ctx, a, ty)
@@ -540,7 +525,7 @@ class Checker:
 
     def type_level(self, ctx: Context, t: Term) -> int:
         """Universe level of a term used as a type; U itself has level 1."""
-        tw = self.whnf(ctx, t)
+        tw = self._type_whnf(ctx, t)
         if isinstance(tw, Universe):
             if tw.level == 0:
                 return 1
@@ -559,7 +544,7 @@ class Checker:
         of Π/extension types landing in a sort, so constants may classify
         families of large types even though such towers live in no universe.
         """
-        tw = self.whnf(ctx, t)
+        tw = self._type_whnf(ctx, t)
         match tw:
             case Universe(_):
                 return
@@ -571,6 +556,25 @@ class Checker:
                 self._ext_formation(ctx, tw, self.type_level_or_top)
                 return
         self.type_level(ctx, tw)
+
+    def _type_whnf(self, ctx: Context, t: Term) -> Term:
+        """The weak-head form of the type ``t``, validated in its place unless
+        reducing ``t`` substituted an introduction form, which may land where
+        typing infers (``E (c , d)`` to ``fst (c , d) ~ c``); then ``t``."""
+        self._bound_intro = False
+        tw = self.whnf(ctx, t)
+        return t if self._bound_intro else tw
+
+    def _endpoint_type(self, ctx: Context, idty: Id) -> Term:
+        """Type of the endpoints of the well-formed identity type ``idty``; a
+        stuck left side (``_stuck``) is well typed, so it is reduced and a
+        neutral reduct is typed by its spine, with no argument checked again."""
+        if idty.type is not None:
+            return idty.type
+        if not _stuck(idty.lhs):
+            return self.infer(ctx, idty.lhs)
+        lw = self.whnf(ctx, idty.lhs)
+        return self._spine_type(ctx, lw) or self.infer(ctx, lw)
 
     def _ext_formation(self, ctx: Context, e: ExtType, codomain_rule):
         """Formation of the extension type ``e``: its boundary tope carves a
@@ -593,23 +597,14 @@ class Checker:
         if ctx.topes and not T.tope_consistent(ctx.cubes, list(ctx.topes)):
             return
         tyw = self.whnf(ctx, ty)
+        former, message, _ = _INTRO.get(type(t), (object, "", ""))
+        if not isinstance(tyw, former):
+            raise _fail("E-TYPE-MISMATCH", message, expected=print_term(tyw, ctx))
         match t:
             case Lambda(body):
-                if not isinstance(tyw, Pi):
-                    raise _fail(
-                        "E-TYPE-MISMATCH",
-                        "λ against a non-Π type",
-                        expected=print_term(tyw, ctx),
-                    )
                 self.check(ctx.extend_term(tyw.domain), body, tyw.codomain)
                 return
             case ExtLambda(body):
-                if not isinstance(tyw, ExtType):
-                    raise _fail(
-                        "E-TYPE-MISMATCH",
-                        "shape λ against a non-extension type",
-                        expected=print_term(tyw, ctx),
-                    )
                 sh = tyw.shape
                 ctx2 = ctx.extend_cube(sh.cube)
                 self.check(ctx2.extend_tope(sh.constraint), body, tyw.codomain)
@@ -628,23 +623,11 @@ class Checker:
                     )
                 return
             case Pair(a, b):
-                if not isinstance(tyw, Sigma):
-                    raise _fail(
-                        "E-TYPE-MISMATCH",
-                        "pair against a non-Σ type",
-                        expected=print_term(tyw, ctx),
-                    )
                 self.check(ctx, a, tyw.first)
                 self.check(ctx, b, substitute(tyw.second, 0, a))
                 return
             case Refl(a):
-                if not isinstance(tyw, Id):
-                    raise _fail(
-                        "E-TYPE-MISMATCH",
-                        "refl against a non-Id type",
-                        expected=print_term(tyw, ctx),
-                    )
-                at = tyw.type if tyw.type is not None else self.infer(ctx, tyw.lhs)
+                at = self._endpoint_type(ctx, tyw)
                 self.check(ctx, a, at)
                 if not self.def_equal(ctx, a, tyw.lhs, at) or not self.def_equal(
                     ctx, a, tyw.rhs, at
@@ -697,12 +680,43 @@ class Checker:
 
 _OPAQUE = Constant("%opaque")
 
+# introduction form -> the type former it checks against, the message when
+# the expected type has another former, and the message when it is inferred
+_INTRO = {
+    Lambda: (Pi, "λ against a non-Π type", "unannotated λ only checks against a Π type"),
+    Pair: (Sigma, "pair against a non-Σ type", "a pair only checks against a Σ type"),
+    Refl: (Id, "refl against a non-Id type", "refl only checks against an Id type"),
+    ExtLambda: (
+        ExtType,
+        "shape λ against a non-extension type",
+        "a shape λ only checks against an extension type",
+    ),
+    Split: (object, "", "a split only checks against a type"),
+}
+
 _NOT_ELIMINABLE = {
     App: ("E-NOT-A-FUNCTION", "application head is not a function"),
     Fst: ("E-NOT-A-PAIR", "projection target is not a pair"),
     Snd: ("E-NOT-A-PAIR", "projection target is not a pair"),
     ExtApp: ("E-NOT-A-FUNCTION", "extension application head has no extension type"),
+    IndPath: ("E-TYPE-MISMATCH", "ind-path target is not an identity proof"),
 }
+
+
+def _stuck(t: Term) -> bool:
+    """``t`` has an introduction form, which ``infer`` rejects, where typing
+    infers it: as an eliminator's scrutinee, as an argument of a spine with a
+    λ head, or as the left side of an untyped ``Id``."""
+    match t:
+        case App(f, a) if type(a) in _INTRO:
+            while isinstance(f, App):
+                f = f.fn
+            if isinstance(f, Lambda):
+                return True
+        case Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _) | Id(None, s, _):
+            if type(s) in _INTRO:
+                return True
+    return any(_stuck(s) for s, _, _ in children(t))
 
 
 def _inst_motive(m: Term, a: Term, b: Term, q: Term) -> Term:
@@ -777,10 +791,8 @@ def check(env: CheckEnv, ctx: Context, t: Term, ty: Term) -> Diagnostic | None:
     try:
         Checker(env).check(ctx, t, ty)
         return None
-    except CheckFailure as e:
+    except (CheckFailure, UnfoldDepthExceeded) as e:
         return e.diag
-    except UnfoldDepthExceeded:
-        return Diagnostic("error", "E-UNFOLD-DEPTH", "unfold depth limit exceeded")
 
 
 def _constants_of(t: Term, acc: set[str]) -> set[str]:
@@ -798,22 +810,12 @@ def check_declaration(env: CheckEnv, decl: Declaration) -> list[Diagnostic]:
         checker.type_level_or_top(Context(), decl.type)
         if decl.body is not None:
             checker.check(Context(), decl.body, decl.type)
-    except CheckFailure as e:
+    except (CheckFailure, UnfoldDepthExceeded) as e:
         d = e.diag
         d.decl = decl.name
         if d.span is None:
             d.span = decl.span
         return [d]
-    except UnfoldDepthExceeded:
-        return [
-            Diagnostic(
-                "error",
-                "E-UNFOLD-DEPTH",
-                "unfold depth limit exceeded",
-                span=decl.span,
-                decl=decl.name,
-            )
-        ]
     refs = _constants_of(decl.type, set())
     if decl.body is not None:
         _constants_of(decl.body, refs)

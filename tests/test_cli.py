@@ -266,6 +266,61 @@ def test_argument_without_a_type_is_rejected_even_when_reduction_drops_it(tmp_pa
     ]
 
 
+_STUCK_PRELUDE = (
+    "postulate T : U\npostulate c : T\npostulate d : T\npostulate f : T → T\n"
+    "def E (P : Σ (x : T) , T) : U := fst P ~ c\n"
+    "def E1 (F : (T → T) → T) : U := F (λ y ↦ y) ~ c\n"
+    "def Ex (a : ⟨Δ¹ → T⟩) : U := a 0 ~ c\n"
+)
+
+
+def test_types_that_unfold_to_redexes_of_checked_arguments_check(tmp_path):
+    # beta, J on refl or instantiating a telescope puts a pair, a λ or a shape
+    # λ where typing infers (fst (c , c), (λ g ↦ g c) (λ y ↦ y), (λ t ↦ c) 0);
+    # the written types and the identity types they reduce to are well formed
+    f = tmp_path / "unfolded.stt"
+    f.write_text(
+        _STUCK_PRELUDE
+        + "def k : E (c , c) := refl c\n"
+        + "def k1 : E1 (λ g ↦ g c) := refl c\n"
+        + "def k2 : E (c , d) := refl c\n"
+        + "def E2 (P : Σ (x : T) , T) : U := f (fst P) ~ f c\n"
+        + "def k3 : E2 (c , c) := refl (f c)\n"
+        + "def E3 (P : Σ (x : T) , T) : U := (fst P ~ c) → T\n"
+        + "def k4 : E3 (c , c) := λ q ↦ c\n"
+        + "def k5 (q : E (c , c)) : T := ind-path (λ x y p ↦ T) (λ x ↦ x) q\n"
+        + "def k6 : Ex (λ (t : 2) ↦ c) := refl c\n"
+        + "def useE (P : Σ (x : T) , T) (q : fst P ~ c) : T := c\n"
+        + "def k7 : T := useE (c , c) (refl c)\n"
+        + "def p0 : Id (Σ (x : T) , T) (c , c) (c , c) := refl (c , c)\n"
+        + "def EJ (q : Id (Σ (x : T) , T) (c , c) (c , c)) : U :=\n"
+        + "  ind-path (λ x y p ↦ U) (λ x ↦ fst x ~ c) q\n"
+        + "def k8 : EJ p0 := refl c\n",
+        encoding="utf-8",
+    )
+    r = run_cli("check", "--json", str(f))
+    assert r.returncode == 0, r.stdout
+    assert json.loads(r.stdout)["diagnostics"] == []
+
+
+def test_types_that_unfold_to_redexes_still_check_their_arguments(tmp_path):
+    f = tmp_path / "unfolded-bad.stt"
+    f.write_text(
+        _STUCK_PRELUDE
+        + "def bad1 : E (c , U) := refl c\n"
+        + "def bad2 : E1 (λ g ↦ U₁) := refl c\n"
+        + "def bad3 : E (d , c) := refl c\n",
+        encoding="utf-8",
+    )
+    r = run_cli("check", "--json", str(f))
+    assert r.returncode == 1
+    assert [(d["decl"], d["code"]) for d in json.loads(r.stdout)["diagnostics"]] == [
+        ("bad1", "E-TYPE-MISMATCH"),
+        ("bad2", "E-CANNOT-INFER"),
+        ("bad3", "E-TYPE-MISMATCH"),
+    ]
+
+
 def test_long_lambda_spine_binds_its_arguments_without_unfolding(tmp_path):
     # (λ x₀ … x₂₉₉ ↦ x₀) c … c: the let rule binds each argument and reduces
     # nothing, so one unfold step of budget is plenty

@@ -10,25 +10,62 @@ stored in a context is valid in that whole context.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+
+
+class Node(tuple):
+    """Base of the core and surface syntax nodes: an immutable tuple of the
+    fields its class annotates, after those of its bases, in declaration
+    order.  ``__match_args__`` lists the field names, which class patterns
+    bind in order and which read as attributes.  Construction is
+    positional.  Equality also compares the class, so ``Fst(x) != Snd(x)``
+    and ``Var(0) != (0,)``; a node hashes like its field tuple."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        own = tuple(vars(cls).get("__annotations__", ()))
+        for i, name in enumerate(own, len(cls.__match_args__)):
+            setattr(cls, name, property(itemgetter(i)))
+        cls.__match_args__ += own
+
+    def __new__(cls, *values):
+        if len(values) != len(cls.__match_args__):
+            raise TypeError(
+                f"{cls.__name__} takes {len(cls.__match_args__)} fields, got {len(values)}"
+            )
+        return tuple.__new__(cls, values)
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign '{name}': {type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self))
+        return f"{type(self).__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------
 # Cubes and points
 
-@dataclass(frozen=True)
-class CubeUnit:
+class CubeUnit(Node):
     def __str__(self) -> str:
         return "1"
 
 
-@dataclass(frozen=True)
-class CubeInterval:
+class CubeInterval(Node):
     def __str__(self) -> str:
         return "2"
 
 
-@dataclass(frozen=True)
-class CubeProd:
+class CubeProd(Node):
     fst: "Cube"
     snd: "Cube"
 
@@ -42,39 +79,32 @@ UNIT = CubeUnit()
 INTERVAL = CubeInterval()
 
 
-@dataclass(frozen=True)
-class CubeVar:
+class CubeVar(Node):
     index: int
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(Node):
     pass
 
 
-@dataclass(frozen=True)
-class One:
+class One(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Node):
     """The unique point of the terminal cube."""
 
 
-@dataclass(frozen=True)
-class PointPair:
+class PointPair(Node):
     fst: "CubePoint"
     snd: "CubePoint"
 
 
-@dataclass(frozen=True)
-class PointFst:
+class PointFst(Node):
     point: "CubePoint"
 
 
-@dataclass(frozen=True)
-class PointSnd:
+class PointSnd(Node):
     point: "CubePoint"
 
 
@@ -88,36 +118,30 @@ STAR = Star()
 # ---------------------------------------------------------------------------
 # Topes
 
-@dataclass(frozen=True)
-class TopeTop:
+class TopeTop(Node):
     pass
 
 
-@dataclass(frozen=True)
-class TopeBottom:
+class TopeBottom(Node):
     pass
 
 
-@dataclass(frozen=True)
-class TopeLeq:
+class TopeLeq(Node):
     lhs: CubePoint
     rhs: CubePoint
 
 
-@dataclass(frozen=True)
-class TopeEq:
+class TopeEq(Node):
     lhs: CubePoint
     rhs: CubePoint
 
 
-@dataclass(frozen=True)
-class TopeAnd:
+class TopeAnd(Node):
     lhs: "Tope"
     rhs: "Tope"
 
 
-@dataclass(frozen=True)
-class TopeOr:
+class TopeOr(Node):
     lhs: "Tope"
     rhs: "Tope"
 
@@ -128,8 +152,7 @@ TOP = TopeTop()
 BOT = TopeBottom()
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(Node):
     """A cube restricted by a tope; the constraint sees the bound coordinate
     as cube index 0 (outer cube variables keep their shifted indices)."""
 
@@ -140,69 +163,57 @@ class Shape:
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
-class Var:
+class Var(Node):
     index: int
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Node):
     level: int  # 0 or 1
 
 
-@dataclass(frozen=True)
-class Pi:
+class Pi(Node):
     domain: "Term"
     codomain: "Term"  # binds one term variable
 
 
-@dataclass(frozen=True)
-class Lambda:
+class Lambda(Node):
     body: "Term"  # binds one term variable
 
 
-@dataclass(frozen=True)
-class App:
+class App(Node):
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Sigma:
+class Sigma(Node):
     first: "Term"
     second: "Term"  # binds one term variable
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(Node):
     fst: "Term"
     snd: "Term"
 
 
-@dataclass(frozen=True)
-class Fst:
+class Fst(Node):
     pair: "Term"
 
 
-@dataclass(frozen=True)
-class Snd:
+class Snd(Node):
     pair: "Term"
 
 
-@dataclass(frozen=True)
-class Id:
+class Id(Node):
     type: "Term | None"  # None: recovered from the left endpoint when checked
     lhs: "Term"
     rhs: "Term"
 
 
-@dataclass(frozen=True)
-class Refl:
+class Refl(Node):
     term: "Term"
 
 
-@dataclass(frozen=True)
-class IndPath:
+class IndPath(Node):
     """Identity eliminator.  ``motive`` binds three term variables (both
     endpoints and the path), ``base`` binds one (the diagonal point)."""
 
@@ -211,8 +222,7 @@ class IndPath:
     target: "Term"
 
 
-@dataclass(frozen=True)
-class ExtType:
+class ExtType(Node):
     """Functions out of a shape with a judgmentally fixed boundary.
 
     ``codomain`` and ``boundary`` bind one cube variable; ``boundary_tope``
@@ -225,19 +235,16 @@ class ExtType:
     boundary: "Term"
 
 
-@dataclass(frozen=True)
-class ExtLambda:
+class ExtLambda(Node):
     body: "Term"  # binds one cube variable
 
 
-@dataclass(frozen=True)
-class ExtApp:
+class ExtApp(Node):
     fn: "Term"
     point: CubePoint
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(Node):
     """Case tree over topes: well typed when the branch topes cover the
     current constraints and the branches agree on overlaps.  An empty split
     is the canonical term under an unsatisfiable tope zone."""
@@ -245,13 +252,11 @@ class Split:
     branches: tuple[tuple[Tope, "Term"], ...]
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Annot:
+class Annot(Node):
     term: "Term"
     type: "Term"
 

@@ -21,9 +21,10 @@ with 1-based line and column (in code points) for the start and end.
 constructor alone, where a frozen dataclass pays one ``object.__setattr__``
 per field.  On the benchmark's ``frontend_module(7)`` (102,505 tokens)
 ``tokenize`` takes 0.67 s with named tuples and 0.98 s with frozen
-dataclasses (best of 5, 2 vCPUs, CPython 3.11).  Tuple equality ignores the
-class, so only these two records are tuples: core and surface nodes stay
-dataclasses, because the checker's ``t == u`` must tell ``Fst(x)`` from
+dataclasses (best of 5, 2 vCPUs, CPython 3.11).  A named tuple's equality
+ignores the class, which these two records never need.  Core and surface
+nodes are tuples too, through ``core.Node``, but their equality also compares
+the class, because the checker's ``t == u`` must tell ``Fst(x)`` from
 ``Snd(x)``.
 """
 

@@ -388,20 +388,13 @@ class _Parser:
                         )
                     seen.add(n)
         return S.SurfaceDecl(
-            name=name_tok.lexeme,
-            name_span=name_tok.span,
-            params=tuple(params),
-            type=ty,
-            body=body,
-            span=kw.span.cover(end_span),
+            name_tok.lexeme, name_tok.span, tuple(params), ty, body, kw.span.cover(end_span)
         )
 
 
 def _respan(e: S.SExpr, span: Span):
     # parenthesized expressions keep their widened span
-    import dataclasses
-
-    return dataclasses.replace(e, span=span)
+    return type(e)(span, *e[1:])
 
 
 def parse_module(

@@ -17,6 +17,7 @@ from .core import (
     Annot,
     App,
     BOT,
+    CANONICAL_SHAPES,
     Constant,
     Cube,
     CubePoint,
@@ -39,8 +40,6 @@ from .core import (
     PointSnd,
     Refl,
     SHAPE_ENDPOINTS,
-    SHAPE_INNER_HORN,
-    SHAPE_TRIANGLE,
     Shape,
     Sigma,
     Snd,
@@ -205,7 +204,7 @@ class Resolver:
                 return TopeOr(self.resolve_tope(l), self.resolve_tope(r))
             case S.SShapeName(_, "dDelta1"):
                 # both endpoints of the innermost bound coordinate
-                return TopeOr(TopeEq(CubeVar(0), ZERO), TopeEq(CubeVar(0), ONE))
+                return SHAPE_ENDPOINTS.constraint
         raise ResolveError("E-RESOLVE", "expected a tope", e.span)
 
     # -- terms ----------------------------------------------------------------
@@ -400,18 +399,9 @@ class Resolver:
                 names = binder if isinstance(binder, tuple) else (binder,)
                 self._push("cube", tuple(names))
                 constraint = self.resolve_tope(constraint_e)
-            case S.SShapeName(_, "Delta2"):
-                cube = SHAPE_TRIANGLE.cube
+            case S.SShapeName(_, name):
+                cube, constraint = CANONICAL_SHAPES[name]
                 self._push("cube", ("_",))
-                constraint = SHAPE_TRIANGLE.constraint
-            case S.SShapeName(_, "Lambda21"):
-                cube = SHAPE_INNER_HORN.cube
-                self._push("cube", ("_",))
-                constraint = SHAPE_INNER_HORN.constraint
-            case S.SShapeName(_, "dDelta1"):
-                cube = SHAPE_ENDPOINTS.cube
-                self._push("cube", ("_",))
-                constraint = SHAPE_ENDPOINTS.constraint
             case _:
                 cube = self.resolve_cube(shape_e)
                 self._push("cube", ("_",))

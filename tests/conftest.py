@@ -3,12 +3,15 @@ its report shared by every test that inspects mutants."""
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import pathlib
 import sys
 
 import pytest
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
 import golden  # noqa: E402
 
@@ -20,3 +23,24 @@ def mutant_reports(tmp_path_factory):
         mutant: golden.run_mutant(mutant, base, tmp_path_factory.mktemp(mutant))
         for mutant, base, _ in golden.mutant_index()
     }
+
+
+@pytest.fixture(scope="session")
+def perfbench_inputs():
+    """The benchmark's input generators, loaded from their file, not edited."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", ROOT / "perfbench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that ends with the cyclic collector disabled, where it
+    happens, rather than as a slower session that leaks cycles from then on."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")

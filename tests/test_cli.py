@@ -3,7 +3,7 @@ machine-readable diagnostics."""
 
 from __future__ import annotations
 
-import importlib.util
+import gc
 import json
 import pathlib
 import shutil
@@ -228,16 +228,11 @@ def test_applied_definition_spends_one_step_per_parameter(tmp_path):
     assert run_cli("check", "--max-unfold", "12", str(f)).returncode == 0
 
 
-def test_generated_module_of_long_spines_checks(tmp_path):
+def test_generated_module_of_long_spines_checks(tmp_path, perfbench_inputs):
     # the benchmark's frontend module: up to 8 arguments applied to 8-binder
-    # telescopes; the generator is loaded from its file, not edited
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", ROOT / "perfbench" / "inputs.py"
-    )
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    # telescopes
     f = tmp_path / "frontend.stt"
-    f.write_text(inputs.frontend_module(3), encoding="utf-8")
+    f.write_text(perfbench_inputs.frontend_module(3), encoding="utf-8")
     r = run_cli("check", "--json", str(f))
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
@@ -408,16 +403,73 @@ def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path, kind):
 def test_internal_error_is_one_diagnostic(monkeypatch, capsys):
     import stt.cli
 
-    def broken(*args, **kwargs):
-        raise RuntimeError("broken on purpose")
-
-    monkeypatch.setattr(stt.cli, "check_files", broken)
+    _broken_check_files(monkeypatch)
     assert stt.cli.main(["check", "x.stt"]) == 2
     err = capsys.readouterr().err
     assert err.count("E-INTERNAL") == 1
     assert "broken on purpose" in err
     assert "test_cli.py" in err  # names where it was raised
     assert "Traceback" not in err
+
+
+def _broken_check_files(monkeypatch):
+    import stt.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(stt.cli, "check_files", broken)
+
+
+# exit path -> (source of x.stt or None, extra arguments, exit code)
+_EXIT_PATHS = {
+    "clean": ("def ok (A : U) : U := A\n", [], 0),
+    "type-error": ("def oops (A : U) : A := A\n", [], 1),
+    "internal-error": (None, [], 2),
+    "bad-max-unfold": ("def ok (A : U) : U := A\n", ["--max-unfold", "0"], 2),
+    "unknown-flag": ("def ok (A : U) : U := A\n", ["--no-such-flag"], SystemExit),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("path", sorted(_EXIT_PATHS))
+def test_main_leaves_the_collector_as_it_found_it(
+    tmp_path, monkeypatch, capsys, path, enabled
+):
+    import stt.cli
+
+    source, extra, code = _EXIT_PATHS[path]
+    f = tmp_path / "x.stt"
+    if source is None:
+        _broken_check_files(monkeypatch)
+    else:
+        f.write_text(source, encoding="utf-8")
+    if not enabled:
+        gc.disable()
+    try:
+        if code is SystemExit:
+            with pytest.raises(SystemExit):
+                stt.cli.main(["check", *extra, str(f)])
+        else:
+            assert stt.cli.main(["check", *extra, str(f)]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_check_runs_no_collection(tmp_path, capsys, perfbench_inputs):
+    import stt.cli
+
+    f = tmp_path / "frontend.stt"
+    f.write_text(perfbench_inputs.frontend_module(3), encoding="utf-8")
+    # get_stats snapshots the counts before it allocates; the collect leaves
+    # no pending allocations to trigger one while the first snapshot is built
+    gc.collect()
+    before = gc.get_stats()
+    assert stt.cli.main(["check", "--json", str(f)]) == 0
+    after = gc.get_stats()
+    assert [s["collections"] for s in after] == [s["collections"] for s in before]
+    assert json.loads(capsys.readouterr().out)["summary"]["declarations"] == 2000
 
 
 # parse fine, then recurse once per binder in the resolver (λ) or the kernel (Π)

@@ -204,3 +204,35 @@ def test_skeleton_never_descends_into_a_span():
         assert not diags and not moved_diags
         assert decls != moved, f.name  # the spans did move
         assert [skeleton(d) for d in decls] == [skeleton(d) for d in moved], f.name
+
+
+def test_every_token_is_a_token_of_four_fields_with_a_span_of_six(perfbench_inputs):
+    # tokenize builds both records with tuple.__new__, which checks no field count
+    from stt.lexer import Span
+
+    stdlib = pathlib.Path(__file__).resolve().parent.parent / "src" / "stt" / "stdlib"
+    sources = [f.read_text(encoding="utf-8") for f in sorted(stdlib.glob("*.stt"))]
+    sources.append(perfbench_inputs.frontend_module(3))
+    for src in sources:
+        for keep_trivia in (False, True):
+            for t in tokenize(src, keep_trivia=keep_trivia):
+                assert type(t) is Token and len(t) == 4, t
+                assert type(t.span) is Span and len(t.span) == 6, t
+
+
+@pytest.mark.parametrize("keep_trivia", [False, True])
+def test_ascii_tokens_after_non_ascii_ones_count_bytes(keep_trivia):
+    # λ takes 2 bytes, ↦ 3 and ü 2
+    toks = tokenize("λ x ↦ x -- ü\nf y\n", keep_trivia=keep_trivia)
+    idents = [t for t in toks if t.lexeme in ("x", "f", "y")]
+    assert [(t.lexeme, t.span.start, t.span.end, t.span.line, t.span.col) for t in idents] == [
+        ("x", 3, 4, 1, 3),
+        ("x", 9, 10, 1, 7),
+        ("f", 17, 18, 2, 1),
+        ("y", 19, 20, 2, 3),
+    ]
+    if keep_trivia:
+        assert [(t.lexeme, t.span.start, t.span.end) for t in toks[8:10]] == [
+            ("-- ü", 11, 16),
+            ("\n", 16, 17),
+        ]

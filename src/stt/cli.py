@@ -160,7 +160,11 @@ def cmd_corpus(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="stt", description=__doc__)
+    ap = argparse.ArgumentParser(
+        prog="stt",
+        description="Type check files of the directed-interval type theory.",
+        epilog="exit codes: 0 clean, 1 type errors, 2 I/O, parse, flag or internal failure",
+    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):

@@ -7,9 +7,12 @@ keyword, so one bad declaration never takes the rest of the file with it.
 A declaration nested too deeply for the recursive descent is reported the
 same way, as ``E-NESTING-DEPTH``.
 
-Operator precedence, loosest to tightest: ``→`` (right associative), ``∨``,
-``∧``, the comparisons ``≤ ≡ ∼`` (non-associative), ``×``, application.
-``λ``, ``Π`` and ``Σ`` extend as far right as possible.
+Binary operators are parsed by precedence climbing over ``surface.BINARY``,
+which holds each operator's precedence and associativity; the prefix
+operators and leaf keywords come from ``surface.PREFIX`` and
+``surface.KEYWORD``.  Application binds tighter than every binary operator.
+The right side of ``→`` is a whole expression, and ``λ``, ``Π`` and ``Σ``
+extend as far right as possible.
 """
 
 from __future__ import annotations
@@ -29,25 +32,10 @@ class ParseFailure(Exception):
 
 
 # Tokens that may begin an atom, used to drive application parsing.
-_ATOM_KEYWORDS = {
-    "U",
-    "U1",
-    "TOP",
-    "BOT",
-    "star",
-    "fst",
-    "snd",
-    "pi1",
-    "pi2",
-    "refl",
-    "Id",
-    "ind-path",
-    "Delta1",
-    "Delta2",
-    "Lambda21",
-    "dDelta1",
-}
+_ATOM_KEYWORDS = {*S.KEYWORD, *S.PREFIX, "Id", "ind-path"}
 _ATOM_SYMBOLS = {"(", "[", "⟨"}
+# A shape's cube is a product: it stops before any looser operator.
+_TIMES = S.BINARY["*"][0]
 
 # The lexer gives a directive the rest of its line; a line comment may
 # follow the quoted path.
@@ -108,7 +96,7 @@ class _Parser:
             return self.lam()
         if t is not None and t.canon in ("Pi", "Sigma"):
             return self.quantifier(t.canon)
-        return self.arrow()
+        return self.binary()
 
     def lam(self) -> S.SExpr:
         start = self.next().span
@@ -169,51 +157,28 @@ class _Parser:
         end = self.expect(")").span
         return S.SGroup(tuple(names), annot, start.cover(end))
 
-    def arrow(self) -> S.SExpr:
-        lhs = self.disj()
-        if self.at("->"):
-            self.next()
-            rhs = self.expr()
-            return S.SArrow(lhs.span.cover(rhs.span), lhs, rhs)
-        return lhs
-
-    def disj(self) -> S.SExpr:
-        lhs = self.conj()
-        if self.at("\\/"):
-            self.next()
-            rhs = self.disj()
-            return S.SOr(lhs.span.cover(rhs.span), lhs, rhs)
-        return lhs
-
-    def conj(self) -> S.SExpr:
-        lhs = self.cmp()
-        if self.at("/\\"):
-            self.next()
-            rhs = self.conj()
-            return S.SAnd(lhs.span.cover(rhs.span), lhs, rhs)
-        return lhs
-
-    def cmp(self) -> S.SExpr:
-        lhs = self.times()
-        t = self.peek()
-        if t is not None and t.canon in ("<=", "===", "~"):
-            self.next()
-            rhs = self.times()
-            span = lhs.span.cover(rhs.span)
-            if t.canon == "<=":
-                return S.SLeq(span, lhs, rhs)
-            if t.canon == "===":
-                return S.SEq(span, lhs, rhs)
-            return S.SSim(span, lhs, rhs)
-        return lhs
-
-    def times(self) -> S.SExpr:
+    def binary(self, min_prec: int = 0) -> S.SExpr:
+        """Operands joined by binary operators of precedence at least
+        ``min_prec``.  The operators applied here fall strictly in
+        precedence.  A right associative operator's right side takes every
+        operator at least as tight as it; a non-associative one's takes only
+        tighter ones, so a second comparison is left over for the caller to
+        reject."""
         lhs = self.app()
-        if self.at("*"):
+        ceiling = float("inf")  # precedence of the operator last applied
+        while True:
+            t = self.peek()
+            entry = S.BINARY.get(t.canon) if t is not None else None
+            if entry is None or not min_prec <= entry[0] < ceiling:
+                return lhs
+            prec, right, _ = entry
             self.next()
-            rhs = self.times()
-            return S.STimes(lhs.span.cover(rhs.span), lhs, rhs)
-        return lhs
+            if t.canon == "->":
+                rhs = self.expr()
+            else:
+                rhs = self.binary(prec if right else prec + 1)
+            lhs = S.SBinary(lhs.span.cover(rhs.span), t.canon, lhs, rhs)
+            ceiling = prec
 
     def _starts_atom(self) -> bool:
         t = self.peek()
@@ -244,30 +209,13 @@ class _Parser:
             return S.SNat(t.span, t.lexeme)
         if t.kind == TokenKind.KEYWORD:
             c = t.canon
-            if c == "U":
+            if c in S.KEYWORD:
                 self.next()
-                return S.SUniv(t.span, 0)
-            if c == "U1":
-                self.next()
-                return S.SUniv(t.span, 1)
-            if c == "TOP":
-                self.next()
-                return S.STop(t.span)
-            if c == "BOT":
-                self.next()
-                return S.SBot(t.span)
-            if c == "star":
-                self.next()
-                return S.SStar(t.span)
-            if c in ("Delta1", "Delta2", "Lambda21", "dDelta1"):
-                self.next()
-                return S.SShapeName(t.span, c)
-            if c in ("fst", "snd", "pi1", "pi2", "refl"):
+                return S.SKeyword(t.span, c)
+            if c in S.PREFIX:
                 self.next()
                 arg = self.atom()
-                span = t.span.cover(arg.span)
-                node = {"fst": S.SFst, "snd": S.SSnd, "pi1": S.SP1, "pi2": S.SP2, "refl": S.SRefl}[c]
-                return node(span, arg)
+                return S.SPrefix(t.span.cover(arg.span), c, arg)
             if c == "Id":
                 self.next()
                 ty = self.atom()
@@ -343,13 +291,13 @@ class _Parser:
             start = self.next().span
             binder = self.pattern()
             self.expect(":")
-            cube = self.times()
+            cube = self.binary(_TIMES)
             self.expect("|")
             tope = self.expr()
             end = self.expect("}").span
             return S.SShape(start.cover(end), binder, cube, tope)
         # a bare cube expression or canonical shape name
-        return self.times()
+        return self.binary(_TIMES)
 
     # -- declarations ------------------------------------------------------
 

@@ -1,18 +1,22 @@
 """Pretty-printer for surface declarations.
 
-Prints canonical Unicode spellings with minimal parenthesization, chosen so
-that reparsing the output yields a structurally identical declaration.  The
-output is deterministic and printing is idempotent.
+Prints the glyphs of ``surface.BINARY``, ``surface.PREFIX`` and
+``surface.KEYWORD`` and parenthesizes by the precedences of ``surface.BINARY``,
+minimally, so that reparsing the output yields a structurally identical
+declaration.  The output is deterministic and printing is idempotent.
 """
 
 from __future__ import annotations
 
 from . import surface as S
 
-# Precedence levels, loosest to tightest; must mirror the parser.
-_ARROW, _OR, _AND, _CMP, _TIMES, _APP, _ATOM = range(7)
-
-_SHAPE_GLYPH = {"Delta1": "Δ¹", "Delta2": "Δ²", "Lambda21": "Λ²₁", "dDelta1": "∂Δ¹"}
+# Context precedences: 0 takes any expression, application binds tighter
+# than every binary operator, and an atom tighter still.
+_APP = 1 + max(prec for prec, _, _ in S.BINARY.values())
+_ATOM = _APP + 1
+_OR = S.BINARY["\\/"][0]
+_TIMES = S.BINARY["*"][0]
+_ARROW_GLYPH = S.BINARY["->"][2]  # also between an extension type's shape and codomain
 
 
 def _parens(s: str, need: bool) -> str:
@@ -25,45 +29,18 @@ def _pattern(p: S.Pattern) -> str:
     return p
 
 
-def print_expr(e: S.SExpr, prec: int = _ARROW) -> str:
+def print_expr(e: S.SExpr, prec: int = 0) -> str:
     match e:
         case S.SName(_, text):
             return text
         case S.SNat(_, text):
             return text
-        case S.SUniv(_, 0):
-            return "U"
-        case S.SUniv(_, _):
-            return "U₁"
-        case S.SShapeName(_, name):
-            return _SHAPE_GLYPH[name]
-        case S.STop(_):
-            return "⊤"
-        case S.SBot(_):
-            return "⊥"
-        case S.SStar(_):
-            return "⋆"
-        case S.SArrow(_, l, r):
-            s = f"{print_expr(l, _OR)} → {print_expr(r, _ARROW)}"
-            return _parens(s, prec > _ARROW)
-        case S.SOr(_, l, r):
-            s = f"{print_expr(l, _AND)} ∨ {print_expr(r, _OR)}"
-            return _parens(s, prec > _OR)
-        case S.SAnd(_, l, r):
-            s = f"{print_expr(l, _CMP)} ∧ {print_expr(r, _AND)}"
-            return _parens(s, prec > _AND)
-        case S.SLeq(_, l, r):
-            s = f"{print_expr(l, _TIMES)} ≤ {print_expr(r, _TIMES)}"
-            return _parens(s, prec > _CMP)
-        case S.SEq(_, l, r):
-            s = f"{print_expr(l, _TIMES)} ≡ {print_expr(r, _TIMES)}"
-            return _parens(s, prec > _CMP)
-        case S.SSim(_, l, r):
-            s = f"{print_expr(l, _TIMES)} ∼ {print_expr(r, _TIMES)}"
-            return _parens(s, prec > _CMP)
-        case S.STimes(_, l, r):
-            s = f"{print_expr(l, _APP)} × {print_expr(r, _TIMES)}"
-            return _parens(s, prec > _TIMES)
+        case S.SKeyword(_, word):
+            return S.KEYWORD[word]
+        case S.SBinary(_, op, l, r):
+            own, right, glyph = S.BINARY[op]
+            rhs = print_expr(r, own if right else own + 1)
+            return _parens(f"{print_expr(l, own + 1)} {glyph} {rhs}", prec > own)
         case S.SApp(_, f, a):
             s = f"{print_expr(f, _APP)} {print_expr(a, _ATOM)}"
             return _parens(s, prec > _APP)
@@ -71,16 +48,8 @@ def print_expr(e: S.SExpr, prec: int = _ARROW) -> str:
             return f"({print_expr(a)} , {print_expr(b)})"
         case S.SAnnot(_, t, ty):
             return f"({print_expr(t)} : {print_expr(ty)})"
-        case S.SFst(_, a):
-            return _parens(f"fst {print_expr(a, _ATOM)}", prec > _APP)
-        case S.SSnd(_, a):
-            return _parens(f"snd {print_expr(a, _ATOM)}", prec > _APP)
-        case S.SP1(_, a):
-            return _parens(f"π₁ {print_expr(a, _ATOM)}", prec > _APP)
-        case S.SP2(_, a):
-            return _parens(f"π₂ {print_expr(a, _ATOM)}", prec > _APP)
-        case S.SRefl(_, a):
-            return _parens(f"refl {print_expr(a, _ATOM)}", prec > _APP)
+        case S.SPrefix(_, op, a):
+            return _parens(f"{S.PREFIX[op]} {print_expr(a, _ATOM)}", prec > _APP)
         case S.SId(_, ty, l, r):
             s = f"Id {print_expr(ty, _ATOM)} {print_expr(l, _ATOM)} {print_expr(r, _ATOM)}"
             return _parens(s, prec > _APP)
@@ -92,17 +61,17 @@ def print_expr(e: S.SExpr, prec: int = _ARROW) -> str:
             return _parens(s, prec > _APP)
         case S.SLam(_, binders, body):
             bs = " ".join(_lam_binder(b) for b in binders)
-            return _parens(f"λ {bs} ↦ {print_expr(body, _ARROW)}", prec > _ARROW)
+            return _parens(f"λ {bs} ↦ {print_expr(body)}", prec > 0)
         case S.SPi(_, groups, body):
             gs = " ".join(_group(g) for g in groups)
-            return _parens(f"Π {gs}, {print_expr(body, _ARROW)}", prec > _ARROW)
+            return _parens(f"Π {gs}, {print_expr(body)}", prec > 0)
         case S.SSigma(_, groups, body):
             gs = " ".join(_group(g) for g in groups)
-            return _parens(f"Σ {gs}, {print_expr(body, _ARROW)}", prec > _ARROW)
+            return _parens(f"Σ {gs}, {print_expr(body)}", prec > 0)
         case S.SShape(_, binder, cube, tope):
             return f"{{{_pattern(binder)} : {print_expr(cube, _TIMES)} | {print_expr(tope)}}}"
         case S.SExt(_, shape, cod, tope, boundary):
-            head = f"⟨{print_expr(shape, _TIMES)} → {print_expr(cod, _OR)}"
+            head = f"⟨{print_expr(shape, _TIMES)} {_ARROW_GLYPH} {print_expr(cod, _OR)}"
             if tope is None:
                 return head + "⟩"
             return f"{head} | {print_expr(tope, _OR)} ↦ {print_expr(boundary, _OR)}⟩"

@@ -85,15 +85,16 @@ class Resolver:
 
     # -- scope -------------------------------------------------------------
 
-    def _lookup(self, name: str) -> tuple[str, int, int] | None:
-        """(layer, de Bruijn index, coordinate position) for a bound name."""
+    def _lookup(self, name: str) -> tuple[str, int, int, int] | None:
+        """(layer, de Bruijn index, coordinate position, names the entry
+        binds) for a bound name."""
         term_depth = 0
         cube_depth = 0
         for entry in reversed(self.scope):
             if name in entry.names:
                 if entry.layer == "term":
-                    return ("term", term_depth, 0)
-                return ("cube", cube_depth, entry.names.index(name))
+                    return ("term", term_depth, 0, 1)
+                return ("cube", cube_depth, entry.names.index(name), len(entry.names))
             if entry.layer == "term":
                 term_depth += 1
             else:
@@ -106,23 +107,20 @@ class Resolver:
     def _pop(self) -> None:
         self.scope.pop()
 
-    def _is_cube_name(self, name: str) -> bool:
-        hit = self._lookup(name)
-        return hit is not None and hit[0] == "cube"
-
     # -- layer classification ------------------------------------------------
 
     def is_point_expr(self, e: S.SExpr) -> bool:
         match e:
             case S.SNat(_, text):
                 return text in ("0", "1")
-            case S.SStar(_):
+            case S.SKeyword(_, "star"):
                 return True
             case S.SName(_, name):
-                return self._is_cube_name(name)
+                hit = self._lookup(name)
+                return hit is not None and hit[0] == "cube"
             case S.SPair(_, a, b):
                 return self.is_point_expr(a) and self.is_point_expr(b)
-            case S.SP1(_, a) | S.SP2(_, a):
+            case S.SPrefix(_, "pi1" | "pi2", a):
                 return self.is_point_expr(a)
         return False
 
@@ -131,9 +129,9 @@ class Resolver:
         match e:
             case S.SNat(_, text):
                 return text in ("1", "2")
-            case S.SShapeName(_, "Delta1"):
+            case S.SKeyword(_, "Delta1"):
                 return True
-            case S.STimes(_, a, b):
+            case S.SBinary(_, "*", a, b):
                 return Resolver.is_cube_expr(a) and Resolver.is_cube_expr(b)
         return False
 
@@ -145,9 +143,9 @@ class Resolver:
                 return UNIT
             case S.SNat(_, "2"):
                 return INTERVAL
-            case S.SShapeName(_, "Delta1"):
+            case S.SKeyword(_, "Delta1"):
                 return INTERVAL
-            case S.STimes(_, a, b):
+            case S.SBinary(_, "*", a, b):
                 return CubeProd(self.resolve_cube(a), self.resolve_cube(b))
         raise ResolveError("E-RESOLVE", "expected a cube (1, 2, or a product)", e.span)
 
@@ -157,7 +155,7 @@ class Resolver:
                 return ZERO
             case S.SNat(_, "1"):
                 return ONE
-            case S.SStar(_):
+            case S.SKeyword(_, "star"):
                 return STAR
             case S.SName(_, name):
                 hit = self._lookup(name)
@@ -165,44 +163,34 @@ class Resolver:
                     raise ResolveError(
                         "E-RESOLVE", f"'{name}' is not an interval coordinate", e.span
                     )
-                _, index, coord = hit
+                _, index, coord, width = hit
                 base: CubePoint = CubeVar(index)
-                entry_names = self._cube_entry_names(index)
-                if len(entry_names) == 2:
+                if width == 2:
                     return PointFst(base) if coord == 0 else PointSnd(base)
                 return base
             case S.SPair(_, a, b):
                 return PointPair(self.resolve_point(a), self.resolve_point(b))
-            case S.SP1(_, a):
+            case S.SPrefix(_, "pi1", a):
                 return PointFst(self.resolve_point(a))
-            case S.SP2(_, a):
+            case S.SPrefix(_, "pi2", a):
                 return PointSnd(self.resolve_point(a))
         raise ResolveError("E-RESOLVE", "expected an interval point", e.span)
 
-    def _cube_entry_names(self, index: int) -> tuple[str, ...]:
-        depth = 0
-        for entry in reversed(self.scope):
-            if entry.layer == "cube":
-                if depth == index:
-                    return entry.names
-                depth += 1
-        raise AssertionError("cube index out of scope")
-
     def resolve_tope(self, e: S.SExpr) -> Tope:
         match e:
-            case S.STop(_):
+            case S.SKeyword(_, "TOP"):
                 return TOP
-            case S.SBot(_):
+            case S.SKeyword(_, "BOT"):
                 return BOT
-            case S.SLeq(_, l, r):
+            case S.SBinary(_, "<=", l, r):
                 return TopeLeq(self.resolve_point(l), self.resolve_point(r))
-            case S.SEq(_, l, r):
+            case S.SBinary(_, "===", l, r):
                 return TopeEq(self.resolve_point(l), self.resolve_point(r))
-            case S.SAnd(_, l, r):
+            case S.SBinary(_, "/\\", l, r):
                 return TopeAnd(self.resolve_tope(l), self.resolve_tope(r))
-            case S.SOr(_, l, r):
+            case S.SBinary(_, "\\/", l, r):
                 return TopeOr(self.resolve_tope(l), self.resolve_tope(r))
-            case S.SShapeName(_, "dDelta1"):
+            case S.SKeyword(_, "dDelta1"):
                 # both endpoints of the innermost bound coordinate
                 return SHAPE_ENDPOINTS.constraint
         raise ResolveError("E-RESOLVE", "expected a tope", e.span)
@@ -214,7 +202,7 @@ class Resolver:
             case S.SName(_, name):
                 hit = self._lookup(name)
                 if hit is not None:
-                    layer, index, _ = hit
+                    layer, index, _, _ = hit
                     if layer == "term":
                         return Var(index)
                     raise ResolveError(
@@ -232,19 +220,21 @@ class Resolver:
                         e.span,
                     )
                 return Constant(name)
-            case S.SUniv(_, level):
-                return Universe(level)
-            case S.SArrow(_, l, r):
+            case S.SKeyword(_, "U"):
+                return Universe(0)
+            case S.SKeyword(_, "U1"):
+                return Universe(1)
+            case S.SBinary(_, "->", l, r):
                 dom = self.resolve_term(l)
                 cod = self.resolve_term(r)
                 return Pi(dom, weaken(cod, 1))
-            case S.STimes(_, l, r):
+            case S.SBinary(_, "*", l, r):
                 if self.is_cube_expr(e):
                     raise ResolveError("E-RESOLVE", "cube used as a term", e.span)
                 a = self.resolve_term(l)
                 b = self.resolve_term(r)
                 return Sigma(a, weaken(b, 1))
-            case S.SSim(_, l, r):
+            case S.SBinary(_, "~", l, r):
                 return Id(None, self.resolve_term(l), self.resolve_term(r))
             case S.SId(_, ty, l, r):
                 return Id(
@@ -259,11 +249,11 @@ class Resolver:
                 return Pair(self.resolve_term(a), self.resolve_term(b))
             case S.SAnnot(_, t, ty):
                 return Annot(self.resolve_term(t), self.resolve_term(ty))
-            case S.SFst(_, a):
+            case S.SPrefix(_, "fst", a):
                 return Fst(self.resolve_term(a))
-            case S.SSnd(_, a):
+            case S.SPrefix(_, "snd", a):
                 return Snd(self.resolve_term(a))
-            case S.SRefl(_, a):
+            case S.SPrefix(_, "refl", a):
                 return Refl(self.resolve_term(a))
             case S.SIndPath(_, m, d, p):
                 motive = self._binder_body(m, 3, "ind-path motive")
@@ -290,7 +280,7 @@ class Resolver:
                 raise ResolveError(
                     "E-RESOLVE", "numeral is only meaningful as an interval point", e.span
                 )
-            case S.SP1(_, _) | S.SP2(_, _):
+            case S.SPrefix(_, "pi1" | "pi2", _):
                 raise ResolveError(
                     "E-RESOLVE", "point projection used in term position", e.span
                 )
@@ -298,16 +288,17 @@ class Resolver:
                 return self._resolve_quantifier(groups, body, is_pi=True)
             case S.SSigma(_, groups, body):
                 return self._resolve_quantifier(groups, body, is_pi=False)
-            case S.STop(_) | S.SBot(_) | S.SLeq(_, _, _) | S.SEq(_, _, _) | S.SAnd(
-                _, _, _
-            ) | S.SOr(_, _, _):
+            case S.SKeyword(_, "TOP" | "BOT") | S.SBinary(
+                _, "<=" | "===" | "/\\" | "\\/", _, _
+            ):
                 raise ResolveError("E-RESOLVE", "tope syntax in term position", e.span)
-            case S.SShapeName(_, name):
+            case S.SKeyword(_, "star"):
+                message = f"point '{S.KEYWORD['star']}' used in term position"
+                raise ResolveError("E-RESOLVE", message, e.span)
+            case S.SKeyword(_, name):
                 raise ResolveError(
                     "E-RESOLVE", f"shape '{name}' cannot be used as a term", e.span
                 )
-            case S.SStar(_):
-                raise ResolveError("E-RESOLVE", "point '⋆' used in term position", e.span)
         raise ResolveError("E-RESOLVE", "cannot resolve expression", e.span)
 
     def _resolve_quantifier(
@@ -399,7 +390,7 @@ class Resolver:
                 names = binder if isinstance(binder, tuple) else (binder,)
                 self._push("cube", tuple(names))
                 constraint = self.resolve_tope(constraint_e)
-            case S.SShapeName(_, name):
+            case S.SKeyword(_, name) if name in CANONICAL_SHAPES:
                 cube, constraint = CANONICAL_SHAPES[name]
                 self._push("cube", ("_",))
             case _:

@@ -1,11 +1,47 @@
 """Surface abstract syntax, produced by the parser and consumed by the
-resolver and pretty-printer.  Every node carries its source span; structural
+resolver and pretty-printer, and the grammar table the parser and the
+printer share.  Every node carries its source span; structural
 comparisons in tests go through :func:`skeleton`, which drops spans."""
 
 from __future__ import annotations
 
 from .core import Node
 from .lexer import Span
+
+
+# The grammar table.  Every operator and keyword decision of the surface
+# syntax is made here, keyed by the lexer's canon; the parser and the
+# printer take each precedence, associativity and glyph from these entries.
+#
+# Binary operators: canon -> (precedence, right associative, glyph).  A
+# larger precedence binds tighter, and application binds tighter than all
+# of them.  An operator that is not right associative does not chain:
+# ``a ≤ b ≤ c`` is a parse error.
+BINARY = {
+    "->": (0, True, "→"),
+    "\\/": (1, True, "∨"),
+    "/\\": (2, True, "∧"),
+    "<=": (3, False, "≤"),
+    "===": (3, False, "≡"),
+    "~": (3, False, "∼"),
+    "*": (4, True, "×"),
+}
+
+# Prefix operators, each applied to one atom: canon -> glyph.
+PREFIX = {"fst": "fst", "snd": "snd", "pi1": "π₁", "pi2": "π₂", "refl": "refl"}
+
+# Keywords that stand alone as an atom: canon -> glyph.
+KEYWORD = {
+    "U": "U",
+    "U1": "U₁",
+    "TOP": "⊤",
+    "BOT": "⊥",
+    "star": "⋆",
+    "Delta1": "Δ¹",
+    "Delta2": "Δ²",
+    "Lambda21": "Λ²₁",
+    "dDelta1": "∂Δ¹",
+}
 
 
 class SExpr(Node):
@@ -20,59 +56,19 @@ class SNat(SExpr):
     text: str
 
 
-class SUniv(SExpr):
-    level: int
+class SKeyword(SExpr):
+    word: str  # a KEYWORD canon
 
 
-class SShapeName(SExpr):
-    name: str  # Delta1 | Delta2 | Lambda21 | dDelta1
-
-
-class STop(SExpr):
-    pass
-
-
-class SBot(SExpr):
-    pass
-
-
-class SStar(SExpr):
-    pass
-
-
-class SArrow(SExpr):
+class SBinary(SExpr):
+    op: str  # a BINARY canon
     lhs: SExpr
     rhs: SExpr
 
 
-class STimes(SExpr):
-    lhs: SExpr
-    rhs: SExpr
-
-
-class SLeq(SExpr):
-    lhs: SExpr
-    rhs: SExpr
-
-
-class SEq(SExpr):
-    lhs: SExpr
-    rhs: SExpr
-
-
-class SSim(SExpr):
-    lhs: SExpr
-    rhs: SExpr
-
-
-class SAnd(SExpr):
-    lhs: SExpr
-    rhs: SExpr
-
-
-class SOr(SExpr):
-    lhs: SExpr
-    rhs: SExpr
+class SPrefix(SExpr):
+    op: str  # a PREFIX canon
+    arg: SExpr
 
 
 class SApp(SExpr):
@@ -88,26 +84,6 @@ class SPair(SExpr):
 class SAnnot(SExpr):
     term: SExpr
     type: SExpr
-
-
-class SFst(SExpr):
-    arg: SExpr
-
-
-class SSnd(SExpr):
-    arg: SExpr
-
-
-class SP1(SExpr):
-    arg: SExpr
-
-
-class SP2(SExpr):
-    arg: SExpr
-
-
-class SRefl(SExpr):
-    arg: SExpr
 
 
 class SId(SExpr):
@@ -159,7 +135,7 @@ class SShape(SExpr):
 
 
 class SExt(SExpr):
-    shape: SExpr  # SShape, SShapeName, or a bare cube expression
+    shape: SExpr  # SShape, a shape SKeyword, or a bare cube expression
     codomain: SExpr
     tope: SExpr | None
     boundary: SExpr | None

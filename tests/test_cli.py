@@ -26,6 +26,15 @@ def run_cli(*args: str, cwd=None):
     )
 
 
+def test_help_is_short_and_lists_the_commands():
+    r = run_cli("--help")
+    assert r.returncode == 0
+    for command in ("check", "axioms", "corpus"):
+        assert command in r.stdout
+    assert "collector" not in r.stdout
+    assert "exit codes" in r.stdout
+
+
 def test_check_pristine_corpus_exits_zero():
     r = run_cli("check", *[str(p) for p in CORPUS_FILES])
     assert r.returncode == 0, r.stderr

@@ -27,7 +27,7 @@ from stt.core import (
     weaken_tope_cube,
 )
 from stt.parser import parse_module
-from stt.resolve import resolve
+from stt.resolve import ResolveError, resolve
 
 from gen_terms import random_cube_term, random_point, random_term, random_tope
 from oracle_named import from_named, fresh, subst as named_subst, to_named
@@ -333,6 +333,40 @@ def test_resolver_shadowing_cases(src, expected):
 
     got = Resolver({}).resolve_term(parse_expr(src))
     assert got == expected
+
+
+# a form of one layer written where another is expected: the E-RESOLVE
+# each raises, with its message and its (line, col, end_line, end_col)
+_MISPLACED = [
+    ("def d (A : U) : U := Δ²", "shape 'Delta2' cannot be used as a term", (1, 22, 1, 24)),
+    ("def d (A : U) : U := ⋆", "point '⋆' used in term position", (1, 22, 1, 23)),
+    ("def d (A : U) : U := ⊤", "tope syntax in term position", (1, 22, 1, 23)),
+    ("def d (A : U) : U := ⊥", "tope syntax in term position", (1, 22, 1, 23)),
+    ("def d (A : U) : U := A ≤ A", "tope syntax in term position", (1, 22, 1, 27)),
+    ("def d (A : U) : U := A ∧ A", "tope syntax in term position", (1, 22, 1, 27)),
+    ("def d (A : U) : U := π₁ U", "point projection used in term position", (1, 22, 1, 26)),
+    (
+        "def d (A : U) : U := 0",
+        "numeral is only meaningful as an interval point",
+        (1, 22, 1, 23),
+    ),
+    ("def d (A : U) : U := 2 × 2", "cube used as a term", (1, 22, 1, 27)),
+    ("def d (t : 2) [t ≡ 0 ∧ U] : U := U", "expected a tope", (1, 24, 1, 25)),
+    ("def d (A : U) : ⟨{t : 2 | U} → A⟩ := A", "expected a tope", (1, 27, 1, 28)),
+    ("def d (A : U) : ⟨⋆ → A⟩ := A", "expected a cube (1, 2, or a product)", (1, 18, 1, 19)),
+    ("def d (A : U) : ⟨U → A⟩ := A", "expected a cube (1, 2, or a product)", (1, 18, 1, 19)),
+]
+
+
+@pytest.mark.parametrize("src,message,span", _MISPLACED, ids=[s for s, _, _ in _MISPLACED])
+def test_misplaced_forms_are_resolve_errors(src, message, span):
+    (decl,), diags, _ = parse_module(src)
+    assert not diags
+    with pytest.raises(ResolveError) as info:
+        resolve(decl, {})
+    e = info.value
+    got_span = (e.span.line, e.span.col, e.span.end_line, e.span.end_col)
+    assert (e.code, e.message, got_span) == ("E-RESOLVE", message, span)
 
 
 def test_children_enter_the_fields_walk_enters_500():

@@ -9,7 +9,8 @@ import pathlib
 import pytest
 
 from stt.lexer import TokenKind, tokenize
-from stt.parser import imports_of, parse_expr, parse_module
+from stt import surface as S
+from stt.parser import ParseFailure, imports_of, parse_expr, parse_module
 from stt.printer import pretty_print, print_module
 from stt.surface import SurfaceDecl, skeleton
 
@@ -145,3 +146,52 @@ def test_extension_type_forms():
     shaped = parse_expr("⟨{p : 2 × 2 | π₂ p ≤ π₁ p} → C⟩")
     assert skeleton(plain) != skeleton(bounded)
     assert "SShape" in str(skeleton(shaped))
+
+
+# The binary operators by level, loosest first, each level with its
+# associativity.  Written out here, not read from surface.BINARY, which the
+# tests below check.
+_LEVELS = [
+    (("→",), "right"),
+    (("∨",), "right"),
+    (("∧",), "right"),
+    (("≤", "≡", "∼"), "none"),
+    (("×",), "right"),
+]
+_LEVEL = {op: (i, assoc) for i, (ops, assoc) in enumerate(_LEVELS) for op in ops}
+_COMPARISONS = _LEVELS[3][0]
+_GROUPABLE = [
+    (a, b) for a in _LEVEL for b in _LEVEL if not (a in _COMPARISONS and b in _COMPARISONS)
+]
+
+
+@pytest.mark.parametrize("o1,o2", _GROUPABLE, ids=[f"{a}{b}" for a, b in _GROUPABLE])
+def test_binary_operators_group_by_level(o1, o2):
+    (p1, assoc), (p2, _) = _LEVEL[o1], _LEVEL[o2]
+    right = f"x {o1} (y {o2} z)"
+    left = f"(x {o1} y) {o2} z"
+    if p1 < p2 or (p1 == p2 and assoc == "right"):
+        grouped, other = right, left
+    else:
+        grouped, other = left, right
+    got = skeleton(parse_expr(f"x {o1} y {o2} z"))
+    assert got == skeleton(parse_expr(grouped))
+    assert got != skeleton(parse_expr(other))
+
+
+@pytest.mark.parametrize("o2", _COMPARISONS)
+@pytest.mark.parametrize("o1", _COMPARISONS)
+def test_chained_comparisons_are_one_parse_error(o1, o2):
+    src = f"def d (a b c : U) : a {o1} b {o2} c := U\ndef ok : U := U"
+    decls, diags, _ = parse_module(src)
+    assert [(d.code, d.message) for d in diags] == [("E-PARSE", f"expected ':=', found '{o2}'")]
+    assert [d.name for d in decls] == ["ok"]
+    with pytest.raises(ParseFailure):
+        parse_expr(f"a {o1} b {o2} c")
+
+
+def test_every_table_glyph_lexes_to_its_canon():
+    binary = [(canon, glyph) for canon, (_, _, glyph) in S.BINARY.items()]
+    for canon, glyph in binary + [*S.PREFIX.items(), *S.KEYWORD.items()]:
+        (token,) = tokenize(glyph)
+        assert token.canon == canon, glyph

@@ -2,19 +2,24 @@
 
 Each file names its dependencies with ``#import "path"`` directives resolved
 relative to its own directory; there is no search path.  Every file is read,
-lexed and parsed once, when it is first reached.  A file that cannot be read
-is an E-IO at each ``#import`` naming it, or in itself if named directly.
-In a file with a failed ``#import``, unreadable or malformed, a name that
-cannot be found is E-DEPENDS-ON-FAILED rather than E-UNBOUND-NAME.
+lexed and parsed once, when it is first reached, and the parser holds only
+one top-level form's tokens at a time.  A file that cannot be read is an
+E-IO at each ``#import`` naming it, or in itself if named directly.  In a
+file with a failed ``#import``, unreadable or malformed, a name that cannot
+be found is E-DEPENDS-ON-FAILED rather than E-UNBOUND-NAME.
 Files are then checked one after another, in one thread, in a deterministic
 dependency order.  Every file sees exactly the declarations of its transitive
 import closure, and the names in that closure that failed to parse or check.
+A file's surface declarations live until it is checked, and each is let go
+once it is resolved and checked, so a file's syntax and core terms are not
+held in full at the same time.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .checker import CheckEnv, check_module
@@ -100,6 +105,13 @@ def _closure(key: str, imports: dict[str, list[str]]) -> set[str]:
             got.add(d)
             stack.extend(imports[d])
     return got
+
+
+def _drain(items: list) -> Iterator:
+    """The items in order, each let go by the list as it is taken."""
+    items.reverse()
+    while items:
+        yield items.pop()
 
 
 def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
@@ -194,7 +206,8 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
         # a declaration that failed to parse after its name was read
         env.failed.update(d.decl for d in report.parse_diagnostics if d.decl is not None)
         before = set(env.decls)
-        _, cdiags, _ = check_module(env, decls[key], import_failed=key in import_failed)
+        pending = _drain(decls.pop(key))
+        _, cdiags, _ = check_module(env, pending, import_failed=key in import_failed)
         for d in cdiags:
             d.file = report.path
         report.check_diagnostics.extend(cdiags)

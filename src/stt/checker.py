@@ -47,6 +47,7 @@ branches compared on their overlap; syntactically equal sides spend none.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic
@@ -832,7 +833,7 @@ def check_declaration(env: CheckEnv, decl: Declaration) -> list[Diagnostic]:
 
 
 def check_module(
-    env: CheckEnv, decls: list, import_failed: bool = False
+    env: CheckEnv, decls: Iterable, import_failed: bool = False
 ) -> tuple[CheckEnv, list[Diagnostic], dict[str, frozenset[str]]]:
     """Sequentially resolve and check surface declarations.
 

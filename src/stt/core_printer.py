@@ -3,7 +3,8 @@
 Nameless indices are shown through generated names (term variables ``a0,
 a1, ...``, coordinates ``t0, t1, ...`` counting from the outside in).  This
 printer is for error messages only; round-tripping happens at the surface
-level.
+level.  The glyphs of operators and keywords come from the grammar table in
+``surface``, as in the surface pretty-printer.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ from .core import (
     Var,
     Zero,
 )
+from . import surface as S
+
+
+def _infix(left: str, canon: str, right: str) -> str:
+    return f"{left} {S.BINARY[canon][2]} {right}"
 
 
 def print_point(p: CubePoint, cube_depth: int = 0) -> str:
@@ -55,30 +61,30 @@ def print_point(p: CubePoint, cube_depth: int = 0) -> str:
         case One():
             return "1"
         case Star():
-            return "⋆"
+            return S.KEYWORD["star"]
         case PointPair(a, b):
             return f"({print_point(a, cube_depth)} , {print_point(b, cube_depth)})"
         case PointFst(q):
-            return f"π₁ {print_point(q, cube_depth)}"
+            return f"{S.PREFIX['pi1']} {print_point(q, cube_depth)}"
         case PointSnd(q):
-            return f"π₂ {print_point(q, cube_depth)}"
+            return f"{S.PREFIX['pi2']} {print_point(q, cube_depth)}"
     return "?"
 
 
 def print_tope(t: Tope, cube_depth: int = 0) -> str:
     match t:
         case TopeTop():
-            return "⊤"
+            return S.KEYWORD["TOP"]
         case TopeBottom():
-            return "⊥"
+            return S.KEYWORD["BOT"]
         case TopeLeq(l, r):
-            return f"{print_point(l, cube_depth)} ≤ {print_point(r, cube_depth)}"
+            return _infix(print_point(l, cube_depth), "<=", print_point(r, cube_depth))
         case TopeEq(l, r):
-            return f"{print_point(l, cube_depth)} ≡ {print_point(r, cube_depth)}"
+            return _infix(print_point(l, cube_depth), "===", print_point(r, cube_depth))
         case TopeAnd(l, r):
-            return f"({print_tope(l, cube_depth)} ∧ {print_tope(r, cube_depth)})"
+            return "(" + _infix(print_tope(l, cube_depth), "/\\", print_tope(r, cube_depth)) + ")"
         case TopeOr(l, r):
-            return f"({print_tope(l, cube_depth)} ∨ {print_tope(r, cube_depth)})"
+            return "(" + _infix(print_tope(l, cube_depth), "\\/", print_tope(r, cube_depth)) + ")"
     return "?"
 
 
@@ -97,9 +103,9 @@ def _pt(t: Term, td: int, cd: int) -> str:
         case Var(i):
             return _name(i, td, "a")
         case Universe(0):
-            return "U"
+            return S.KEYWORD["U"]
         case Universe(_):
-            return "U₁"
+            return S.KEYWORD["U1"]
         case Constant(name):
             return name
         case Pi(a, b):
@@ -113,14 +119,14 @@ def _pt(t: Term, td: int, cd: int) -> str:
         case Pair(a, b):
             return f"({_pt(a, td, cd)} , {_pt(b, td, cd)})"
         case Fst(p):
-            return f"fst {_paren(p, td, cd)}"
+            return f"{S.PREFIX['fst']} {_paren(p, td, cd)}"
         case Snd(p):
-            return f"snd {_paren(p, td, cd)}"
+            return f"{S.PREFIX['snd']} {_paren(p, td, cd)}"
         case Id(ty, l, r):
             ts = _paren(ty, td, cd) if ty is not None else "_"
             return f"Id {ts} {_paren(l, td, cd)} {_paren(r, td, cd)}"
         case Refl(a):
-            return f"refl {_paren(a, td, cd)}"
+            return f"{S.PREFIX['refl']} {_paren(a, td, cd)}"
         case IndPath(m, d, p):
             return (
                 f"ind-path (λ a{td} a{td + 1} a{td + 2} ↦ {_pt(m, td + 3, cd)}) "
@@ -128,7 +134,7 @@ def _pt(t: Term, td: int, cd: int) -> str:
             )
         case ExtType(sh, cod, bt, bd):
             shape = f"{{t{cd} : {sh.cube} | {print_tope(sh.constraint, cd + 1)}}}"
-            head = f"⟨{shape} → {_pt(cod, td, cd + 1)}"
+            head = "⟨" + _infix(shape, "->", _pt(cod, td, cd + 1))
             if bt == TopeBottom() and bd == Split(()):
                 return head + "⟩"
             return f"{head} | {print_tope(bt, cd + 1)} ↦ {_pt(bd, td, cd + 1)}⟩"

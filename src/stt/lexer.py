@@ -17,12 +17,22 @@ they are the one loop.
 Source files are UTF-8.  Spans are byte offsets into the encoded source,
 with 1-based line and column (in code points) for the start and end.
 
+With a cursor (char offset, byte offset, line, line start), ``tokenize``
+lexes one chunk: from the cursor through the first top-level keyword
+(``def``, ``postulate``, ``#import``, ``#section``) after the chunk's first
+token, that keyword included, and moves the cursor past it.  The parser asks
+for one chunk at a time, so it holds one top-level form's tokens, not the
+file's: the 102,505 tokens of the benchmark's ``frontend_module(7)`` take
+26 MB together, and its largest chunk, 80 tokens, 22 kB.  Lexing that module
+in its 2,001 chunks takes 0.21-0.30 s, no longer than one whole-source call
+in the same processes, 0.27-0.36 s (median of 8 best-of-5 in each of two
+processes, collector off, 2 vCPUs, CPython 3.11).
+
 ``Span`` and ``Token`` are named tuples: immutable, and built by
 ``tuple.__new__`` alone, where a frozen dataclass pays one
-``object.__setattr__`` per field.  On the benchmark's ``frontend_module(7)``
-(102,505 tokens, collector off) ``tokenize`` takes 0.37 s, against 0.46 s
-through ``NamedTuple``'s generated ``__new__`` with every lexeme re-encoded
-(median of 8 best-of-5, 2 vCPUs, CPython 3.11).  A named tuple's equality
+``object.__setattr__`` per field.  Built through ``NamedTuple``'s generated
+``__new__`` with every lexeme re-encoded, the whole-source call took 0.46 s
+where it took 0.37 s this way, on the same host.  A named tuple's equality
 ignores the class, which these two records never need.  Core and surface
 nodes are tuples too, through ``core.Node``, but their equality also compares
 the class, because the checker's ``t == u`` must tell ``Fst(x)`` from
@@ -176,19 +186,36 @@ _NESTING_RE = re.compile(r"\{-|-\}")
 # builds a Span or Token from exactly its fields, unchecked
 _tuple_new = tuple.__new__
 _LAYOUT = {"space", "line", "block"}
+# The keywords that begin a top-level form, and so end a chunk.
+_TOP_LEVEL = frozenset({"def", "postulate", "#import", "#section"})
 
 
-def tokenize(source: str, keep_trivia: bool = False) -> list[Token]:
+def start_cursor() -> list[int]:
+    """A cursor at the start of a source: char offset, byte offset, line and
+    the char offset where that line starts."""
+    return [0, 0, 1, 0]
+
+
+def tokenize(
+    source: str, keep_trivia: bool = False, cursor: list[int] | None = None
+) -> list[Token]:
     """Tokenize ``source``, raising :class:`LexError` at the first bad input.
 
     With ``keep_trivia`` the whitespace and comment stretches are emitted as
     LAYOUT tokens, so that concatenating all lexemes reproduces the source
     exactly.
+
+    With a ``cursor`` (see :func:`start_cursor`) only one chunk is lexed,
+    through the first top-level keyword after its first token or to the
+    end of the source, and the cursor is moved to the chunk's end.
     """
     out: list[Token] = []
     n = len(source)
-    pos = byte = line_start = 0  # line_start: char offset of the current line
-    line = 1
+    if cursor is None:
+        cursor, stops = start_cursor(), frozenset()
+    else:
+        stops = _TOP_LEVEL
+    pos, byte, line, line_start = cursor  # line_start: char offset of the current line
     while pos < n:
         m = _TOKEN_RE.match(source, pos)
         group, end = (m.lastgroup, m.end()) if m else ("invalid", pos + 1)
@@ -228,5 +255,9 @@ def tokenize(source: str, keep_trivia: bool = False) -> list[Token]:
             else:
                 kind, canon = TokenKind.LAYOUT, ""
             out.append(_tuple_new(Token, (kind, text, span, canon)))
+            if canon in stops and len(out) > 1:
+                pos, byte, line, line_start = end, end_byte, end_line, end_line_start
+                break
         pos, byte, line, line_start = end, end_byte, end_line, end_line_start
+    cursor[:] = pos, byte, line, line_start
     return out

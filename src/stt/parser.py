@@ -7,6 +7,12 @@ keyword, so one bad declaration never takes the rest of the file with it.
 A declaration nested too deeply for the recursive descent is reported the
 same way, as ``E-NESTING-DEPTH``.
 
+The parser holds one top-level form's tokens at a time.  It asks the lexer
+for the next chunk, which ends at the next top-level keyword, only at top
+level: in the module loop and while resynchronizing, never inside the
+recursive descent.  No rule below a declaration consumes a top-level
+keyword, so a declaration never reads past its chunk.
+
 Binary operators are parsed by precedence climbing over ``surface.BINARY``,
 which holds each operator's precedence and associativity; the prefix
 operators and leaf keywords come from ``surface.PREFIX`` and
@@ -20,7 +26,7 @@ from __future__ import annotations
 import re
 
 from .diagnostics import Diagnostic
-from .lexer import LexError, Span, Token, TokenKind, tokenize
+from .lexer import LexError, Span, Token, TokenKind, start_cursor, tokenize
 from . import surface as S
 
 
@@ -43,13 +49,37 @@ _IMPORT_RE = re.compile(r'#import\s*"([^"]+)"\s*(?:--.*)?')
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], eof_span: Span):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.cursor = start_cursor()
+        self.tokens: list[Token] = []  # the current token, then the rest of its chunk
         self.pos = 0
-        self.eof_span = eof_span
+        self.eof_span = Span(0, 0, 1, 1, 1, 1)  # the last token lexed so far
         self.decl_name: str | None = None  # of the declaration being parsed, once read
+        self.imports: list[tuple[str | None, Span]] = []
+        self.import_diags: list[Diagnostic] = []
 
     # -- token plumbing ----------------------------------------------------
+
+    def fill(self) -> None:
+        """Lex the next chunk once no token is left past the current one.
+        Called only at top level, so running out of tokens inside a
+        declaration means the end of the source."""
+        if self.pos < len(self.tokens) - 1 or self.cursor[0] >= len(self.source):
+            return
+        chunk = tokenize(self.source, cursor=self.cursor)
+        self.tokens = self.tokens[self.pos :] + chunk
+        self.pos = 0
+        if chunk:
+            self.eof_span = chunk[-1].span
+        for t in chunk:
+            if t.canon == "#import":
+                m = _IMPORT_RE.fullmatch(t.lexeme)
+                self.imports.append((m and m.group(1), t.span))
+                if m is None:
+                    found = t.lexeme.strip()
+                    message = f"expected #import \"path\", found '{found}'"
+                    self.import_diags.append(Diagnostic("error", "E-PARSE", message, t.span))
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -162,13 +192,15 @@ class _Parser:
         ``min_prec``.  The operators applied here fall strictly in
         precedence.  A right associative operator's right side takes every
         operator at least as tight as it; a non-associative one's takes only
-        tighter ones, so a second comparison is left over for the caller to
-        reject."""
+        tighter ones, and a comparison right after a comparison is an error
+        here, at the second operator."""
         lhs = self.app()
         ceiling = float("inf")  # precedence of the operator last applied
         while True:
             t = self.peek()
             entry = S.BINARY.get(t.canon) if t is not None else None
+            if entry is not None and entry[0] == ceiling and not entry[1]:
+                raise ParseFailure(f"comparisons do not chain, found '{t.lexeme}'", t.span)
             if entry is None or not min_prec <= entry[0] < ceiling:
                 return lhs
             prec, right, _ = entry
@@ -353,58 +385,54 @@ def parse_module(
 
     Also returns the ``#import`` directives as (path, span) in source order,
     with path None for a malformed one; a source that does not lex has none.
+    The source is lexed one top-level form at a time, so only the tokens of
+    the form being parsed are held.
     """
     decls: list[S.SurfaceDecl] = []
     diags: list[Diagnostic] = []
+    p = _Parser(source)
     try:
-        tokens = tokenize(source)
-    except LexError as e:
-        diags.append(Diagnostic("error", e.code, e.message, e.span))
-        return decls, diags, []
-    imports = []
-    for t in tokens:
-        if t.canon == "#import":
-            m = _IMPORT_RE.fullmatch(t.lexeme)
-            imports.append((m and m.group(1), t.span))
-            if m is None:
-                found = t.lexeme.strip()
-                message = f"expected #import \"path\", found '{found}'"
-                diags.append(Diagnostic("error", "E-PARSE", message, t.span))
-
-    eof_span = tokens[-1].span if tokens else Span(0, 0, 1, 1, 1, 1)
-    p = _Parser(tokens, eof_span)
-    while p.peek() is not None:
-        t = p.peek()
-        if t.canon in ("#import", "#section"):
-            p.next()
-            continue
-        if t.canon not in ("def", "postulate"):
-            diags.append(
-                Diagnostic(
-                    "error",
-                    "E-PARSE",
-                    f"expected a declaration, found '{t.lexeme}'",
-                    t.span,
+        while True:
+            p.fill()
+            t = p.peek()
+            if t is None:
+                break
+            if t.canon in ("#import", "#section"):
+                p.next()
+                continue
+            if t.canon not in ("def", "postulate"):
+                diags.append(
+                    Diagnostic(
+                        "error",
+                        "E-PARSE",
+                        f"expected a declaration, found '{t.lexeme}'",
+                        t.span,
+                    )
                 )
-            )
-            _resync(p)
-            continue
-        try:
-            decls.append(p.declaration())
-        except ParseFailure as e:
-            diags.append(Diagnostic("error", "E-PARSE", e.message, e.span, decl=p.decl_name))
-            _resync(p)
-        except RecursionError:
-            message = "declaration is nested too deeply"
-            diags.append(
-                Diagnostic("error", "E-NESTING-DEPTH", message, t.span, decl=p.decl_name)
-            )
-            _resync(p)
-    return decls, diags, imports
+                _resync(p)
+                continue
+            try:
+                decls.append(p.declaration())
+            except ParseFailure as e:
+                diags.append(Diagnostic("error", "E-PARSE", e.message, e.span, decl=p.decl_name))
+                _resync(p)
+            except RecursionError:
+                message = "declaration is nested too deeply"
+                diags.append(
+                    Diagnostic("error", "E-NESTING-DEPTH", message, t.span, decl=p.decl_name)
+                )
+                _resync(p)
+    except LexError as e:
+        return [], [Diagnostic("error", e.code, e.message, e.span)], []
+    return decls, p.import_diags + diags, p.imports
 
 
 def _resync(p: _Parser) -> None:
-    while p.peek() is not None and p.peek().canon not in ("def", "postulate", "#import"):
+    while True:
+        p.fill()
+        t = p.peek()
+        if t is None or t.canon in ("def", "postulate", "#import"):
+            return
         p.next()
 
 
@@ -415,9 +443,8 @@ def imports_of(source: str) -> list[tuple[str, Span]]:
 
 def parse_expr(source: str) -> S.SExpr:
     """Parse a single expression; convenience entry point for tests."""
-    tokens = tokenize(source)
-    eof_span = tokens[-1].span if tokens else Span(0, 0, 1, 1, 1, 1)
-    p = _Parser(tokens, eof_span)
+    p = _Parser(source)
+    p.fill()
     e = p.expr()
     if p.peek() is not None:
         raise ParseFailure(f"trailing input '{p.peek().lexeme}'", p.peek().span)

@@ -1,6 +1,7 @@
-"""Parser and printer contracts: declaration forms, error recovery, the
-round-trip and idempotence properties over the bundled corpus, and the
-single-token-deletion resilience invariant."""
+"""Parser and printer contracts: declaration forms, error recovery at the
+boundaries of the lexer's chunks, the round-trip and idempotence properties
+over the bundled corpus, and the single-token-deletion resilience
+invariant."""
 
 from __future__ import annotations
 
@@ -8,6 +9,9 @@ import pathlib
 
 import pytest
 
+from stt.batch import check_files
+from stt.core import ZERO, CubeVar, Fst, TopeAnd, TopeLeq, TopeTop, Var
+from stt.core_printer import print_term, print_tope
 from stt.lexer import TokenKind, tokenize
 from stt import surface as S
 from stt.parser import ParseFailure, imports_of, parse_expr, parse_module
@@ -184,7 +188,10 @@ def test_binary_operators_group_by_level(o1, o2):
 def test_chained_comparisons_are_one_parse_error(o1, o2):
     src = f"def d (a b c : U) : a {o1} b {o2} c := U\ndef ok : U := U"
     decls, diags, _ = parse_module(src)
-    assert [(d.code, d.message) for d in diags] == [("E-PARSE", f"expected ':=', found '{o2}'")]
+    message = f"comparisons do not chain, found '{o2}'"
+    assert [(d.code, d.message) for d in diags] == [("E-PARSE", message)]
+    start = len(f"def d (a b c : U) : a {o1} b ".encode())
+    assert diags[0].span[:2] == (start, start + len(o2.encode()))
     assert [d.name for d in decls] == ["ok"]
     with pytest.raises(ParseFailure):
         parse_expr(f"a {o1} b {o2} c")
@@ -195,3 +202,94 @@ def test_every_table_glyph_lexes_to_its_canon():
     for canon, glyph in binary + [*S.PREFIX.items(), *S.KEYWORD.items()]:
         (token,) = tokenize(glyph)
         assert token.canon == canon, glyph
+
+
+def test_diagnostic_printer_takes_its_glyphs_from_the_table(monkeypatch):
+    tope = TopeAnd(TopeLeq(ZERO, CubeVar(0)), TopeTop())
+    assert print_tope(tope, 1) == "(0 ≤ t0 ∧ ⊤)"
+    assert print_term(Fst(Var(0))) == "fst a?0"
+    monkeypatch.setitem(S.BINARY, "<=", (3, False, "LEQ"))
+    monkeypatch.setitem(S.KEYWORD, "TOP", "TT")
+    monkeypatch.setitem(S.PREFIX, "fst", "FST")
+    assert print_tope(tope, 1) == "(0 LEQ t0 ∧ TT)"
+    assert print_term(Fst(Var(0))) == "FST a?0"
+
+
+# Sources whose top-level forms, comments and errors sit at the boundaries
+# where the lexer ends one chunk and the parser asks for the next:
+# (source, declaration names, diagnostics as (code, message, span, decl),
+# imports as (path, span)).
+_CHUNK_CASES = {
+    "lex error in the last declaration": (
+        'def a : U := U\n#import "x.stt"\ndef b : U := $\n',
+        [],
+        [("E-INVALID-CHARACTER", "invalid character '$'", (44, 45, 3, 14, 3, 15), None)],
+        [],
+    ),
+    "declaration cut short by the next one": (
+        "def a : U :=\ndef b : U := U\n",
+        ["b"],
+        [("E-PARSE", "unexpected keyword 'def'", (13, 16, 2, 1, 2, 4), "a")],
+        [],
+    ),
+    "end of input inside parentheses": (
+        "def a : U := U\ndef b (A : U) : A → (A",
+        ["a"],
+        [("E-PARSE", "expected ')', found end of input", (38, 39, 2, 22, 2, 23), "b")],
+        [],
+    ),
+    "end of input after ':='": (
+        "def a : U := U\n#section s\ndef b (A : U) : U :=\n  -- nothing follows\n",
+        ["a"],
+        [("E-PARSE", "expected expression", (44, 46, 3, 19, 3, 21), "b")],
+        [],
+    ),
+    "malformed #import after two declarations": (
+        "def a : U := U\ndef b : U := )\n#import nope\ndef c : U := U\n",
+        ["a", "c"],
+        [
+            ("E-PARSE", "expected #import \"path\", found '#import nope'", (30, 42, 3, 1, 3, 13),
+             None),
+            ("E-PARSE", "unexpected token ')'", (28, 29, 2, 14, 2, 15), "b"),
+        ],
+        [(None, (30, 42, 3, 1, 3, 13))],
+    ),
+    "keywords inside comments": (
+        "def a : U {- def x -} := -- def\n  U\npostulate p {- postulate -} : a\n",
+        ["a", "p"],
+        [],
+        [],
+    ),
+    "#section between declarations": (
+        "def a : U := U\n#section two\ndef b : U := a\n#section three\n",
+        ["a", "b"],
+        [],
+        [],
+    ),
+    "#section after a malformed declaration": (
+        "def a : U := )\n#section s\ndef b : U := U\n",
+        ["b"],
+        [("E-PARSE", "unexpected token ')'", (13, 14, 1, 14, 1, 15), "a")],
+        [],
+    ),
+    "empty file": ("", [], [], []),
+    "comments only": ('-- def a : U := U\n{- postulate\n#import "x.stt" -}\n', [], [], []),
+}
+
+
+@pytest.mark.parametrize("case", _CHUNK_CASES)
+def test_chunk_boundaries(case):
+    source, names, diagnostics, imports = _CHUNK_CASES[case]
+    decls, diags, found = parse_module(source)
+    assert [d.name for d in decls] == names
+    assert [(d.code, d.message, tuple(d.span), d.decl) for d in diags] == diagnostics
+    assert [(path, tuple(span)) for path, span in found] == imports
+
+
+def test_lex_error_in_the_last_declaration_fails_the_whole_file(tmp_path):
+    path = tmp_path / "bad.stt"
+    path.write_text(_CHUNK_CASES["lex error in the last declaration"][0], encoding="utf-8")
+    batch = check_files([str(path)])
+    assert [d.code for d in batch.all_diagnostics] == ["E-INVALID-CHARACTER"]
+    assert batch.reports[str(path)].decl_names == []
+    assert batch.exit_code() == 2

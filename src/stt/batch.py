@@ -207,7 +207,7 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
         env.failed.update(d.decl for d in report.parse_diagnostics if d.decl is not None)
         before = set(env.decls)
         pending = _drain(decls.pop(key))
-        _, cdiags, _ = check_module(env, pending, import_failed=key in import_failed)
+        cdiags = check_module(env, pending, import_failed=key in import_failed)
         for d in cdiags:
             d.file = report.path
         report.check_diagnostics.extend(cdiags)

@@ -33,11 +33,13 @@ aₙ`` is typed by the let rule for definitions in context (Coquand, 1996):
 and ``a₁`` is put back for ``x`` in the result.  So ``a₁`` must be
 inferable, and nothing is reduced.  Every failure propagates.
 
-A type is validated through its weak-head form, unless reducing it put an
-introduction form in for a variable, which can land where typing infers
-(``E (c , d)`` to ``fst (c , d) ~ c``); then the type as written is.  An
-untyped ``Id`` in a well-formed type gets its endpoint type from
-``_endpoint_type``, which types a stuck left side by its reduct's spine.
+A type is validated as written, never through its weak-head form: reducing
+it could drop an argument that nothing has typed (``(λ x ↦ T) U₁`` to
+``T``).  Only a type written as a Π/extension tower is walked as one.
+Reducing a well-formed type can still put an introduction form where typing
+infers (``E (c , d)`` to ``fst (c , d) ~ c``); an untyped ``Id`` in such a
+reduct gets its endpoint type from ``_endpoint_type``, which types a stuck
+left side by its reduct's spine.
 
 Unfold budget: each declaration has one budget of ``max_unfold`` steps,
 spent by every unfolding, every contraction, every λ that beta consumes,
@@ -145,7 +147,6 @@ class Checker:
     def __init__(self, env: CheckEnv):
         self.env = env
         self.steps = 0  # unfold steps spent, against env.max_unfold
-        self._bound_intro = False  # set when reduction substitutes an introduction form
 
     def _budget(self) -> None:
         self.steps += 1
@@ -185,7 +186,6 @@ class Checker:
                         hw = hw.body
                         n += 1
                     if n:
-                        self._bound_intro |= any(type(a) in _INTRO for a in args[:n])
                         t = _apply(instantiate(hw, tuple(reversed(args[:n]))), args[n:])
                     elif isinstance(hw, Split):
                         t = Split(tuple((tp, _apply(b, args)) for tp, b in hw.branches))
@@ -227,7 +227,6 @@ class Checker:
             case IndPath(_, d, _), Refl(a):
                 self._budget()
                 self.env.j_fired += 1
-                self._bound_intro |= type(a) in _INTRO
                 return substitute(d, 0, a)
             case ExtApp(_, p), ExtLambda(b):
                 self._budget()
@@ -525,13 +524,12 @@ class Checker:
         return instantiate(ty, pending)
 
     def type_level(self, ctx: Context, t: Term) -> int:
-        """Universe level of a term used as a type; U itself has level 1."""
-        tw = self._type_whnf(ctx, t)
-        if isinstance(tw, Universe):
-            if tw.level == 0:
+        """Universe level of the type ``t`` as written; U itself has level 1."""
+        if isinstance(t, Universe):
+            if t.level == 0:
                 return 1
             raise _fail("E-NOT-A-TYPE", "U₁ cannot appear inside a type at this level")
-        ty = self.whnf(ctx, self.infer(ctx, tw))
+        ty = self.whnf(ctx, self.infer(ctx, t))
         if isinstance(ty, Universe):
             return ty.level
         raise _fail(
@@ -544,9 +542,10 @@ class Checker:
         Beyond the small types this accepts the sorts themselves and towers
         of Π/extension types landing in a sort, so constants may classify
         families of large types even though such towers live in no universe.
+        A tower must be written as one: a term that only reduces to a tower
+        is typed as written, by ``type_level``.
         """
-        tw = self._type_whnf(ctx, t)
-        match tw:
+        match t:
             case Universe(_):
                 return
             case Pi(a, b):
@@ -554,17 +553,9 @@ class Checker:
                 self.type_level_or_top(ctx.extend_term(a), b)
                 return
             case ExtType():
-                self._ext_formation(ctx, tw, self.type_level_or_top)
+                self._ext_formation(ctx, t, self.type_level_or_top)
                 return
-        self.type_level(ctx, tw)
-
-    def _type_whnf(self, ctx: Context, t: Term) -> Term:
-        """The weak-head form of the type ``t``, validated in its place unless
-        reducing ``t`` substituted an introduction form, which may land where
-        typing infers (``E (c , d)`` to ``fst (c , d) ~ c``); then ``t``."""
-        self._bound_intro = False
-        tw = self.whnf(ctx, t)
-        return t if self._bound_intro else tw
+        self.type_level(ctx, t)
 
     def _endpoint_type(self, ctx: Context, idty: Id) -> Term:
         """Type of the endpoints of the well-formed identity type ``idty``; a
@@ -832,10 +823,9 @@ def check_declaration(env: CheckEnv, decl: Declaration) -> list[Diagnostic]:
     return []
 
 
-def check_module(
-    env: CheckEnv, decls: Iterable, import_failed: bool = False
-) -> tuple[CheckEnv, list[Diagnostic], dict[str, frozenset[str]]]:
-    """Sequentially resolve and check surface declarations.
+def check_module(env: CheckEnv, decls: Iterable, import_failed: bool = False) -> list[Diagnostic]:
+    """Sequentially resolve and check surface declarations into ``env``,
+    returning their diagnostics.
 
     A failed declaration is recorded in ``env.failed`` so later references to
     it, here or in an importing file, produce one E-DEPENDS-ON-FAILED
@@ -870,4 +860,4 @@ def check_module(
             env.failed.add(sdecl.name)
         else:
             name_table[sdecl.name] = env.decls[sdecl.name]
-    return env, diags, dict(env.axiom_usage)
+    return diags

@@ -93,11 +93,9 @@ class _Parser:
         return t is not None and t.kind == kind
 
     def next(self) -> Token:
-        t = self.peek()
-        if t is None:
-            raise ParseFailure("unexpected end of input", self.eof_span)
+        """Consume the current token; every caller has peeked it first."""
         self.pos += 1
-        return t
+        return self.tokens[self.pos - 1]
 
     def expect(self, canon: str, what: str | None = None) -> Token:
         t = self.peek()

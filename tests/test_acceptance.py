@@ -127,7 +127,7 @@ def corpus_env():
     for name in ORDER:
         decls, diags, _ = parse_module((STDLIB / name).read_text(encoding="utf-8"))
         assert not diags
-        env, cdiags, _ = check_module(env, decls)
+        cdiags = check_module(env, decls)
         assert not cdiags, [(d.decl, d.code) for d in cdiags]
     return env
 

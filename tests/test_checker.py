@@ -74,7 +74,7 @@ def corpus_env():
     for name in ORDER:
         decls, diags, _ = parse_module((STDLIB / name).read_text(encoding="utf-8"))
         assert not diags
-        env, cdiags, _ = check_module(env, decls)
+        cdiags = check_module(env, decls)
         assert not cdiags, [(d.decl, d.code, d.message) for d in cdiags]
     return env
 
@@ -582,18 +582,18 @@ def test_let_rule_agrees_with_beta():
 
 
 def test_check_refl_accepts_and_rejects():
-    _, diags, _ = _check_src(
+    diags = _check_src(
         "def ok (A : U) (a : A) : Id A a a := refl a"
     )
     assert not diags
-    _, diags, _ = _check_src(
+    diags = _check_src(
         "def no (A : U) (a b : A) : Id A a b := refl a"
     )
     assert [d.code for d in diags] == ["E-TYPE-MISMATCH"]
 
 
 def test_check_ext_app_outside_shape_reports_tope_false():
-    _, diags, _ = _check_src(
+    diags = _check_src(
         "def f (C : U) (s : ⟨{p : 2 × 2 | π₂ p ≤ π₁ p} → C⟩) : C := s (0 , 1)"
     )
     assert [d.code for d in diags] == ["E-TOPE-FALSE"]
@@ -601,7 +601,7 @@ def test_check_ext_app_outside_shape_reports_tope_false():
 
 
 def test_check_boundary_mismatch_reports_e_boundary():
-    _, diags, _ = _check_src(
+    diags = _check_src(
         "def hom (C : U) (x y : C) : U := ⟨Δ¹ → C | ∂Δ¹ ↦ [x , y]⟩\n"
         "def bad (C : U) (x y : C) (f : hom C x y) : hom C x x := λ (t : 2) ↦ f t"
     )
@@ -611,11 +611,11 @@ def test_check_boundary_mismatch_reports_e_boundary():
 def test_check_declaration_extends_env_and_axiom_set():
     env = CheckEnv()
     decls, _, _ = parse_module("postulate ax (A : U) : A\ndef use (A : U) : A := (ax A)")
-    env2, diags, usage = check_module(env, decls)
+    diags = check_module(env, decls)
     assert not diags
-    assert "ax" in env2.axioms
-    assert usage["use"] == frozenset({"ax"})
-    assert usage["ax"] == frozenset()
+    assert "ax" in env.axioms
+    assert env.axiom_usage["use"] == frozenset({"ax"})
+    assert env.axiom_usage["ax"] == frozenset()
 
 
 def test_check_module_failure_then_dependency():
@@ -623,7 +623,7 @@ def test_check_module_failure_then_dependency():
         "def broken (A : U) : A := A\n"
         "def dependent (A : U) : A := (broken A)"
     )
-    _, diags, _ = _check_src(src)
+    diags = _check_src(src)
     assert len(diags) == 2
     assert diags[0].decl == "broken"
     assert diags[1].code == "E-DEPENDS-ON-FAILED"
@@ -633,9 +633,9 @@ def test_check_module_failure_then_dependency():
 def test_body_type_mismatch_leaves_env_unchanged():
     env = CheckEnv()
     decls, _, _ = parse_module("def bad (A : U) : A := U")
-    env2, diags, _ = check_module(env, decls)
+    diags = check_module(env, decls)
     assert len(diags) == 1
-    assert "bad" not in env2.decls
+    assert "bad" not in env.decls
 
 
 def test_subject_reduction_over_corpus(corpus_env):
@@ -703,12 +703,12 @@ def test_boundary_coherence_sweep(corpus_env):
 def test_tope_hypothesis_parameters():
     """Constraint hypotheses in telescopes bind an anonymous unit coordinate
     and are discharged at use sites with the unit point."""
-    _, diags, _ = _check_src(
+    diags = _check_src(
         "def under (A : U) (t : 2) [t ≡ 0] : U := A\n"
         "def use (A : U) : U := (under A 0 ⋆)\n"
     )
     assert not diags
-    _, diags, _ = _check_src(
+    diags = _check_src(
         "def under (A : U) (t : 2) [t ≡ 0] : U := A\n"
         "def bad (A : U) : U := (under A 1 ⋆)\n"
     )
@@ -716,21 +716,21 @@ def test_tope_hypothesis_parameters():
 
 
 def test_annotation_syntax_checks_both_sides():
-    _, diags, _ = _check_src("def ok (A : U) (a : A) : A := (a : A)")
+    diags = _check_src("def ok (A : U) (a : A) : A := (a : A)")
     assert not diags
-    _, diags, _ = _check_src("def no (A B : U) (a : A) : A := (a : B)")
+    diags = _check_src("def no (A B : U) (a : A) : A := (a : B)")
     assert diags and diags[0].code == "E-TYPE-MISMATCH"
 
 
 def test_duplicate_declaration_name_rejected():
-    _, diags, _ = _check_src(
+    diags = _check_src(
         "def one (A : U) : U := A\ndef one (B : U) : U := B"
     )
     assert [d.code for d in diags] == ["E-DUPLICATE-NAME"]
 
 
 def test_id_sugar_infers_type_from_left_endpoint():
-    _, diags, _ = _check_src(
+    diags = _check_src(
         "def sym-type (A : U) (x y : A) (p : x ∼ y) : Id A x y := p"
     )
     assert not diags

@@ -214,27 +214,27 @@ def test_only_files_that_were_read_are_counted(tmp_path):
     assert doc["summary"]["files"] == 1
 
 
-# One budget per declaration.  Normalizing `k5 X U U U U` spends 1 + 5 = 6
+# One budget per declaration.  Normalizing `k5 X X X X X` spends 1 + 5 = 6
 # steps: one to unfold `k5`, then one per λ consumed.  `use` normalizes it
-# twice: checking its type is well formed, and reading the type the body `x`
-# is checked against.  Comparing `X`, the type inferred for `x`, with that
-# type reuses the normal form already read, which is `X`, so it spends
-# nothing.  2 × 6 = 12.
+# once, reading the type the body `x` is checked against; checking its type
+# is well formed infers it as written and unfolds nothing.  Comparing `X`,
+# the type inferred for `x`, with that type reuses the normal form already
+# read, which is `X`, so it spends nothing.
 _UNFOLD_BOUNDARY = (
     "def k5 (A : U) (B : U) (C : U) (D : U) (E : U) : U := A\n"
-    "def use (X : U) (x : X) : k5 X U U U U := x\n"
+    "def use (X : U) (x : X) : k5 X X X X X := x\n"
 )
 
 
 def test_applied_definition_spends_one_step_per_parameter(tmp_path):
     f = tmp_path / "k5.stt"
     f.write_text(_UNFOLD_BOUNDARY, encoding="utf-8")
-    r = run_cli("check", "--json", "--max-unfold", "11", str(f))
+    r = run_cli("check", "--json", "--max-unfold", "5", str(f))
     assert r.returncode == 1
     assert [(d["decl"], d["code"]) for d in json.loads(r.stdout)["diagnostics"]] == [
         ("use", "E-UNFOLD-DEPTH")
     ]
-    assert run_cli("check", "--max-unfold", "12", str(f)).returncode == 0
+    assert run_cli("check", "--max-unfold", "6", str(f)).returncode == 0
 
 
 def test_generated_module_of_long_spines_checks(tmp_path, perfbench_inputs):
@@ -258,7 +258,20 @@ def test_argument_without_a_type_is_rejected_even_when_reduction_drops_it(tmp_pa
         _H_PRELUDE
         + "def bad1 : T := h U₁ c\n"
         + "def bad2 : T := h (fst (λ x ↦ x)) c\n"
-        + "def bad3 : T := (λ x ↦ c) U₁\n",
+        + "def bad3 : T := (λ x ↦ c) U₁\n"
+        # types are validated as written, not through a reduct that drops U₁
+        + "def tl : (λ x ↦ T) U₁ := c\n"
+        + "def tl2 : (λ x ↦ U) U₁ := T\n"
+        + "def k5 (A : U) (B : U) (C : U) (D : U) (E : U) : U := A\n"
+        + "def use (X : U) (x : X) : k5 X U U U U := x\n"
+        + "def dom : ((λ x ↦ T) U₁) → T := λ y ↦ c\n"
+        + "def ann : T := (c : (λ x ↦ T) U₁)\n"
+        + "def idt : Id ((λ x ↦ T) U₁) c c := refl c\n"
+        + "def bnd (y : (λ x ↦ T) U₁) : T := y\n"
+        # a redex whose reduct is a tower in no universe is not a tower
+        + "postulate F3 : (λ x ↦ T → U₁) c\n"
+        + "postulate F1 : T → U₁\n"
+        + "postulate F2 : (λ x ↦ T → U) c\n",
         encoding="utf-8",
     )
     r = run_cli("check", "--json", str(f))
@@ -267,6 +280,14 @@ def test_argument_without_a_type_is_rejected_even_when_reduction_drops_it(tmp_pa
         ("bad1", "E-CANNOT-INFER"),
         ("bad2", "E-CANNOT-INFER"),
         ("bad3", "E-CANNOT-INFER"),
+        ("tl", "E-CANNOT-INFER"),
+        ("tl2", "E-CANNOT-INFER"),
+        ("use", "E-TYPE-MISMATCH"),
+        ("dom", "E-CANNOT-INFER"),
+        ("ann", "E-CANNOT-INFER"),
+        ("idt", "E-CANNOT-INFER"),
+        ("bnd", "E-CANNOT-INFER"),
+        ("F3", "E-NOT-A-TYPE"),
     ]
 
 

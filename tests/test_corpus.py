@@ -197,9 +197,9 @@ def test_exhausted_unfold_budget_is_a_resource_limit_not_a_type_error():
     assert "E-TYPE-MISMATCH" not in codes
     hit = {d.decl for d in rep.diagnostics if d.code == "E-UNFOLD-DEPTH"}
     assert {
+        "cov-pullback",
         "filler-id-left",
         "filler-id-right",
-        "id-isEquiv",
-        "isCovariant",
-        "isGroupoidal",
+        "id-transport",
+        "transport-U-equiv",
     } <= hit

@@ -1,30 +1,35 @@
 """Batch checking of files with hermetic relative imports.
 
-Each file names its dependencies with ``#import "path"`` directives resolved
-relative to its own directory; there is no search path.  Every file is read,
-lexed and parsed once, when it is first reached, and the parser holds only
-one top-level form's tokens at a time.  A file that cannot be read is an
+Each file names its dependencies with ``#import "path"`` directives, at its
+head, resolved relative to its own directory; there is no search path.
+Checking runs in two phases, and every file is read and lexed once.
+
+Phase 1 reads each file when it is first reached and parses only its import
+header, then queues the files it imports.  A file that cannot be read is an
 E-IO at each ``#import`` naming it, or in itself if named directly.  In a
 file with a failed ``#import``, unreadable or malformed, a name that cannot
 be found is E-DEPENDS-ON-FAILED rather than E-UNBOUND-NAME.
-Files are then checked one after another, in one thread, in a deterministic
-dependency order.  Every file sees exactly the declarations of its transitive
-import closure, and the names in that closure that failed to parse or check.
-A file's surface declarations live until it is checked, and each is let go
-once it is resolved and checked, so a file's syntax and core terms are not
-held in full at the same time.
+
+Phase 2 checks the files one after another, in one thread, in a
+deterministic dependency order.  Every file sees exactly the declarations of
+its transitive import closure, and the names in that closure that failed to
+parse or check.  Its parser resumes after the header and hands over one
+declaration at a time, which is resolved and checked before the next is
+parsed, so a surface declaration lives only while it is checked.  A
+declaration that failed to parse is failed from there on.  A lex error
+anywhere fails the whole file: it keeps no names and reports only that
+error.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .checker import CheckEnv, check_module
 from .diagnostics import Diagnostic
-from .parser import parse_module
+from .parser import _Parser
 
 
 def read_failure(e: OSError | UnicodeDecodeError) -> str:
@@ -107,18 +112,11 @@ def _closure(key: str, imports: dict[str, list[str]]) -> set[str]:
     return got
 
 
-def _drain(items: list) -> Iterator:
-    """The items in order, each let go by the list as it is taken."""
-    items.reverse()
-    while items:
-        yield items.pop()
-
-
 def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
     """Parse, resolve and check the given files plus their import closures."""
     start = time.monotonic()
     reports: dict[str, FileReport] = {}
-    decls: dict[str, list] = {}
+    parsers: dict[str, _Parser] = {}  # each readable file's, past its import header
     imports: dict[str, list[str]] = {}
     unreadable: dict[str, str] = {}  # key -> why the file could not be read
     import_failed: set[str] = set()  # keys of files with an #import that failed
@@ -129,7 +127,7 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
         shown, key, directive = queue.pop(0)
         if key not in reports:
             report = reports[key] = FileReport(path=shown)
-            decls[key], imports[key] = [], []
+            imports[key] = []
             try:
                 with open(key, "r", encoding="utf-8") as fh:
                     report.source = fh.read()
@@ -137,11 +135,9 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
                 report.io_error = True
                 unreadable[key] = read_failure(e)
             else:
-                decls[key], pdiags, found = parse_module(report.source)
-                for d in pdiags:
-                    d.file = shown
-                report.parse_diagnostics.extend(pdiags)
-                for rel, span in found:
+                parser = parsers[key] = _Parser(report.source)
+                parser.header()
+                for rel, span in parser.imports:
                     if rel is None:
                         import_failed.add(key)
                         continue
@@ -203,14 +199,22 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
             env.axioms.update(dep_env.axioms)
             env.axiom_usage.update(dep_env.axiom_usage)
             env.failed.update(dep_env.failed)
-        # a declaration that failed to parse after its name was read
-        env.failed.update(d.decl for d in report.parse_diagnostics if d.decl is not None)
-        before = set(env.decls)
-        pending = _drain(decls.pop(key))
-        cdiags = check_module(env, pending, import_failed=key in import_failed)
-        for d in cdiags:
-            d.file = report.path
-        report.check_diagnostics.extend(cdiags)
+        before, failed_before = set(env.decls), set(env.failed)
+        parser = parsers.pop(key, None)
+        if parser is not None:
+            # each declaration is parsed, resolved and checked, then let go
+            cdiags = check_module(env, parser.declarations(), key in import_failed)
+            if parser.lex_error is not None:
+                # a source that does not lex adds nothing
+                for n in set(env.decls) - before:
+                    del env.decls[n], env.axiom_usage[n]
+                    env.axioms.discard(n)
+                env.failed &= failed_before
+                cdiags = []
+            for d in parser.diags + cdiags:
+                d.file = report.path
+            report.parse_diagnostics[:0] = parser.diags
+            report.check_diagnostics.extend(cdiags)
         report.decl_names = [n for n in env.decls if n not in before]
         report.postulates = frozenset(n for n in report.decl_names if env.decls[n].is_postulate)
         report.axiom_usage = {n: env.axiom_usage[n] for n in report.decl_names}

@@ -829,7 +829,10 @@ def check_module(env: CheckEnv, decls: Iterable, import_failed: bool = False) ->
 
     A failed declaration is recorded in ``env.failed`` so later references to
     it, here or in an importing file, produce one E-DEPENDS-ON-FAILED
-    diagnostic rather than an error cascade.  A declaration too deep for the
+    diagnostic rather than an error cascade.  So is a declaration that
+    failed to parse, which comes in ``decls`` as its parse diagnostic (see
+    ``parser._Parser.declarations``); that diagnostic is the parser's to
+    report.  A declaration too deep for the
     resolver or the kernel to recurse through is reported as
     E-NESTING-DEPTH, a resource limit, like one too deep to parse.  When an
     ``#import`` of the file failed, a name that cannot be found is blamed on
@@ -841,6 +844,10 @@ def check_module(env: CheckEnv, decls: Iterable, import_failed: bool = False) ->
     name_table: dict[str, object] = dict.fromkeys(env.failed, FAILED)
     name_table.update(env.decls)
     for sdecl in decls:
+        if isinstance(sdecl, Diagnostic):
+            name_table[sdecl.decl] = FAILED
+            env.failed.add(sdecl.decl)
+            continue
         try:
             declaration = resolve(sdecl, name_table)
             errs = check_declaration(env, declaration)

@@ -557,23 +557,30 @@ def tope_in_scope(t: Tope, cube_depth: int) -> bool:
 
 
 def term_in_scope(t: Term, cube_depth: int, term_depth: int) -> bool:
-    """Full index-bounds check; every resolver output must satisfy it."""
-    match t:
-        case Var(i):
-            return 0 <= i < term_depth
-        case ExtType(sh, _, bt, _):
-            if not all(tope_in_scope(tp, cube_depth + 1) for tp in (sh.constraint, bt)):
+    """Full index-bounds check; every resolver output must satisfy it.
+    The first subterm is entered by the loop, so a spine's heads and a run
+    of λs cost no stack; the others are entered by recursion."""
+    while True:
+        match t:
+            case Var(i):
+                return 0 <= i < term_depth
+            case ExtType(sh, _, bt, _):
+                if not all(tope_in_scope(tp, cube_depth + 1) for tp in (sh.constraint, bt)):
+                    return False
+            case ExtApp(_, p):
+                if not point_in_scope(p, cube_depth):
+                    return False
+            case Split(brs):
+                if not all(tope_in_scope(tp, cube_depth) for tp, _ in brs):
+                    return False
+        below = children(t)
+        if not below:
+            return True
+        for s, k, c in below[1:]:
+            if not term_in_scope(s, cube_depth + c, term_depth + k):
                 return False
-        case ExtApp(_, p):
-            if not point_in_scope(p, cube_depth):
-                return False
-        case Split(brs):
-            if not all(tope_in_scope(tp, cube_depth) for tp, _ in brs):
-                return False
-    for s, k, c in children(t):  # a plain loop: one frame per nesting level
-        if not term_in_scope(s, cube_depth + c, term_depth + k):
-            return False
-    return True
+        t, k, c = below[0]
+        cube_depth, term_depth = cube_depth + c, term_depth + k
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,25 @@
 """Recursive-descent parser for the surface language.
 
-Top-level forms are ``def`` and ``postulate`` declarations plus ``#import``
-directives; ``#section`` markers are skipped.  A malformed declaration
-produces one diagnostic and the parser resynchronizes at the next top-level
-keyword, so one bad declaration never takes the rest of the file with it.
-A declaration nested too deeply for the recursive descent is reported the
-same way, as ``E-NESTING-DEPTH``.
+A file is an import header, the ``#import`` directives before the first
+``def`` or ``postulate``, then its declarations; ``#section`` markers may
+come anywhere and are skipped.  An ``#import`` after a declaration is one
+``E-PARSE``: imports come first.  A malformed declaration produces one
+diagnostic and the parser resynchronizes at the next top-level keyword, so
+one bad declaration never takes the rest of the file with it.  A
+declaration nested too deeply for the recursive descent is reported the
+same way, as ``E-NESTING-DEPTH``.  A source that does not lex has only its
+lex error: no declarations and no imports.
+
+``_Parser.header`` reads the header.  ``_Parser.declarations`` then parses
+one declaration each time the next is asked for, so ``batch.check_files`` can
+resolve and check each one and let it go before the next is parsed;
+``parse_module`` is the list view of the two.
 
 The parser holds one top-level form's tokens at a time.  It asks the lexer
 for the next chunk, which ends at the next top-level keyword, only at top
-level: in the module loop and while resynchronizing, never inside the
-recursive descent.  No rule below a declaration consumes a top-level
-keyword, so a declaration never reads past its chunk.
+level: in the header and declaration loops and while resynchronizing, never
+inside the recursive descent.  No rule below a declaration consumes a
+top-level keyword, so a declaration never reads past its chunk.
 
 Binary operators are parsed by precedence climbing over ``surface.BINARY``,
 which holds each operator's precedence and associativity; the prefix
@@ -24,6 +32,7 @@ extend as far right as possible.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 from .diagnostics import Diagnostic
 from .lexer import LexError, Span, Token, TokenKind, start_cursor, tokenize
@@ -57,7 +66,8 @@ class _Parser:
         self.eof_span = Span(0, 0, 1, 1, 1, 1)  # the last token lexed so far
         self.decl_name: str | None = None  # of the declaration being parsed, once read
         self.imports: list[tuple[str | None, Span]] = []
-        self.import_diags: list[Diagnostic] = []
+        self.diags: list[Diagnostic] = []  # in source order
+        self.lex_error: Diagnostic | None = None
 
     # -- token plumbing ----------------------------------------------------
 
@@ -72,14 +82,6 @@ class _Parser:
         self.pos = 0
         if chunk:
             self.eof_span = chunk[-1].span
-        for t in chunk:
-            if t.canon == "#import":
-                m = _IMPORT_RE.fullmatch(t.lexeme)
-                self.imports.append((m and m.group(1), t.span))
-                if m is None:
-                    found = t.lexeme.strip()
-                    message = f"expected #import \"path\", found '{found}'"
-                    self.import_diags.append(Diagnostic("error", "E-PARSE", message, t.span))
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -329,12 +331,85 @@ class _Parser:
         # a bare cube expression or canonical shape name
         return self.binary(_TIMES)
 
+    # -- top level ---------------------------------------------------------
+
+    def header(self) -> None:
+        """Read the ``#import`` and ``#section`` forms before the first
+        declaration, recording each import."""
+        try:
+            while True:
+                self.fill()
+                t = self.peek()
+                if t is None or t.canon not in ("#import", "#section"):
+                    return
+                self.next()
+                if t.canon == "#import":
+                    m = _IMPORT_RE.fullmatch(t.lexeme)
+                    self.imports.append((m and m.group(1), t.span))
+                    if m is None:
+                        found = t.lexeme.strip()
+                        self._error(f"expected #import \"path\", found '{found}'", t.span)
+        except LexError as e:
+            self._lex_failure(e)
+
+    def declarations(self) -> Iterator[S.SurfaceDecl | Diagnostic]:
+        """The declarations after the header, each parsed only when it is
+        asked for.  A declaration that fails once its name was read comes as
+        its diagnostic, so that the name can be marked failed from there on.
+        Every diagnostic also goes to ``diags``."""
+        try:
+            while True:
+                self.decl_name = None
+                self.fill()
+                t = self.peek()
+                if t is None:
+                    return
+                if t.canon == "#section":
+                    self.next()
+                    continue
+                if t.canon == "#import":
+                    self.next()
+                    self._error("#import after a declaration; imports come first", t.span)
+                    continue
+                if t.canon not in ("def", "postulate"):
+                    self._error(f"expected a declaration, found '{t.lexeme}'", t.span)
+                    _resync(self)
+                    continue
+                try:
+                    decl = self.declaration()
+                except ParseFailure as e:
+                    failure = self._error(e.message, e.span)
+                except RecursionError:
+                    message = "declaration is nested too deeply"
+                    failure = self._error(message, t.span, "E-NESTING-DEPTH")
+                else:
+                    yield decl
+                    continue
+                _resync(self)
+                if failure.decl is not None:
+                    yield failure
+        except LexError as e:
+            self._lex_failure(e)
+
+    def _error(self, message: str, span: Span, code: str = "E-PARSE") -> Diagnostic:
+        d = Diagnostic("error", code, message, span, decl=self.decl_name)
+        self.diags.append(d)
+        return d
+
+    def _lex_failure(self, e: LexError) -> None:
+        """A source that does not lex has only its lex error: drop what was
+        read and end the input."""
+        self.lex_error = Diagnostic("error", e.code, e.message, e.span)
+        self.diags = [self.lex_error]
+        self.imports = []
+        self.tokens, self.pos = [], 0
+        self.cursor[0] = len(self.source)
+
     # -- declarations ------------------------------------------------------
 
     def declaration(self) -> S.SurfaceDecl:
         kw = self.next()
         is_def = kw.canon == "def"
-        self.decl_name = None
         name_tok = self.expect_ident("declaration name")
         self.decl_name = name_tok.lexeme
         params: list[S.SParam] = []
@@ -382,47 +457,14 @@ def parse_module(
     A declaration that fails after its name was read names it as ``decl``.
 
     Also returns the ``#import`` directives as (path, span) in source order,
-    with path None for a malformed one; a source that does not lex has none.
-    The source is lexed one top-level form at a time, so only the tokens of
-    the form being parsed are held.
+    with path None for a malformed one; a source that does not lex has no
+    declarations, no imports and only the lex error.  This is the list view
+    of ``_Parser.header`` and ``_Parser.declarations``.
     """
-    decls: list[S.SurfaceDecl] = []
-    diags: list[Diagnostic] = []
     p = _Parser(source)
-    try:
-        while True:
-            p.fill()
-            t = p.peek()
-            if t is None:
-                break
-            if t.canon in ("#import", "#section"):
-                p.next()
-                continue
-            if t.canon not in ("def", "postulate"):
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        "E-PARSE",
-                        f"expected a declaration, found '{t.lexeme}'",
-                        t.span,
-                    )
-                )
-                _resync(p)
-                continue
-            try:
-                decls.append(p.declaration())
-            except ParseFailure as e:
-                diags.append(Diagnostic("error", "E-PARSE", e.message, e.span, decl=p.decl_name))
-                _resync(p)
-            except RecursionError:
-                message = "declaration is nested too deeply"
-                diags.append(
-                    Diagnostic("error", "E-NESTING-DEPTH", message, t.span, decl=p.decl_name)
-                )
-                _resync(p)
-    except LexError as e:
-        return [], [Diagnostic("error", e.code, e.message, e.span)], []
-    return decls, p.import_diags + diags, p.imports
+    p.header()
+    decls = [d for d in p.declarations() if not isinstance(d, Diagnostic)]
+    return ([] if p.lex_error else decls), p.diags, p.imports
 
 
 def _resync(p: _Parser) -> None:

@@ -240,11 +240,19 @@ class Resolver:
                 return Id(
                     self.resolve_term(ty), self.resolve_term(l), self.resolve_term(r)
                 )
-            case S.SApp(_, f, x):
-                fn = self.resolve_term(f)
-                if self.is_point_expr(x):
-                    return ExtApp(fn, self.resolve_point(x))
-                return App(fn, self.resolve_term(x))
+            case S.SApp():
+                # a loop over the spine, so a long one costs no stack
+                args = []
+                while isinstance(e, S.SApp):
+                    args.append(e.arg)
+                    e = e.fn
+                fn = self.resolve_term(e)
+                for x in reversed(args):
+                    if self.is_point_expr(x):
+                        fn = ExtApp(fn, self.resolve_point(x))
+                    else:
+                        fn = App(fn, self.resolve_term(x))
+                return fn
             case S.SPair(_, a, b):
                 return Pair(self.resolve_term(a), self.resolve_term(b))
             case S.SAnnot(_, t, ty):
@@ -260,7 +268,7 @@ class Resolver:
                 base = self._binder_body(d, 1, "ind-path base case")
                 return IndPath(motive, base, self.resolve_term(p))
             case S.SLam(_, binders, body):
-                return self._resolve_lam(list(binders), body)
+                return self._resolve_lam(binders, body)
             case S.SExt(_, shape, cod, tope, boundary):
                 return self._resolve_ext(shape, cod, tope, boundary, e.span)
             case S.SSplit(_, branches):
@@ -353,28 +361,24 @@ class Resolver:
             self._pop()
         return body
 
-    def _resolve_lam(self, binders: list[S.SLamBinder], body: S.SExpr) -> Term:
-        if not binders:
-            return self.resolve_term(body)
-        b = binders[0]
-        if b.annot is not None and not self.is_cube_expr(b.annot):
-            raise ResolveError(
-                "E-RESOLVE",
-                "λ binder annotations must be cubes; term binders are typed by "
-                "the expected Π type",
-                b.annot.span,
-            )
-        is_cube = b.annot is not None or isinstance(b.pattern, tuple)
-        if is_cube:
-            names = b.pattern if isinstance(b.pattern, tuple) else (b.pattern,)
-            self._push("cube", tuple(names))
-            inner = self._resolve_lam(binders[1:], body)
-            self._pop()
-            return ExtLambda(inner)
-        self._push("term", (b.pattern,))
-        inner = self._resolve_lam(binders[1:], body)
-        self._pop()
-        return Lambda(inner)
+    def _resolve_lam(self, binders: tuple[S.SLamBinder, ...], body: S.SExpr) -> Term:
+        for b in binders:
+            if b.annot is not None and not self.is_cube_expr(b.annot):
+                raise ResolveError(
+                    "E-RESOLVE",
+                    "λ binder annotations must be cubes; term binders are typed by "
+                    "the expected Π type",
+                    b.annot.span,
+                )
+            if b.annot is not None or isinstance(b.pattern, tuple):
+                names = b.pattern if isinstance(b.pattern, tuple) else (b.pattern,)
+                self._push("cube", tuple(names))
+            else:
+                self._push("term", (b.pattern,))
+        result = self.resolve_term(body)
+        for _ in binders:
+            result = ExtLambda(result) if self.scope.pop().layer == "cube" else Lambda(result)
+        return result
 
     def _resolve_ext(
         self,

@@ -1,6 +1,6 @@
 """Batch driver: every file is lexed once per run, one top-level form at a
 time, a declaration that failed to check stays failed in the files that
-import it, and a file's syntax is not held twice over."""
+import it, and a file's syntax is held one declaration at a time."""
 
 from __future__ import annotations
 
@@ -8,12 +8,12 @@ import tracemalloc
 
 import pytest
 
-import stt.batch
 import stt.parser
 import stt.resolve  # noqa: F401  (imported by checking; not counted against it)
 from stt.batch import check_files
 from stt.corpus import corpus_check
 from stt.lexer import start_cursor
+from stt.parser import parse_module
 
 
 def _two_file_chain(tmp_path, base_type: str) -> str:
@@ -93,33 +93,36 @@ def test_declaration_that_fails_to_parse_is_failed_here_and_in_importers(tmp_pat
     assert batch.exit_code() == 2
 
 
-def test_frontend_peak_memory_stays_near_the_surface_tree(tmp_path, monkeypatch, perfbench_inputs):
-    """Only one top-level form's tokens are alive while parsing, and each
-    surface declaration is let go once checked, so neither parsing nor
-    checking a 2000-declaration module peaks much above its surface tree.
-    One traced ``check_files`` call measures both: the spy on its
-    ``parse_module`` reads what parsing keeps and its peak."""
+def test_forward_reference_to_a_later_parse_failure_is_unbound(tmp_path):
+    """Declarations are checked as they are parsed, so a later declaration
+    that fails to parse is not yet known, like any later declaration."""
+    path = tmp_path / "main.stt"
+    path.write_text("def use (A : U) : U := b A\ndef b (A : U : U := A\n", encoding="utf-8")
+    batch = check_files([str(path)])
+    found = sorted((d.decl, d.code) for d in batch.all_diagnostics)
+    assert found == [("b", "E-PARSE"), ("use", "E-UNBOUND-NAME")]
+    assert batch.exit_code() == 2
+
+
+def test_frontend_peak_memory_stays_under_half_the_surface_tree(tmp_path, perfbench_inputs):
+    """``check_files`` parses, resolves and checks one declaration at a time,
+    so on a 2000-declaration module it peaks at under half of the surface
+    tree that ``parse_module`` keeps for the same source: the core
+    declarations it keeps are smaller than their syntax."""
+    source = perfbench_inputs.frontend_module(3)
     path = tmp_path / "generated.stt"
-    path.write_text(perfbench_inputs.frontend_module(3), encoding="utf-8")
-    real = stt.batch.parse_module
-    parse = {}
-
-    def spy(source):
-        parse["base"] = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = real(source)
-        parse["surface"], parse["peak"] = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        return result
-
-    monkeypatch.setattr(stt.batch, "parse_module", spy)
+    path.write_text(source, encoding="utf-8")
     tracemalloc.start()
     try:
+        base = tracemalloc.get_traced_memory()[0]
+        parsed = parse_module(source)
+        surface = tracemalloc.get_traced_memory()[0] - base
+        del parsed
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         batch = check_files([str(path)])
-        check_peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert batch.exit_code() == 0
-    surface = parse["surface"] - parse["base"]
-    assert parse["peak"] - parse["base"] <= 1.1 * surface
-    assert check_peak - parse["base"] <= 1.1 * surface
+    assert peak <= 0.5 * surface, (peak, surface)

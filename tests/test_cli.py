@@ -3,7 +3,9 @@ machine-readable diagnostics."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import pathlib
 import shutil
@@ -11,6 +13,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import stt.cli
+from stt.lexer import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 STDLIB = ROOT / "src" / "stt" / "stdlib"
@@ -167,18 +173,31 @@ def test_malformed_import_is_a_parse_error(tmp_path, directive):
     assert parse[0]["end"] == {"line": 1, "col": len(directive) + 1}
 
 
+def test_import_after_a_declaration_is_one_parse_error(tmp_path):
+    (tmp_path / "lib.stt").write_text("def base (A : U) : U := A\n", encoding="utf-8")
+    (tmp_path / "main.stt").write_text(
+        'def early (A : U) : U := A\n#import "lib.stt"\n', encoding="utf-8"
+    )
+    r = run_cli("check", "--json", str(tmp_path / "main.stt"))
+    assert r.returncode == 2
+    out = json.loads(r.stdout)
+    assert [(d["code"], d["start"]["line"]) for d in out["diagnostics"]] == [("E-PARSE", 2)]
+    assert "imports come first" in out["diagnostics"][0]["message"]
+    assert out["summary"]["files"] == 1
+
+
 def test_unreadable_import_is_reported_at_each_directive(tmp_path):
     (tmp_path / "lib.stt").write_text(
         '#import "nope.stt"\ndef base (A : U) : U := A\n', encoding="utf-8"
     )
     (tmp_path / "main.stt").write_text(
-        'def use (A : U) : U := A\n#import "lib.stt"\n#import "nope.stt"\n', encoding="utf-8"
+        '#import "lib.stt"\n#import "nope.stt"\ndef use (A : U) : U := A\n', encoding="utf-8"
     )
     r = run_cli("check", "--json", str(tmp_path / "main.stt"))
     assert r.returncode == 2
     io = [d for d in json.loads(r.stdout)["diagnostics"] if d["code"] == "E-IO"]
     where = sorted((pathlib.Path(d["file"]).name, d["start"]["line"]) for d in io)
-    assert where == [("lib.stt", 1), ("main.stt", 3)]
+    assert where == [("lib.stt", 1), ("main.stt", 2)]
     assert all("cannot read" in d["message"] and "nope.stt" in d["message"] for d in io)
 
 
@@ -502,9 +521,11 @@ def test_check_runs_no_collection(tmp_path, capsys, perfbench_inputs):
     assert json.loads(capsys.readouterr().out)["summary"]["declarations"] == 2000
 
 
-# parse fine, then recurse once per binder in the resolver (λ) or the kernel (Π)
+# parse and resolve fine, then recurse once per binder in the kernel: through the
+# λs of a β-redex (the let rule) or the groups of a Π
 _DEEP_BINDERS = {
-    "lambda": "def deep : U → U := λ " + " ".join(f"x{i}" for i in range(2000)) + " ↦ x0\n",
+    "lambda": "def deep : U₁ := (λ " + " ".join(f"x{i}" for i in range(1000)) + " ↦ x0)"
+    + " U" * 1000 + "\n",
     "pi": "def deep : U₁ := Π " + " ".join(f"(x{i} : U)" for i in range(2000)) + ", U\n",
 }
 
@@ -583,3 +604,94 @@ def test_corpus_malformed_manifest_names_the_record(tmp_path):
     assert rj.returncode == 2
     (d,) = json.loads(rj.stdout)["diagnostics"]
     assert (d["code"], d["file"], d["start"]["line"]) == ("E-MANIFEST", str(manifest), 4)
+
+
+# In-process robustness: `stt check --json` on mutated stdlib sources and on
+# sources built around the places where the parser resumes between forms.
+# The stdlib is copied beside the mutant, so its imports resolve.
+_STDLIB_BYTES = {p.name: p.read_bytes() for p in CORPUS_FILES}
+_NOISE = st.one_of(st.sampled_from(b'()[]{}-:=,|#"\n $'), st.integers(0, 255))
+
+
+@st.composite
+def _byte_mutants(draw):
+    data = bytearray(_STDLIB_BYTES[draw(st.sampled_from(sorted(_STDLIB_BYTES)))])
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data) - 1))
+        op = draw(st.sampled_from(["delete", "insert", "replace"]))
+        data[i : i + (op != "insert")] = b"" if op == "delete" else bytes([draw(_NOISE)])
+    return bytes(data)
+
+
+@st.composite
+def _token_mutants(draw):
+    source = _STDLIB_BYTES[draw(st.sampled_from(sorted(_STDLIB_BYTES)))].decode("utf-8")
+    lexemes = [t.lexeme for t in tokenize(source, keep_trivia=True)]
+    extra = ["def", "postulate", '#import "paths.stt"', "#section s", "(", ")", "↦", "$"]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lexemes) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+        if op == "delete":
+            del lexemes[i]
+        elif op == "duplicate":
+            lexemes.insert(i, lexemes[i])
+        else:
+            lexemes[i] = draw(st.sampled_from(lexemes + extra))
+    return "".join(lexemes).encode("utf-8")
+
+
+_EDGE_PIECES = [
+    "def a : U := U",
+    "def b (A : U) : U := A",
+    "postulate p : U",
+    "def c : U := a",
+    "def d : U {- def x : U := U -} := -- postulate q : U\n  U",
+    "-- def y : U := U",
+    "{- postulate z : U\n#import \"paths.stt\" -}",
+    '#import "paths.stt"',
+    "#section s",
+]
+
+
+@st.composite
+def _streaming_edges(draw):
+    """Keywords in comments, late imports, input ending inside a
+    declaration and a lex error in the last declaration."""
+    text = "\n".join(draw(st.lists(st.sampled_from(_EDGE_PIECES), min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    if draw(st.booleans()):
+        text += "\ndef last : U := $"
+    return text.encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def stdlib_copy(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("stdlib")
+    for name, data in _STDLIB_BYTES.items():
+        (directory / name).write_bytes(data)
+    return directory
+
+
+def _check_in_process(directory, data: bytes) -> None:
+    path = directory / "mutant.stt"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = stt.cli.main(["check", "--json", str(path)])
+    assert code in (0, 1, 2)
+    assert "E-INTERNAL" not in out.getvalue() + err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    json.loads(out.getvalue())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.one_of(_byte_mutants(), _token_mutants()))
+def test_check_survives_mutated_stdlib_sources(stdlib_copy, data):
+    _check_in_process(stdlib_copy, data)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=_streaming_edges())
+def test_check_survives_the_streaming_edges(stdlib_copy, data):
+    _check_in_process(stdlib_copy, data)

@@ -4,6 +4,7 @@ validation, and the canonical shape table."""
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -426,3 +427,21 @@ def test_node_semantics():
     assert S.SExt.__match_args__ == ("span", "shape", "codomain", "tope", "boundary")
     assert (C.Pi(a, b).domain, S.SName(span, "x").text) == (a, "x")
     assert repr(C.Pi(a, v)) == "Pi(domain=Universe(level=0), codomain=Var(index=0))"
+
+
+def test_resolver_walks_a_long_redex_spine_without_recursing():
+    """The spine of ``(λ x₀ … xₙ₋₁ ↦ x₀) c … c`` and the λ's binders are
+    walked by loops, so n = 600 resolves under the default recursion limit."""
+    n = 600
+    binders = " ".join(f"x{i}" for i in range(n))
+    src = f"def s : T := (λ {binders} ↦ x0)" + " c" * n
+    (decl,), diags, _ = parse_module(src)
+    assert diags == [] and sys.getrecursionlimit() == 1000
+    term = resolve(decl, {"T": object(), "c": object()}).body
+    for _ in range(n):
+        assert isinstance(term, C.App) and term.arg == C.Constant("c")
+        term = term.fn
+    for _ in range(n):
+        assert isinstance(term, C.Lambda)
+        term = term.body
+    assert term == C.Var(n - 1)

@@ -219,9 +219,10 @@ def test_diagnostic_printer_takes_its_glyphs_from_the_table(monkeypatch):
 # where the lexer ends one chunk and the parser asks for the next:
 # (source, declaration names, diagnostics as (code, message, span, decl),
 # imports as (path, span)).
+_LATE = "#import after a declaration; imports come first"
 _CHUNK_CASES = {
     "lex error in the last declaration": (
-        'def a : U := U\n#import "x.stt"\ndef b : U := $\n',
+        "def a : U := U\n#section part 2\ndef b : U := $\n",
         [],
         [("E-INVALID-CHARACTER", "invalid character '$'", (44, 45, 3, 14, 3, 15), None)],
         [],
@@ -244,15 +245,24 @@ _CHUNK_CASES = {
         [("E-PARSE", "expected expression", (44, 46, 3, 19, 3, 21), "b")],
         [],
     ),
-    "malformed #import after two declarations": (
-        "def a : U := U\ndef b : U := )\n#import nope\ndef c : U := U\n",
+    "malformed #import before three declarations": (
+        "#import nope\ndef a : U := U\ndef b : U := )\ndef c : U := U\n",
         ["a", "c"],
         [
-            ("E-PARSE", "expected #import \"path\", found '#import nope'", (30, 42, 3, 1, 3, 13),
+            ("E-PARSE", "expected #import \"path\", found '#import nope'", (0, 12, 1, 1, 1, 13),
              None),
-            ("E-PARSE", "unexpected token ')'", (28, 29, 2, 14, 2, 15), "b"),
+            ("E-PARSE", "unexpected token ')'", (41, 42, 3, 14, 3, 15), "b"),
         ],
-        [(None, (30, 42, 3, 1, 3, 13))],
+        [(None, (0, 12, 1, 1, 1, 13))],
+    ),
+    "#import after a declaration": (
+        'def a : U := U\n#import "x.stt"\n#import nope\ndef b : U := a\n',
+        ["a", "b"],
+        [
+            ("E-PARSE", _LATE, (15, 30, 2, 1, 2, 16), None),
+            ("E-PARSE", _LATE, (31, 43, 3, 1, 3, 13), None),
+        ],
+        [],
     ),
     "keywords inside comments": (
         "def a : U {- def x -} := -- def\n  U\npostulate p {- postulate -} : a\n",

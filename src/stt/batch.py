@@ -176,10 +176,11 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
         remaining.difference_update(ready)
 
     envs: dict[str, CheckEnv] = {}
+    shared: dict = {}  # one copy of each subterm the checked declarations hold
     result = BatchResult(reports=reports, order=order)
     for key in order:
         report = reports[key]
-        env = CheckEnv(max_unfold=max_unfold)
+        env = CheckEnv(max_unfold=max_unfold, shared=shared)
         for dep in sorted(_closure(key, imports)):
             dep_env = envs.get(dep)
             if dep_env is None:

@@ -45,6 +45,13 @@ Unfold budget: each declaration has one budget of ``max_unfold`` steps,
 spent by every unfolding, every contraction, every λ that beta consumes,
 every split of a disjunctive hypothesis and every pair of ``Split``
 branches compared on their overlap; syntactically equal sides spend none.
+
+Sharing: once a declaration has checked, ``check_declaration`` rebuilds its
+type and body from ``env.shared``, one node per distinct subterm for a whole
+batch run, and only then stores it; its axiom usage comes from the names the
+resolver recorded.  Sharing waits for success, so a failed declaration adds
+nothing, and the check sees the declaration's terms as the resolver built
+them, which keeps anything keyed by node identity during the check valid.
 """
 
 from __future__ import annotations
@@ -85,6 +92,7 @@ from .core import (
     Var,
     children,
     instantiate,
+    share,
     subst_cube,
     subst_tope_point,
     substitute,
@@ -117,6 +125,10 @@ class CheckEnv:
     max_unfold: int = 10_000
     j_fired: int = 0  # identity-eliminator computation counter
     failed: set[str] = field(default_factory=set)  # names that did not check
+    shared: dict = field(default_factory=dict)  # the canonical node of each held subterm
+
+
+_NO_AXIOMS: frozenset[str] = frozenset()  # the usage of every axiom-free declaration
 
 
 def _fail(code: str, message: str, **kw) -> CheckFailure:
@@ -787,16 +799,9 @@ def check(env: CheckEnv, ctx: Context, t: Term, ty: Term) -> Diagnostic | None:
         return e.diag
 
 
-def _constants_of(t: Term, acc: set[str]) -> set[str]:
-    if isinstance(t, Constant):
-        acc.add(t.name)
-    for s, _, _ in children(t):
-        _constants_of(s, acc)
-    return acc
-
-
 def check_declaration(env: CheckEnv, decl: Declaration) -> list[Diagnostic]:
-    """Check one resolved declaration; on success append it to the env."""
+    """Check one resolved declaration; on success share its terms and append
+    it to the env."""
     checker = Checker(env)
     try:
         checker.type_level_or_top(Context(), decl.type)
@@ -808,18 +813,18 @@ def check_declaration(env: CheckEnv, decl: Declaration) -> list[Diagnostic]:
         if d.span is None:
             d.span = decl.span
         return [d]
-    refs = _constants_of(decl.type, set())
-    if decl.body is not None:
-        _constants_of(decl.body, refs)
     usage: set[str] = set()
-    for r in refs:
-        usage |= env.axiom_usage.get(r, frozenset())
+    for r in decl.constants:
+        usage |= env.axiom_usage.get(r, _NO_AXIOMS)
         if r in env.axioms:
             usage.add(r)
+    decl.type = share(decl.type, env.shared)
+    if decl.body is not None:
+        decl.body = share(decl.body, env.shared)
     env.decls[decl.name] = decl
     if decl.body is None:
         env.axioms.add(decl.name)
-    env.axiom_usage[decl.name] = frozenset(usage)
+    env.axiom_usage[decl.name] = frozenset(usage) if usage else _NO_AXIOMS
     return []
 
 

@@ -10,7 +10,7 @@ stored in a context is valid in that whole context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import is_not, itemgetter
 
 
 class Node(tuple):
@@ -331,6 +331,7 @@ class Declaration:
     type: "Term"  # closed: the parameters are folded in
     body: "Term | None"  # None marks a postulate
     span: object = None
+    constants: tuple[str, ...] = ()  # the declarations it names, sorted
 
     @property
     def is_postulate(self) -> bool:
@@ -527,6 +528,24 @@ def children(t: Term) -> tuple[tuple[Term, int, int], ...]:
         case Split(brs):
             return tuple((b, 0, 0) for _, b in brs)
     raise AssertionError(f"children: {t!r}")
+
+
+# ---------------------------------------------------------------------------
+# Sharing
+
+def share(t: tuple, table: dict) -> tuple:
+    """``t`` with each node replaced by the canonical copy that ``table``
+    holds, adding the nodes it lacks: equal nodes shared through one table
+    are one object.  The walk is bottom-up, so a node is looked up with
+    canonical fields, and comparing it with a held node stops at their
+    identity however deep the term is.  Plain tuples (``Split`` branches)
+    are rebuilt but never keyed.  One frame per level of nesting."""
+    fields = []
+    for v in t:
+        fields.append(share(v, table) if isinstance(v, tuple) else v)
+    if any(map(is_not, fields, t)):
+        t = tuple.__new__(type(t), fields)
+    return table.setdefault(t, t) if isinstance(t, Node) else t
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,7 @@ class Resolver:
     def __init__(self, env: dict[str, object]):
         self.env = env
         self.scope: list[_Entry] = []
+        self.constants: set[str] = set()  # the names linked to a Constant
 
     # -- scope -------------------------------------------------------------
 
@@ -219,6 +220,7 @@ class Resolver:
                         f"'{name}' did not check; cannot be referenced",
                         e.span,
                     )
+                self.constants.add(name)
                 return Constant(name)
             case S.SKeyword(_, "U"):
                 return Universe(0)
@@ -487,4 +489,4 @@ def resolve(decl: S.SurfaceDecl, env: dict[str, object]) -> Declaration:
         raise ResolveError(
             "E-SCOPE", f"resolved declaration '{decl.name}' escapes its scope", decl.span
         )
-    return Declaration(decl.name, ty, body, decl.span)
+    return Declaration(decl.name, ty, body, decl.span, tuple(sorted(r.constants)))

@@ -237,21 +237,29 @@ def test_c5_mutation_suite_killed_at_target(mutant_reports):
     _report(f"C5 mutation-suite: PASS ({killed}/{len(rows)} killed at target)")
 
 
+def _round_trip(src: str, label: str) -> int:
+    """Parse, print and parse ``src``: the same skeletons and the same print."""
+    decls, diags, _ = parse_module(src)
+    assert not diags, label
+    printed = print_module(decls)
+    decls2, diags2, _ = parse_module(printed)
+    assert not diags2, label
+    assert [skeleton(d) for d in decls] == [skeleton(d) for d in decls2], label
+    assert print_module(decls2) == printed, label
+    return len(decls)
+
+
 def test_c6_parser_round_trip_fixpoint():
-    total = 0
-    for path in CORPUS_FILES:
-        src = path.read_text(encoding="utf-8")
-        decls, diags, _ = parse_module(src)
-        assert not diags, path.name
-        printed = print_module(decls)
-        decls2, diags2, _ = parse_module(printed)
-        assert not diags2, path.name
-        assert [skeleton(d) for d in decls] == [skeleton(d) for d in decls2], path.name
-        assert print_module(decls2) == printed, path.name
-        total += len(decls)
+    total = sum(_round_trip(p.read_text(encoding="utf-8"), p.name) for p in CORPUS_FILES)
     _report(
         f"C6 parser-round-trip: PASS ({len(CORPUS_FILES)} files, {total} declarations)"
     )
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_c6_parser_round_trip_fixpoint_on_generated_modules(seed, perfbench_inputs):
+    total = _round_trip(perfbench_inputs.frontend_module(seed), f"frontend_module({seed})")
+    _report(f"C6 parser-round-trip: PASS (frontend_module({seed}), {total} declarations)")
 
 
 def _json_run(hash_seed: str) -> str:

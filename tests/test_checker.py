@@ -618,6 +618,45 @@ def test_check_declaration_extends_env_and_axiom_set():
     assert env.axiom_usage["ax"] == frozenset()
 
 
+def test_declarations_with_one_telescope_hold_one_type_object():
+    env = CheckEnv()
+    decls, _, _ = parse_module(
+        "def f (A : U) (x : A) : A := x\n"
+        "def g (B : U) (y : B) : B := (λ z ↦ z) y\n"
+    )
+    assert not check_module(env, decls)
+    f, g = env.decls["f"], env.decls["g"]
+    assert f.type is g.type
+    # (λ z ↦ z) is f's body under its first binder, and y is x
+    assert g.body.body.body == App(f.body.body, Var(0))
+    assert g.body.body.body.fn is f.body.body and g.body.body.body.arg is f.body.body.body
+
+
+def _constants_oracle(t, acc: set[str]) -> set[str]:
+    if isinstance(t, Constant):
+        acc.add(t.name)
+    for s, _, _ in C.children(t):
+        _constants_oracle(s, acc)
+    return acc
+
+
+def test_resolver_records_the_constants_of_every_stdlib_declaration():
+    from stt.resolve import resolve
+
+    names: dict[str, object] = {}
+    for name in ORDER:
+        decls, diags, _ = parse_module((STDLIB / name).read_text(encoding="utf-8"))
+        assert not diags
+        for sdecl in decls:
+            decl = resolve(sdecl, names)
+            found = _constants_oracle(decl.type, set())
+            if decl.body is not None:
+                _constants_oracle(decl.body, found)
+            assert decl.constants == tuple(sorted(found)), decl.name
+            names[decl.name] = decl
+    assert len(names) > 70
+
+
 def test_check_module_failure_then_dependency():
     src = (
         "def broken (A : U) : A := A\n"

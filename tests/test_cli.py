@@ -379,6 +379,22 @@ def test_long_lambda_spine_binds_its_arguments_without_unfolding(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
+def test_a_long_lambda_spine_declared_twice_checks_twice(tmp_path):
+    # the second copy is equal to the first, which the environment already
+    # holds: finding it there must not compare the two 600-deep terms by a
+    # recursion through them
+    n = 300
+    redex = f"(λ {' '.join(f'x{i}' for i in range(n))} ↦ x0) {' '.join(['c'] * n)}"
+    f = tmp_path / "spines.stt"
+    f.write_text(
+        f"postulate T : U\npostulate c : T\ndef big : T := {redex}\ndef big2 : T := {redex}\n",
+        encoding="utf-8",
+    )
+    r = run_cli("check", "--json", str(f))
+    assert r.returncode == 0, r.stdout
+    assert json.loads(r.stdout)["summary"]["declarations"] == 4
+
+
 def test_split_overlap_pairs_spend_the_budget(tmp_path):
     # nothing unfolds; the three branches make three overlap pairs, one step each
     f = tmp_path / "split.stt"

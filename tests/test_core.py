@@ -7,6 +7,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stt import core as C
 from stt.core import (
@@ -445,3 +446,54 @@ def test_resolver_walks_a_long_redex_spine_without_recursing():
         assert isinstance(term, C.Lambda)
         term = term.body
     assert term == C.Var(n - 1)
+
+
+def _copy(t):
+    """A structurally equal term that shares no tuple with ``t``."""
+    return tuple.__new__(type(t), [_copy(v) if isinstance(v, tuple) else v for v in t])
+
+
+def _assert_same_classes(a, b):
+    assert type(a) is type(b), (a, b)
+    if isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_classes(x, y)
+
+
+def _nodes(t):
+    if isinstance(t, C.Node):
+        yield t
+    if isinstance(t, tuple):
+        for v in t:
+            yield from _nodes(v)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_share_returns_the_same_term_built_of_canonical_nodes(rng):
+    table: dict = {}
+    depth, cubes = rng.randrange(0, 3), rng.randrange(0, 3)
+    t = random_cube_term(rng, depth, cubes, rng.randrange(0, 16))
+    shared = C.share(t, table)
+    assert shared == t
+    _assert_same_classes(shared, t)
+    assert all(table[n] is n for n in _nodes(shared))
+    assert all(isinstance(k, C.Node) for k in table)  # Split branches are not keyed
+    assert C.share(shared, table) is shared
+    assert C.share(_copy(t), table) is shared
+    both = C.share(C.App(_copy(t), _copy(t)), table)
+    assert both.fn is shared and both.arg is shared
+
+
+def test_share_keeps_nodes_of_different_classes_apart():
+    table: dict = {}
+    x, b = C.Constant("x"), C.Var(1)
+    pairs = [(C.Var(0), C.Universe(0)), (C.Fst(x), C.Snd(x)), (C.Lambda(b), C.ExtLambda(b))]
+    for p, q in pairs:
+        assert hash(p) == hash(q)  # only the class tells them apart
+        sp, sq = C.share(p, table), C.share(q, table)
+        assert sp is not sq and (type(sp), type(sq)) == (type(p), type(q))
+        assert (sp, sq) == (p, q)
+    # Var(0), Universe(0), x, Fst(x), Snd(x), Var(1), Lambda(b), ExtLambda(b)
+    assert len(table) == 8

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 
 from .checker import CheckEnv, check_module
 from .diagnostics import Diagnostic
@@ -37,28 +36,28 @@ def read_failure(e: OSError | UnicodeDecodeError) -> str:
     return "not valid UTF-8" if isinstance(e, UnicodeDecodeError) else e.strerror
 
 
-@dataclass
 class FileReport:
-    path: str  # as given on the command line or via imports
-    source: str | None = None  # None if the file could not be read
-    io_error: bool = False
-    parse_diagnostics: list[Diagnostic] = field(default_factory=list)
-    check_diagnostics: list[Diagnostic] = field(default_factory=list)
-    decl_names: list[str] = field(default_factory=list)
-    postulates: frozenset[str] = frozenset()  # the accepted decl_names without a body
-    axiom_usage: dict[str, frozenset[str]] = field(default_factory=dict)
+    def __init__(self, path: str):
+        self.path = path  # as given on the command line or via imports
+        self.source: str | None = None  # None if the file could not be read
+        self.io_error = False
+        self.parse_diagnostics: list[Diagnostic] = []
+        self.check_diagnostics: list[Diagnostic] = []
+        self.decl_names: list[str] = []
+        self.postulates: frozenset[str] = frozenset()  # the accepted decl_names without a body
+        self.axiom_usage: dict[str, frozenset[str]] = {}
 
     @property
     def diagnostics(self) -> list[Diagnostic]:
         return self.parse_diagnostics + self.check_diagnostics
 
 
-@dataclass
 class BatchResult:
-    reports: dict[str, FileReport]  # keyed by normalized absolute path
-    order: list[str]  # normalized paths in deterministic processing order
-    j_fired: int = 0
-    wall_seconds: float = 0.0
+    def __init__(self, reports: dict[str, FileReport], order: list[str]):
+        self.reports = reports  # keyed by normalized absolute path
+        self.order = order  # normalized paths in deterministic processing order
+        self.j_fired = 0
+        self.wall_seconds = 0.0
 
     @property
     def files_read(self) -> int:

@@ -57,7 +57,6 @@ them, which keeps anything keyed by node identity during the check valid.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic
 from .core import (
@@ -115,17 +114,17 @@ class UnfoldDepthExceeded(Exception):
         return Diagnostic("error", "E-UNFOLD-DEPTH", "unfold depth limit exceeded")
 
 
-@dataclass
 class CheckEnv:
     """Append-only table of accepted declarations plus per-run settings."""
 
-    decls: dict[str, Declaration] = field(default_factory=dict)
-    axioms: set[str] = field(default_factory=set)
-    axiom_usage: dict[str, frozenset[str]] = field(default_factory=dict)
-    max_unfold: int = 10_000
-    j_fired: int = 0  # identity-eliminator computation counter
-    failed: set[str] = field(default_factory=set)  # names that did not check
-    shared: dict = field(default_factory=dict)  # the canonical node of each held subterm
+    def __init__(self, max_unfold: int = 10_000, shared: dict | None = None):
+        self.decls: dict[str, Declaration] = {}
+        self.axioms: set[str] = set()
+        self.axiom_usage: dict[str, frozenset[str]] = {}
+        self.max_unfold = max_unfold
+        self.j_fired = 0  # identity-eliminator computation counter
+        self.failed: set[str] = set()  # names that did not check
+        self.shared = {} if shared is None else shared  # the canonical node of each held subterm
 
 
 _NO_AXIOMS: frozenset[str] = frozenset()  # the usage of every axiom-free declaration
@@ -801,7 +800,7 @@ def check(env: CheckEnv, ctx: Context, t: Term, ty: Term) -> Diagnostic | None:
 
 def check_declaration(env: CheckEnv, decl: Declaration) -> list[Diagnostic]:
     """Check one resolved declaration; on success share its terms and append
-    it to the env."""
+    it to the env.  A failure's diagnostic has no span (see ``check_module``)."""
     checker = Checker(env)
     try:
         checker.type_level_or_top(Context(), decl.type)
@@ -810,8 +809,6 @@ def check_declaration(env: CheckEnv, decl: Declaration) -> list[Diagnostic]:
     except (CheckFailure, UnfoldDepthExceeded) as e:
         d = e.diag
         d.decl = decl.name
-        if d.span is None:
-            d.span = decl.span
         return [d]
     usage: set[str] = set()
     for r in decl.constants:
@@ -841,7 +838,9 @@ def check_module(env: CheckEnv, decls: Iterable, import_failed: bool = False) ->
     resolver or the kernel to recurse through is reported as
     E-NESTING-DEPTH, a resource limit, like one too deep to parse.  When an
     ``#import`` of the file failed, a name that cannot be found is blamed on
-    that import, as E-DEPENDS-ON-FAILED.
+    that import, as E-DEPENDS-ON-FAILED.  A diagnostic without a span of its
+    own, which is every kernel failure, gets its surface declaration's span;
+    the core ``Declaration`` that is stored keeps no span.
     """
     from .resolve import FAILED, ResolveError, resolve
 
@@ -860,12 +859,14 @@ def check_module(env: CheckEnv, decls: Iterable, import_failed: bool = False) ->
             code, message = e.code, e.message
             if code == "E-UNBOUND-NAME" and import_failed:
                 code, message = "E-DEPENDS-ON-FAILED", f"{message}; an #import of this file failed"
-            errs = [Diagnostic("error", code, message, span=e.span or sdecl.span)]
+            errs = [Diagnostic("error", code, message, span=e.span)]
         except RecursionError:
             message = "declaration is nested too deeply to check"
-            errs = [Diagnostic("error", "E-NESTING-DEPTH", message, span=sdecl.span)]
+            errs = [Diagnostic("error", "E-NESTING-DEPTH", message)]
         for d in errs:
             d.decl = sdecl.name
+            if d.span is None:
+                d.span = sdecl.span
         if errs:
             diags.extend(errs)
             name_table[sdecl.name] = FAILED

@@ -11,7 +11,9 @@ thread.
 Exit codes: 0 clean, 1 type errors, 2 I/O or parse failure of any input
 (including ``E-NESTING-DEPTH`` for a declaration nested too deeply to parse
 or check), a bad flag value, or an internal error, which is reported as one
-``E-INTERNAL`` diagnostic on stderr instead of a traceback.
+``E-INTERNAL`` diagnostic on stderr instead of a traceback.  ``traceback``
+is imported only on that path, to name where the fault was raised, so a
+normal run never loads it.
 
 The cyclic garbage collector is off while ``main`` runs and is left as it
 was found on every exit path.  Syntax trees, tokens and spans are tuple
@@ -26,7 +28,6 @@ import gc
 import json
 import os
 import sys
-import traceback
 
 from .batch import BatchResult, check_files
 from .corpus import corpus_check
@@ -205,6 +206,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         return args.fn(args)
     except Exception as e:  # a fault in stt, not in the input: no traceback
+        import traceback
+
         where = traceback.extract_tb(e.__traceback__)[-1]
         message = f"internal error: {type(e).__name__}: {e}"
         message += f" (raised at {os.path.basename(where.filename)}:{where.lineno})"

@@ -9,7 +9,6 @@ stored in a context is valid in that whole context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import is_not, itemgetter
 
 
@@ -289,17 +288,21 @@ U1 = Universe(1)
 # ---------------------------------------------------------------------------
 # Context and declarations
 
-@dataclass(frozen=True)
 class Context:
     """Three-zone typing context: cube sorts, tope constraints, term types.
 
     Tuples grow on the right; de Bruijn index i of a layer refers to entry
-    ``zone[len(zone) - 1 - i]``.
+    ``zone[len(zone) - 1 - i]``.  A context is never mutated.  The kernel
+    builds one per binder and reads it in every rule, so it is a slotted
+    class: it builds faster than a frozen dataclass or a ``NamedTuple``, and
+    reads its fields faster than a ``NamedTuple``.
     """
 
-    cubes: tuple[Cube, ...] = ()
-    topes: tuple[Tope, ...] = ()
-    terms: tuple[tuple["Term", "Term | None"], ...] = ()
+    __slots__ = ("cubes", "topes", "terms")
+
+    def __init__(self, cubes: tuple[Cube, ...] = (), topes: tuple[Tope, ...] = (),
+                 terms: tuple[tuple["Term", "Term | None"], ...] = ()):
+        self.cubes, self.topes, self.terms = cubes, topes, terms
 
     def extend_cube(self, cube: Cube) -> "Context":
         # existing tope and term entries gain a fresh cube variable at index 0
@@ -325,13 +328,14 @@ class Context:
         return weaken(d, index + 1, 0) if d is not None else None
 
 
-@dataclass
 class Declaration:
-    name: str
-    type: "Term"  # closed: the parameters are folded in
-    body: "Term | None"  # None marks a postulate
-    span: object = None
-    constants: tuple[str, ...] = ()  # the declarations it names, sorted
+    __slots__ = ("name", "type", "body", "constants")
+
+    def __init__(self, name: str, type: "Term", body: "Term | None", constants=()):
+        self.name = name
+        self.type = type  # closed: the parameters are folded in
+        self.body = body  # None marks a postulate
+        self.constants: tuple[str, ...] = constants  # the declarations it names, sorted
 
     @property
     def is_postulate(self) -> bool:

@@ -10,16 +10,15 @@ status.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .batch import check_files, read_failure
 from .diagnostics import Diagnostic
 from .lexer import Span
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     file: str
     name: str
     anchor: str
@@ -27,10 +26,9 @@ class ManifestEntry:
     tier: str  # PROVED | STATED
 
 
-@dataclass
 class CorpusManifest:
-    path: str
-    entries: list[ManifestEntry]
+    def __init__(self, path: str, entries: list[ManifestEntry]):
+        self.path, self.entries = path, entries
 
     def files(self) -> list[str]:
         out: list[str] = []
@@ -40,25 +38,24 @@ class CorpusManifest:
         return out
 
 
-@dataclass
 class EntryResult:
-    entry: ManifestEntry
-    status: str  # ok | rejected | missing | axiom-violation | tier-violation
-    axioms: frozenset[str] = frozenset()
-    detail: str = ""
+    def __init__(self, entry: ManifestEntry, status: str, axioms=frozenset(), detail=""):
+        self.entry, self.axioms, self.detail = entry, axioms, detail
+        self.status = status  # ok | rejected | missing | axiom-violation | tier-violation
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
 
-@dataclass
 class CorpusReport:
-    manifest: CorpusManifest
-    results: list[EntryResult] = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
-    wall_seconds: float = 0.0
-    input_failure: bool = False  # an unreadable or unparsable manifest or corpus file
+    def __init__(self, manifest: CorpusManifest, diagnostics: list | None = None,
+                 input_failure: bool = False):
+        self.manifest = manifest
+        self.results: list[EntryResult] = []
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.wall_seconds = 0.0
+        self.input_failure = input_failure  # an unreadable or unparsable manifest or corpus file
 
     @property
     def ok(self) -> bool:

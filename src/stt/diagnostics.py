@@ -2,22 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lexer import Span
 
 
-@dataclass
 class Diagnostic:
-    severity: str  # "error" | "warning"
-    code: str  # stable, e.g. E-TYPE-MISMATCH
-    message: str
-    span: Span | None = None
-    file: str | None = None
-    expected: str | None = None  # pretty-printed expected term
-    actual: str | None = None  # pretty-printed actual term
-    countermodel: dict[str, str] | None = None  # atom name -> value
-    decl: str | None = None  # enclosing declaration, when known
+    __slots__ = ("severity", "code", "message", "span", "file", "expected", "actual",
+                 "countermodel", "decl")
+
+    def __init__(self, severity: str, code: str, message: str, span: Span | None = None,
+                 file: str | None = None, expected: str | None = None, actual: str | None = None,
+                 countermodel: dict[str, str] | None = None, decl: str | None = None):
+        self.severity = severity  # "error" | "warning"
+        self.code = code  # stable, e.g. E-TYPE-MISMATCH
+        self.message, self.span, self.file = message, span, file
+        self.expected = expected  # pretty-printed expected term
+        self.actual = actual  # pretty-printed actual term
+        self.countermodel = countermodel  # atom name -> value
+        self.decl = decl  # enclosing declaration, when known
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"Diagnostic({fields})"
 
     def sort_key(self) -> tuple:
         s = self.span

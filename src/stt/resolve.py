@@ -9,8 +9,6 @@ folded into a closed type and body, so a declaration's interface is a single
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lexer import Span
 from . import surface as S
 from .core import (
@@ -72,10 +70,12 @@ class ResolveError(Exception):
 FAILED = object()  # env marker for declarations that did not check
 
 
-@dataclass
 class _Entry:
-    layer: str  # "term" | "cube"
-    names: tuple[str, ...]  # one name, or the two coordinates of a pair
+    __slots__ = ("layer", "names")
+
+    def __init__(self, layer: str, names: tuple[str, ...]):
+        self.layer = layer  # "term" | "cube"
+        self.names = names  # one name, or the two coordinates of a pair
 
 
 class Resolver:
@@ -489,4 +489,4 @@ def resolve(decl: S.SurfaceDecl, env: dict[str, object]) -> Declaration:
         raise ResolveError(
             "E-SCOPE", f"resolved declaration '{decl.name}' escapes its scope", decl.span
         )
-    return Declaration(decl.name, ty, body, decl.span, tuple(sorted(r.constants)))
+    return Declaration(decl.name, ty, body, tuple(sorted(r.constants)))

@@ -17,7 +17,7 @@ reaches ``_MEMO_MAX`` entries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     Cube,
@@ -48,8 +48,7 @@ from .core import (
 Atom = tuple[int, tuple[int, ...]]  # (declaration position, projection path)
 
 
-@dataclass(frozen=True)
-class WeakOrderModel:
+class WeakOrderModel(NamedTuple):
     """One weak ordering of the atoms within the closed chain 0 < 1.
 
     Rank 0 is the bottom, rank ``levels + 1`` the top, and ranks 1..levels

@@ -104,14 +104,14 @@ def test_forward_reference_to_a_later_parse_failure_is_unbound(tmp_path):
     assert batch.exit_code() == 2
 
 
-def test_frontend_peak_memory_stays_under_three_tenths_of_the_surface_tree(
+def test_frontend_peak_memory_stays_under_a_quarter_of_the_surface_tree(
     tmp_path, perfbench_inputs
 ):
     """``check_files`` parses, resolves and checks one declaration at a time,
-    so on a 2000-declaration module it peaks at under 0.3 of the surface
+    so on a 2000-declaration module it peaks at under 0.25 of the surface
     tree that ``parse_module`` keeps for the same source: the core
-    declarations it keeps are smaller than their syntax, and hold one object
-    for each distinct subterm."""
+    declarations it keeps are smaller than their syntax, hold one object
+    for each distinct subterm, and carry no span."""
     source = perfbench_inputs.frontend_module(3)
     path = tmp_path / "generated.stt"
     path.write_text(source, encoding="utf-8")
@@ -128,4 +128,4 @@ def test_frontend_peak_memory_stays_under_three_tenths_of_the_surface_tree(
     finally:
         tracemalloc.stop()
     assert batch.exit_code() == 0
-    assert peak <= 0.3 * surface, (peak, surface)
+    assert peak <= 0.25 * surface, (peak, surface)

@@ -7,6 +7,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -475,6 +476,20 @@ def test_internal_error_is_one_diagnostic(monkeypatch, capsys):
     assert "broken on purpose" in err
     assert "test_cli.py" in err  # names where it was raised
     assert "Traceback" not in err
+
+
+def test_import_loads_neither_dataclasses_nor_traceback():
+    # -S keeps the host's site hooks, which may import these, out of the check
+    probe = "import stt.cli, sys; print(sorted(m for m in {} if m in sys.modules))"
+    heavy = ("dataclasses", "inspect", "traceback")
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", probe.format(heavy)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def _broken_check_files(monkeypatch):

@@ -127,16 +127,14 @@ class CheckEnv:
         self.shared = {} if shared is None else shared  # the canonical node of each held subterm
 
 
+# what a declaration's check may raise, each with the diagnostic it reports
+_FAILURES = (CheckFailure, UnfoldDepthExceeded, T.TopeSortError)
+
 _NO_AXIOMS: frozenset[str] = frozenset()  # the usage of every axiom-free declaration
 
 
 def _fail(code: str, message: str, **kw) -> CheckFailure:
     return CheckFailure(Diagnostic("error", code, message, **kw))
-
-
-def _atom_name(atom: T.Atom) -> str:
-    pos, path = atom
-    return f"x{pos}" + "".join("." + ("1" if c == 0 else "2") for c in path)
 
 
 def _simplify_tope(t: Tope) -> Tope:
@@ -148,10 +146,6 @@ def _simplify_tope(t: Tope) -> Tope:
             return type(t)(_simplify_tope(l), _simplify_tope(r))
         case _:
             return t
-
-
-def _countermodel_map(model: T.WeakOrderModel) -> dict[str, str]:
-    return {_atom_name(a): v for a, v in model.value_strings().items()}
 
 
 class Checker:
@@ -213,7 +207,7 @@ class Checker:
                     t = red
                 case Split(brs):
                     for tp, b in brs:
-                        if T.tope_entails(ctx.cubes, list(ctx.topes), tp):
+                        if T.tope_entails(ctx.cubes, ctx.topes, tp):
                             self._budget()
                             t = b
                             break
@@ -248,7 +242,7 @@ class Checker:
                 if not isinstance(tyw, ExtType):
                     return None
                 bt_at_p = subst_tope_point(tyw.boundary_tope, 0, p)
-                if not T.tope_entails(ctx.cubes, list(ctx.topes), bt_at_p):
+                if not T.tope_entails(ctx.cubes, ctx.topes, bt_at_p):
                     return None
                 self._budget()
                 return subst_cube(tyw.boundary, 0, p)
@@ -285,7 +279,7 @@ class Checker:
                     return None
                 match t, u:
                     case ExtApp(_, p1), ExtApp(_, p2):
-                        if not T.tope_entails(ctx.cubes, list(ctx.topes), TopeEq(p1, p2)):
+                        if not T.tope_entails(ctx.cubes, ctx.topes, TopeEq(p1, p2)):
                             return None
                     case IndPath(m1, d1, _), IndPath(m2, d2, _):
                         ctx3 = ctx.extend_term(_OPAQUE).extend_term(_OPAQUE).extend_term(_OPAQUE)
@@ -326,7 +320,7 @@ class Checker:
     def _equal(self, ctx: Context, t: Term, u: Term, ty: Term | None) -> bool:
         if t == u:
             return True
-        if not T.tope_consistent(ctx.cubes, list(ctx.topes)):
+        if not T.tope_consistent(ctx.cubes, ctx.topes):
             return True
         branches = self._split_or_hypothesis(ctx)
         if branches is not None:
@@ -382,7 +376,7 @@ class Checker:
             case (ExtType(sh1, c1, bt1, bd1), ExtType(sh2, c2, bt2, bd2)):
                 if sh1.cube != sh2.cube:
                     return False
-                cubes = list(ctx.cubes) + [sh1.cube]
+                cubes = ctx.cubes + (sh1.cube,)
                 if not T.tope_iff(cubes, sh1.constraint, sh2.constraint):
                     return False
                 ctx2 = ctx.extend_cube(sh1.cube)
@@ -501,13 +495,13 @@ class Checker:
                 actual=str(sort),
             )
         constraint_at_p = subst_tope_point(sh.constraint, 0, p)
-        if not T.tope_entails(ctx.cubes, list(ctx.topes), constraint_at_p):
-            cm = T.countermodel(ctx.cubes, list(ctx.topes), constraint_at_p)
+        if not T.tope_entails(ctx.cubes, ctx.topes, constraint_at_p):
+            cm = T.countermodel(ctx.cubes, ctx.topes, constraint_at_p)
             raise _fail(
                 "E-TOPE-FALSE",
                 "point is not constrained into the shape",
                 expected=print_tope(_simplify_tope(constraint_at_p), len(ctx.cubes)),
-                countermodel=_countermodel_map(cm) if cm else None,
+                countermodel=None if cm is None else cm.value_strings(),
             )
 
     def _infer_spine(self, ctx: Context, t: Term) -> Term:
@@ -584,7 +578,7 @@ class Checker:
         sub-shape of its shape, ``codomain_rule`` accepts its codomain, whose
         result is returned, and the boundary value has the codomain type."""
         sh = e.shape
-        cubes = list(ctx.cubes) + [sh.cube]
+        cubes = ctx.cubes + (sh.cube,)
         if not T.tope_entails(cubes, [e.boundary_tope], sh.constraint):
             raise _fail(
                 "E-BOUNDARY",
@@ -597,7 +591,7 @@ class Checker:
 
     def check(self, ctx: Context, t: Term, ty: Term) -> None:
         # glue: under unsatisfiable constraints everything checks
-        if ctx.topes and not T.tope_consistent(ctx.cubes, list(ctx.topes)):
+        if ctx.topes and not T.tope_consistent(ctx.cubes, ctx.topes):
             return
         tyw = self.whnf(ctx, ty)
         former, message, _ = _INTRO.get(type(t), (object, "", ""))
@@ -613,16 +607,13 @@ class Checker:
                 self.check(ctx2.extend_tope(sh.constraint), body, tyw.codomain)
                 ctxb = ctx2.extend_tope(tyw.boundary_tope)
                 if not self.def_equal(ctxb, body, tyw.boundary, tyw.codomain):
-                    cm = None
-                    model = T.countermodel(ctxb.cubes, list(ctxb.topes), BOT)
-                    if model is not None:
-                        cm = _countermodel_map(model)
+                    cm = T.countermodel(ctxb.cubes, ctxb.topes, BOT)
                     raise _fail(
                         "E-BOUNDARY",
                         "body disagrees with the required boundary value",
                         expected=print_term(tyw.boundary, ctxb),
                         actual=print_term(body, ctxb),
-                        countermodel=cm,
+                        countermodel=None if cm is None else cm.value_strings(),
                     )
                 return
             case Pair(a, b):
@@ -646,12 +637,12 @@ class Checker:
                 cover: Tope = BOT
                 for tp, _ in brs:
                     cover = TopeOr(cover, tp)
-                if not T.tope_entails(ctx.cubes, list(ctx.topes), cover):
-                    cm = T.countermodel(ctx.cubes, list(ctx.topes), cover)
+                if not T.tope_entails(ctx.cubes, ctx.topes, cover):
+                    cm = T.countermodel(ctx.cubes, ctx.topes, cover)
                     raise _fail(
                         "E-SPLIT",
                         "split branches do not cover the constraints in force",
-                        countermodel=_countermodel_map(cm) if cm else None,
+                        countermodel=None if cm is None else cm.value_strings(),
                     )
                 for tp, b in brs:
                     self.check(ctx.extend_tope(tp), b, ty)
@@ -794,7 +785,7 @@ def check(env: CheckEnv, ctx: Context, t: Term, ty: Term) -> Diagnostic | None:
     try:
         Checker(env).check(ctx, t, ty)
         return None
-    except (CheckFailure, UnfoldDepthExceeded) as e:
+    except _FAILURES as e:
         return e.diag
 
 
@@ -806,7 +797,7 @@ def check_declaration(env: CheckEnv, decl: Declaration) -> list[Diagnostic]:
         checker.type_level_or_top(Context(), decl.type)
         if decl.body is not None:
             checker.check(Context(), decl.body, decl.type)
-    except (CheckFailure, UnfoldDepthExceeded) as e:
+    except _FAILURES as e:
         d = e.diag
         d.decl = decl.name
         return [d]

@@ -10,7 +10,6 @@ status.
 from __future__ import annotations
 
 import os
-from importlib import resources
 from typing import NamedTuple
 
 from .batch import check_files, read_failure
@@ -63,7 +62,7 @@ class CorpusReport:
 
 
 def default_manifest_path() -> str:
-    return str(resources.files("stt").joinpath("stdlib/manifest.txt"))
+    return os.path.join(os.path.dirname(__file__), "stdlib", "manifest.txt")
 
 
 class ManifestError(Exception):

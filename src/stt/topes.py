@@ -1,25 +1,39 @@
 """Decision procedure for the constraint logic of the directed interval.
 
-Hypotheses and goals are built from <=, ===, /\\, \\/, TOP, BOT over interval
-coordinates and the constants 0, 1.  The axioms of the theory say <= is a
-bounded total order with bottom 0 and top 1, so a query has a countermodel
-iff it has one among the finite weak orderings of the coordinates it
-mentions.  The backend therefore enumerates those orderings exhaustively;
-soundness and completeness hold by construction, and exactness is cheap
-because realistic queries involve at most four coordinates.
+Hypotheses and goals are built from <=, ===, /\\, \\/, TOP, BOT over cube
+points.  The axioms of the theory say <= is a bounded total order on the
+interval with bottom 0 and top 1, so a query has a countermodel iff it has
+one among the finite weak orderings of the interval coordinates it mentions.
+The backend therefore enumerates those orderings exhaustively; soundness and
+completeness hold by construction, and exactness is cheap because realistic
+queries involve at most four coordinates.
 
-Verdicts are memoized on the query as asked: the cube context, the
-hypotheses in their given order and the goal, with no canonical form, so a
-reordered or renamed query is a new entry.  The memo is cleared when it
-reaches ``_MEMO_MAX`` entries.
+A query is first compiled, in one walk over each core tope (``_numbered``),
+to a numbered tope over value slots.  The walk reduces projections of pairs
+(``norm_point``), names each interval coordinate by its cube variable's
+declaration position and its projection path, splits ``===`` on a product
+sort componentwise and turns ``===`` on the unit sort into TOP.  It also
+checks sorts: ``<=`` relates two interval points and ``===`` two points of
+one sort; anything else raises ``TopeSortError``, which the checker reports
+as ``E-POINT-SORT``.
+
+Verdicts and countermodels are answered by one query, ``_first_violation``:
+the first model of the hypotheses, over the mentioned coordinates in sorted
+order, that violates the goal.  ``tope_entails`` memoizes whether there is
+none, keyed on the query as asked: the cube context, the hypotheses in their
+given order and the goal, with no canonical form, so a reordered or renamed
+query is a new entry.  The memo is cleared when it reaches ``_MEMO_MAX``
+entries.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .core import (
+    INTERVAL,
     Cube,
     CubeInterval,
     CubePoint,
@@ -40,12 +54,27 @@ from .core import (
     TopeOr,
     TopeTop,
     Zero,
-    TOP,
     BOT,
 )
 
 
 Atom = tuple[int, tuple[int, ...]]  # (declaration position, projection path)
+
+
+class TopeSortError(Exception):
+    """A tope relates points of the wrong sorts."""
+
+    def __init__(self, relation: str, expected: Cube | None, actual: Cube | None):
+        super().__init__(f"'{relation}' relates points of the wrong sorts")
+        self.expected, self.actual = str(expected), str(actual)
+
+    @property
+    def diag(self) -> Diagnostic:
+        from .diagnostics import Diagnostic  # here, so the solver alone loads no lexer
+
+        return Diagnostic(
+            "error", "E-POINT-SORT", str(self), expected=self.expected, actual=self.actual
+        )
 
 
 class WeakOrderModel(NamedTuple):
@@ -58,30 +87,35 @@ class WeakOrderModel(NamedTuple):
     levels: int
     assignment: tuple[tuple[Atom, int], ...]
 
-    def satisfies(self, tope: Tope) -> bool:
-        """Whether the model satisfies a tope in atomic form over its atoms."""
+    def satisfies(self, cube_context: Sequence[Cube], tope: Tope) -> bool:
+        """Whether the model satisfies a tope over ``cube_context`` whose
+        coordinates are among its atoms."""
         table = {a: k for k, (a, _) in enumerate(self.assignment, 2)}
         ranks = tuple(r for _, r in self.assignment)
-        return _holds(_numbered(tope, table), (0, self.levels + 1, *ranks))
+        return _holds(_numbered(cube_context, tope, table), (0, self.levels + 1, *ranks))
 
-    def value_strings(self) -> dict[Atom, str]:
+    def value_strings(self) -> dict[str, str]:
+        """Each atom's printed name mapped to its value.  ``x0.1`` is the
+        first component of the first declared cube variable; a value is
+        ``0``, ``1``, ``mid`` or, with several middle levels, ``mid<rank>``."""
         out = {}
-        for a, r in self.assignment:
+        for (pos, path), r in self.assignment:
+            name = f"x{pos}" + "".join(".1" if c == 0 else ".2" for c in path)
             if r == 0:
-                out[a] = "0"
+                out[name] = "0"
             elif r == self.levels + 1:
-                out[a] = "1"
+                out[name] = "1"
             elif self.levels == 1:
-                out[a] = "mid"
+                out[name] = "mid"
             else:
-                out[a] = f"mid{r}"
+                out[name] = f"mid{r}"
         return out
 
 
 # ---------------------------------------------------------------------------
-# Atoms and normalization
+# Atoms and points
 
-def atoms(cube_context: list[Cube] | tuple[Cube, ...]) -> list[Atom]:
+def atoms(cube_context: Sequence[Cube]) -> list[Atom]:
     """Flatten a cube context into interval coordinates, declaration order.
 
     Position j in the result names coordinates of the j-th declared cube
@@ -123,25 +157,7 @@ def norm_point(p: CubePoint) -> CubePoint:
             return p
 
 
-def _atom_of(p: CubePoint) -> Atom:
-    # p must be a projection chain over a cube variable, already normalized,
-    # with indices rewritten to declaration positions
-    path: list[int] = []
-    while True:
-        match p:
-            case PointFst(q):
-                path.append(0)
-                p = q
-            case PointSnd(q):
-                path.append(1)
-                p = q
-            case CubeVar(i):
-                return (i, tuple(reversed(path)))
-            case _:
-                raise AssertionError(f"not an atomic coordinate: {p!r}")
-
-
-def sort_of_point(cube_context: tuple[Cube, ...], p: CubePoint) -> Cube | None:
+def sort_of_point(cube_context: Sequence[Cube], p: CubePoint) -> Cube | None:
     """Structural sort of a point, or None if ill-sorted."""
     match p:
         case CubeVar(i):
@@ -167,65 +183,8 @@ def sort_of_point(cube_context: tuple[Cube, ...], p: CubePoint) -> Cube | None:
     return None
 
 
-def _positionalize(p: CubePoint, depth: int) -> CubePoint:
-    # rewrite de Bruijn cube indices to declaration positions so atom names
-    # are stable regardless of context depth
-    match p:
-        case CubeVar(i):
-            return CubeVar(depth - 1 - i)
-        case PointPair(a, b):
-            return PointPair(_positionalize(a, depth), _positionalize(b, depth))
-        case PointFst(q):
-            return PointFst(_positionalize(q, depth))
-        case PointSnd(q):
-            return PointSnd(_positionalize(q, depth))
-        case _:
-            return p
-
-
-def normalize_tope(cube_context: tuple[Cube, ...], t: Tope) -> Tope:
-    """Reduce a tope to atomic form: comparisons mention only 0, 1, and
-    projection chains over positional variables; product equations are
-    expanded componentwise and unit equations collapse to TOP."""
-    ctx = tuple(cube_context)
-    depth = len(ctx)
-
-    def finalize(p: CubePoint) -> CubePoint:
-        return norm_point(_positionalize(p, depth))
-
-    def norm_eq(l: CubePoint, r: CubePoint) -> Tope:
-        sort = sort_of_point(ctx, l)
-        if sort is None:
-            sort = sort_of_point(ctx, r)
-        match sort:
-            case CubeUnit():
-                return TOP
-            case CubeProd(_, _):
-                return TopeAnd(
-                    norm_eq(PointFst(l), PointFst(r)), norm_eq(PointSnd(l), PointSnd(r))
-                )
-            case _:
-                return TopeEq(finalize(l), finalize(r))
-
-    def norm(t: Tope) -> Tope:
-        match t:
-            case TopeTop() | TopeBottom():
-                return t
-            case TopeLeq(l, r):
-                return TopeLeq(finalize(l), finalize(r))
-            case TopeEq(l, r):
-                return norm_eq(l, r)
-            case TopeAnd(l, r):
-                return TopeAnd(norm(l), norm(r))
-            case TopeOr(l, r):
-                return TopeOr(norm(l), norm(r))
-        raise AssertionError(f"normalize_tope: {t!r}")
-
-    return norm(t)
-
-
 # ---------------------------------------------------------------------------
-# Evaluation on rank tuples
+# Compilation to numbered topes, and evaluation on value vectors
 #
 # A query is decided on value vectors ``(0, top, r_0, ..., r_{n-1})``: slot 0
 # holds the rank of 0, slot 1 the rank of 1 and slot k + 2 the rank of atom k.
@@ -234,32 +193,59 @@ def normalize_tope(cube_context: tuple[Cube, ...], t: Tope) -> Tope:
 # combine numbered topes, and TOP and BOT are ``0 <= 1`` and ``1 <= 0``.
 
 
-def _numbered(t: Tope, table: dict[Atom, int]) -> tuple:
-    """A tope in atomic form with its atoms replaced by slots from the table;
-    an atom not yet in the table gets the next free slot."""
-
-    def slot(p: CubePoint) -> int:
-        match p:
-            case Zero():
-                return 0
-            case One():
-                return 1
-        return table.setdefault(_atom_of(p), len(table) + 2)
-
+def _numbered(cube_context: Sequence[Cube], t: Tope, table: dict[Atom, int]) -> tuple:
+    """The core tope ``t`` over ``cube_context`` with its coordinates
+    replaced by slots from the table; a coordinate not yet in the table gets
+    the next free slot.  Raises ``TopeSortError`` on an ill-sorted
+    comparison."""
     match t:
         case TopeTop():
             return ("<=", 0, 1)
         case TopeBottom():
             return ("<=", 1, 0)
         case TopeLeq(l, r):
-            return ("<=", slot(l), slot(r))
+            for p in (l, r):
+                sort = sort_of_point(cube_context, p)
+                if sort != INTERVAL:
+                    raise TopeSortError("≤", INTERVAL, sort)
+            depth = len(cube_context)
+            return ("<=", _slot(depth, l, table), _slot(depth, r, table))
         case TopeEq(l, r):
-            return ("=", slot(l), slot(r))
+            sort, other = sort_of_point(cube_context, l), sort_of_point(cube_context, r)
+            if sort is None or sort != other:
+                raise TopeSortError("≡", sort, other)
+            match sort:
+                case CubeUnit():
+                    return ("<=", 0, 1)
+                case CubeProd():
+                    return (
+                        "and",
+                        _numbered(cube_context, TopeEq(PointFst(l), PointFst(r)), table),
+                        _numbered(cube_context, TopeEq(PointSnd(l), PointSnd(r)), table),
+                    )
+            depth = len(cube_context)
+            return ("=", _slot(depth, l, table), _slot(depth, r, table))
         case TopeAnd(l, r):
-            return ("and", _numbered(l, table), _numbered(r, table))
+            return ("and", _numbered(cube_context, l, table), _numbered(cube_context, r, table))
         case TopeOr(l, r):
-            return ("or", _numbered(l, table), _numbered(r, table))
+            return ("or", _numbered(cube_context, l, table), _numbered(cube_context, r, table))
     raise AssertionError(f"_numbered: {t!r}")
+
+
+def _slot(depth: int, p: CubePoint, table: dict[Atom, int]) -> int:
+    # p is an interval point, so once normalized it is 0, 1 or a projection
+    # chain over a cube variable, named by the variable's declaration position
+    p = norm_point(p)
+    match p:
+        case Zero():
+            return 0
+        case One():
+            return 1
+    path: list[int] = []
+    while not isinstance(p, CubeVar):
+        path.append(0 if isinstance(p, PointFst) else 1)
+        p = p.point
+    return table.setdefault((depth - 1 - p.index, tuple(reversed(path))), len(table) + 2)
 
 
 def _holds(t: tuple, v: tuple[int, ...]) -> bool:
@@ -293,11 +279,14 @@ def _model(atom_list: list[Atom], v: tuple[int, ...]) -> WeakOrderModel:
     return WeakOrderModel(v[1] - 1, tuple(zip(atom_list, v[2:])))
 
 
-def enumerate_models(atom_list: list[Atom], hypotheses: list[Tope]) -> list[WeakOrderModel]:
+def enumerate_models(
+    cube_context: Sequence[Cube], atom_list: list[Atom], hypotheses: Sequence[Tope]
+) -> list[WeakOrderModel]:
     """All weak orderings of the atoms in the closed chain satisfying the
-    hypotheses.  Hypotheses must be in atomic form over ``atom_list``."""
+    hypotheses, core topes over ``cube_context`` whose coordinates are
+    among ``atom_list``."""
     table = {a: k for k, a in enumerate(atom_list, 2)}
-    hyps = [_numbered(h, table) for h in hypotheses]
+    hyps = [_numbered(cube_context, h, table) for h in hypotheses]
     return [_model(atom_list, v) for v in _models(len(atom_list), hyps)]
 
 
@@ -308,59 +297,54 @@ _memo: dict[object, bool] = {}
 _MEMO_MAX = 1 << 16  # cleared when full; C1 fills about 33.7k entries, a corpus run 105
 
 
-def _numbered_query(
-    cube_context: tuple[Cube, ...], hypotheses: list[Tope], goal: Tope, table: dict[Atom, int]
-) -> tuple[list[tuple], tuple]:
-    hyps = [_numbered(normalize_tope(cube_context, h), table) for h in hypotheses]
-    return hyps, _numbered(normalize_tope(cube_context, goal), table)
+def _first_violation(
+    cube_context: Sequence[Cube], hypotheses: Sequence[Tope], goal: Tope
+) -> tuple[list[Atom], tuple[int, ...] | None]:
+    """The atoms the query mentions, in sorted order, and the first value
+    vector over them that satisfies the hypotheses but violates the goal, or
+    None when the hypotheses entail the goal."""
+    table: dict[Atom, int] = {}
+    while True:  # slots go in first-occurrence order; a second pass sorts them
+        hyps = [_numbered(cube_context, h, table) for h in hypotheses]
+        ngoal = _numbered(cube_context, goal, table)
+        mentioned = sorted(table)
+        if list(table) == mentioned:
+            break
+        table = {a: k for k, a in enumerate(mentioned, 2)}
+    violations = (v for v in _models(len(mentioned), hyps) if not _holds(ngoal, v))
+    return mentioned, next(violations, None)
 
 
-def tope_entails(
-    cube_context: list[Cube] | tuple[Cube, ...], hypotheses: list[Tope], goal: Tope
-) -> bool:
+def tope_entails(cube_context: Sequence[Cube], hypotheses: Sequence[Tope], goal: Tope) -> bool:
     """True iff every weak-order model of the hypotheses satisfies the goal."""
     ctx = tuple(cube_context)
     key = (ctx, tuple(hypotheses), goal)
     hit = _memo.get(key)
     if hit is not None:
         return hit
-    table: dict[Atom, int] = {}
-    hyps, ngoal = _numbered_query(ctx, hypotheses, goal, table)
-    result = all(_holds(ngoal, v) for v in _models(len(table), hyps))
+    result = _first_violation(ctx, hypotheses, goal)[1] is None
     if len(_memo) >= _MEMO_MAX:
         _memo.clear()
     _memo[key] = result
     return result
 
 
-def tope_consistent(
-    cube_context: list[Cube] | tuple[Cube, ...], hypotheses: list[Tope]
-) -> bool:
+def tope_consistent(cube_context: Sequence[Cube], hypotheses: Sequence[Tope]) -> bool:
     """True iff the hypotheses admit at least one model."""
     return not tope_entails(cube_context, hypotheses, BOT)
 
 
-def tope_iff(
-    cube_context: list[Cube] | tuple[Cube, ...], lhs: Tope, rhs: Tope
-) -> bool:
+def tope_iff(cube_context: Sequence[Cube], lhs: Tope, rhs: Tope) -> bool:
     return tope_entails(cube_context, [lhs], rhs) and tope_entails(cube_context, [rhs], lhs)
 
 
 def countermodel(
-    cube_context: list[Cube] | tuple[Cube, ...], hypotheses: list[Tope], goal: Tope
+    cube_context: Sequence[Cube], hypotheses: Sequence[Tope], goal: Tope
 ) -> WeakOrderModel | None:
     """The first model of the hypotheses, over the mentioned atoms in sorted
     order, that violates the goal, if any."""
-    ctx = tuple(cube_context)
-    seen: dict[Atom, int] = {}  # a first pass only collects the atoms
-    _numbered_query(ctx, hypotheses, goal, seen)
-    mentioned = sorted(seen)
-    table = {a: k for k, a in enumerate(mentioned, 2)}
-    hyps, ngoal = _numbered_query(ctx, hypotheses, goal, table)
-    for v in _models(len(mentioned), hyps):
-        if not _holds(ngoal, v):
-            return _model(mentioned, v)
-    return None
+    mentioned, v = _first_violation(cube_context, hypotheses, goal)
+    return None if v is None else _model(mentioned, v)
 
 
 def shape_included(a: Shape, b: Shape) -> bool:

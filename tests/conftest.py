@@ -25,15 +25,26 @@ def mutant_reports(tmp_path_factory):
     }
 
 
+def _perfbench_module(name: str):
+    """A module of the benchmark, loaded from its file, not edited."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="session")
 def perfbench_inputs():
-    """The benchmark's input generators, loaded from their file, not edited."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", ROOT / "perfbench" / "inputs.py"
-    )
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs
+    """The benchmark's input generators."""
+    return _perfbench_module("inputs")
+
+
+@pytest.fixture(scope="session")
+def perfbench_spans():
+    """The benchmark's tracer, with the list of functions it wraps."""
+    return _perfbench_module("spans")
 
 
 @pytest.fixture(autouse=True)

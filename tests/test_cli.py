@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import importlib
 import io
 import json
 import os
@@ -110,6 +111,29 @@ def test_explain_tope_prints_countermodel(tmp_path):
     explained = run_cli("check", "--explain-tope", str(f))
     assert "countermodel" not in plain.stderr
     assert "countermodel" in explained.stderr
+
+
+# ill-sorted topes: <= relates interval points only, === points of one sort
+_ILL_SORTED = {
+    "leq-unit": ": ⟨{t : 2 | t ≤ ⋆} → A⟩ := λ (t : 2) ↦ a",
+    "eq-unit": ": ⟨{t : 2 | t ≡ ⋆} → A⟩ := λ (t : 2) ↦ a",
+    "leq-pair": ": ⟨{t : 2 × 2 | t ≤ (0 , 1)} → A⟩ := λ (t : 2 × 2) ↦ a",
+    "hypothesis": "[⋆ ≤ 0] : A := a",
+    "leq-unit-variable": ": ⟨{t : 1 | t ≤ 0} → A⟩ := λ (t : 1) ↦ a",
+    "leq-product": ": ⟨{t : 2 × 2 | t ≤ t} → A⟩ := λ (t : 2 × 2) ↦ a",
+    "leq-projection": ": ⟨{t : 2 | π₁ t ≤ 0} → A⟩ := λ (t : 2) ↦ a",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ILL_SORTED))
+def test_ill_sorted_tope_is_a_point_sort_error(tmp_path, kind):
+    f = tmp_path / "sorts.stt"
+    f.write_text(f"def bad (A : U) (a : A) {_ILL_SORTED[kind]}\n", encoding="utf-8")
+    r = run_cli("check", "--json", str(f))
+    assert r.returncode == 1, r.stderr
+    (diag,) = json.loads(r.stdout)["diagnostics"]
+    assert diag["code"] == "E-POINT-SORT"
+    assert diag["start"]["line"] == 1
 
 
 def test_axioms_tier_one_file_lists_dashes():
@@ -481,7 +505,7 @@ def test_internal_error_is_one_diagnostic(monkeypatch, capsys):
 def test_import_loads_neither_dataclasses_nor_traceback():
     # -S keeps the host's site hooks, which may import these, out of the check
     probe = "import stt.cli, sys; print(sorted(m for m in {} if m in sys.modules))"
-    heavy = ("dataclasses", "inspect", "traceback")
+    heavy = ("dataclasses", "inspect", "traceback", "importlib.resources")
     r = subprocess.run(
         [sys.executable, "-S", "-c", probe.format(heavy)],
         capture_output=True,
@@ -490,6 +514,16 @@ def test_import_loads_neither_dataclasses_nor_traceback():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_every_traced_function_resolves(perfbench_spans):
+    # the benchmark's tracer wraps these by name, so a rename must fail here
+    for _, module, attr in perfbench_spans.TRACED:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(owner, part), (module, attr)
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)
 
 
 def _broken_check_files(monkeypatch):

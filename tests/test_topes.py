@@ -34,7 +34,6 @@ from stt.topes import (
     clear_memo,
     countermodel,
     enumerate_models,
-    normalize_tope,
     shape_included,
     tope_consistent,
     tope_entails,
@@ -118,19 +117,19 @@ def oracle_entails(n_atoms, hyps, goal):
 
 def test_model_counts_match_independent_generation():
     for n in range(0, 4):
-        got = len(enumerate_models(atoms([INTERVAL] * n), []))
+        got = len(enumerate_models([INTERVAL] * n, atoms([INTERVAL] * n), []))
         want = len(oracle_models(n))
         assert got == want, (n, got, want)
 
 
 def test_one_atom_has_three_models():
-    assert len(enumerate_models(atoms([INTERVAL]), [])) == 3
+    assert len(enumerate_models([INTERVAL], atoms([INTERVAL]), [])) == 3
 
 
 def test_two_atoms_model_count_frozen():
     # frozen from the independent exhaustive generation above
     assert len(oracle_models(2)) == 11
-    assert len(enumerate_models(atoms([INTERVAL, INTERVAL]), [])) == 11
+    assert len(enumerate_models([INTERVAL, INTERVAL], atoms([INTERVAL, INTERVAL]), [])) == 11
 
 
 def test_atoms_flattening():
@@ -144,11 +143,8 @@ def test_atoms_flattening():
 
 
 def test_contradictory_hypotheses_have_no_models():
-    t = (0, ())
     hyps = [TopeAnd(TopeEq(CubeVar(0), ZERO), TopeEq(CubeVar(0), ONE))]
-    # normalize against a 1-cube context first
-    n = [normalize_tope((INTERVAL,), h) for h in hyps]
-    assert enumerate_models([t], n) == []
+    assert enumerate_models([INTERVAL], [(0, ())], hyps) == []
 
 
 # -- named entailments -------------------------------------------------------
@@ -205,13 +201,10 @@ def test_countermodel_for_failed_inclusion():
         SHAPE_INNER_HORN.constraint,
     )
     assert m is not None
-    values = m.value_strings()
     # the interior diagonal point witnesses the failure
-    assert all(v not in ("0",) or True for v in values.values())
-    assert m.satisfies(normalize_tope((SHAPE_TRIANGLE.cube,), SHAPE_TRIANGLE.constraint))
-    assert not m.satisfies(
-        normalize_tope((SHAPE_TRIANGLE.cube,), SHAPE_INNER_HORN.constraint)
-    )
+    assert m.value_strings() == {"x0.1": "mid", "x0.2": "mid"}
+    assert m.satisfies([SHAPE_TRIANGLE.cube], SHAPE_TRIANGLE.constraint)
+    assert not m.satisfies([SHAPE_TRIANGLE.cube], SHAPE_INNER_HORN.constraint)
 
 
 def test_product_equality_expands_componentwise():
@@ -277,14 +270,18 @@ def test_countermodel_is_the_first_violating_model_over_sorted_atoms():
             if len(squares) == 2 and rng.random() < 0.5:
                 hyps.append(TopeEq(*squares))  # expands componentwise
             goal = _tope_over(rng, pts, 2)
-            nhyps = [normalize_tope(tuple(ctx), h) for h in hyps]
-            ngoal = normalize_tope(tuple(ctx), goal)
-            # normalized points name each cube variable by its position
-            seen = set().union(*map(_points_of, nhyps + [ngoal]))
-            mentioned = sorted(a for a in atoms(ctx) if _coordinate(CubeVar(a[0]), a[1]) in seen)
-            models = enumerate_models(mentioned, nhyps)
-            want = next((m for m in models if not m.satisfies(ngoal)), None)
-            assert countermodel(ctx, hyps, goal) == want, (ctx, hyps, goal)
+            seen = set().union(*map(_points_of, hyps + [goal]))
+            # a coordinate is mentioned by itself or by an equation between squares
+            mentioned = sorted(
+                (pos, path)
+                for pos, path in atoms(ctx)
+                if {CubeVar(depth - 1 - pos), _coordinate(CubeVar(depth - 1 - pos), path)} & seen
+            )
+            models = enumerate_models(ctx, mentioned, hyps)
+            want = next((m for m in models if not m.satisfies(ctx, goal)), None)
+            found = countermodel(ctx, hyps, goal)
+            assert found == want, (ctx, hyps, goal)
+            assert tope_entails(ctx, hyps, goal) == (found is None), (ctx, hyps, goal)
             violated += want is not None
     assert violated > 100
 

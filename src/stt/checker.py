@@ -31,7 +31,9 @@ at a time would.  A λ head has no type to walk; a β-redex ``(λ x ↦ b) a₁ 
 aₙ`` is typed by the let rule for definitions in context (Coquand, 1996):
 ``a₁ : A`` is inferred, ``b a₂ … aₙ`` is inferred under ``x : A := a₁``,
 and ``a₁`` is put back for ``x`` in the result.  So ``a₁`` must be
-inferable, and nothing is reduced.  Every failure propagates.
+inferable, and nothing is reduced.  The leading λs of the head bind their
+arguments in one loop, so a long redex costs no stack.  Every failure
+propagates.
 
 A type is validated as written, never through its weak-head form: reducing
 it could drop an argument that nothing has typed (``(λ x ↦ T) U₁`` to
@@ -52,6 +54,10 @@ batch run, and only then stores it; its axiom usage comes from the names the
 resolver recorded.  Sharing waits for success, so a failed declaration adds
 nothing, and the check sees the declaration's terms as the resolver built
 them, which keeps anything keyed by node identity during the check valid.
+
+Diagnostics: the ``expected`` and ``actual`` terms of a failure are core
+terms read back to surface syntax and printed by ``printer.print_term`` and
+``printer.print_tope``, with generated names for bound variables.
 """
 
 from __future__ import annotations
@@ -99,7 +105,7 @@ from .core import (
     weaken_cube,
 )
 from . import topes as T
-from .core_printer import print_term, print_tope
+from .printer import print_term, print_tope
 
 
 class CheckFailure(Exception):
@@ -320,7 +326,7 @@ class Checker:
     def _equal(self, ctx: Context, t: Term, u: Term, ty: Term | None) -> bool:
         if t == u:
             return True
-        if not T.tope_consistent(ctx.cubes, ctx.topes):
+        if ctx.topes and not T.tope_consistent(ctx.cubes, ctx.topes):
             return True
         branches = self._split_or_hypothesis(ctx)
         if branches is not None:
@@ -491,8 +497,8 @@ class Checker:
             raise _fail(
                 "E-POINT-SORT",
                 "point sort does not match the shape's cube",
-                expected=str(sh.cube),
-                actual=str(sort),
+                expected=print_tope(sh.cube),
+                actual=print_tope(p if sort is None else sort, len(ctx.cubes)),
             )
         constraint_at_p = subst_tope_point(sh.constraint, 0, p)
         if not T.tope_entails(ctx.cubes, ctx.topes, constraint_at_p):
@@ -511,11 +517,17 @@ class Checker:
         while isinstance(t, App):
             spine.append(t)
             t = t.fn
-        if isinstance(t, Lambda):  # the let rule: b a₂ … aₙ under x := a₁
-            a1 = spine[-1].arg
-            rest = [weaken(tk.arg, 1) for tk in reversed(spine[:-1])]
-            ty = self.infer(ctx.extend_term(self.infer(ctx, a1), a1), _apply(t.body, rest))
-            return substitute(ty, 0, a1)
+        if isinstance(t, Lambda):  # the let rule, in one loop over the leading λs
+            args = [tk.arg for tk in reversed(spine)]
+            n = 0  # the λs bound; argument k is bound weakened past the k before it
+            while isinstance(t, Lambda) and n < len(args):
+                args[n] = weaken(args[n], n)
+                ctx = ctx.extend_term(self.infer(ctx, args[n]), args[n])
+                t, n = t.body, n + 1
+            ty = self.infer(ctx, _apply(t, [weaken(a, n) for a in args[n:]]))
+            for a in reversed(args[:n]):
+                ty = substitute(ty, 0, a)
+            return ty
         ty = self.infer(ctx, t)
         pending: tuple[Term, ...] = ()  # the arguments consumed, the last first
         for tk in reversed(spine):  # tk is f a₁ … aₖ

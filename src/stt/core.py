@@ -55,21 +55,16 @@ class Node(tuple):
 # Cubes and points
 
 class CubeUnit(Node):
-    def __str__(self) -> str:
-        return "1"
+    pass
 
 
 class CubeInterval(Node):
-    def __str__(self) -> str:
-        return "2"
+    pass
 
 
 class CubeProd(Node):
     fst: "Cube"
     snd: "Cube"
-
-    def __str__(self) -> str:
-        return f"{self.fst} * {self.snd}"
 
 
 Cube = CubeUnit | CubeInterval | CubeProd

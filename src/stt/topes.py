@@ -62,19 +62,22 @@ Atom = tuple[int, tuple[int, ...]]  # (declaration position, projection path)
 
 
 class TopeSortError(Exception):
-    """A tope relates points of the wrong sorts."""
+    """A tope relates points of the wrong sorts.  ``expected`` and ``actual``
+    are each a sort, or the point itself when it has none, over
+    ``cube_depth`` cube variables."""
 
-    def __init__(self, relation: str, expected: Cube | None, actual: Cube | None):
+    def __init__(self, relation: str, expected, actual, cube_depth: int):
         super().__init__(f"'{relation}' relates points of the wrong sorts")
-        self.expected, self.actual = str(expected), str(actual)
+        self.expected, self.actual, self.cube_depth = expected, actual, cube_depth
 
     @property
     def diag(self) -> Diagnostic:
-        from .diagnostics import Diagnostic  # here, so the solver alone loads no lexer
+        # here, so the solver alone loads no lexer
+        from .diagnostics import Diagnostic
+        from .printer import print_tope
 
-        return Diagnostic(
-            "error", "E-POINT-SORT", str(self), expected=self.expected, actual=self.actual
-        )
+        expected, actual = (print_tope(x, self.cube_depth) for x in (self.expected, self.actual))
+        return Diagnostic("error", "E-POINT-SORT", str(self), expected=expected, actual=actual)
 
 
 class WeakOrderModel(NamedTuple):
@@ -204,16 +207,19 @@ def _numbered(cube_context: Sequence[Cube], t: Tope, table: dict[Atom, int]) -> 
         case TopeBottom():
             return ("<=", 1, 0)
         case TopeLeq(l, r):
+            depth = len(cube_context)
             for p in (l, r):
                 sort = sort_of_point(cube_context, p)
                 if sort != INTERVAL:
-                    raise TopeSortError("≤", INTERVAL, sort)
-            depth = len(cube_context)
+                    raise TopeSortError("≤", INTERVAL, p if sort is None else sort, depth)
             return ("<=", _slot(depth, l, table), _slot(depth, r, table))
         case TopeEq(l, r):
+            depth = len(cube_context)
             sort, other = sort_of_point(cube_context, l), sort_of_point(cube_context, r)
             if sort is None or sort != other:
-                raise TopeSortError("≡", sort, other)
+                raise TopeSortError(
+                    "≡", l if sort is None else sort, r if other is None else other, depth
+                )
             match sort:
                 case CubeUnit():
                     return ("<=", 0, 1)
@@ -223,7 +229,6 @@ def _numbered(cube_context: Sequence[Cube], t: Tope, table: dict[Atom, int]) -> 
                         _numbered(cube_context, TopeEq(PointFst(l), PointFst(r)), table),
                         _numbered(cube_context, TopeEq(PointSnd(l), PointSnd(r)), table),
                     )
-            depth = len(cube_context)
             return ("=", _slot(depth, l, table), _slot(depth, r, table))
         case TopeAnd(l, r):
             return ("and", _numbered(cube_context, l, table), _numbered(cube_context, r, table))

@@ -474,6 +474,16 @@ def test_lambda_head_is_typed_by_the_let_rule():
     assert _infer_outcome(env, App(Constant("h"), Universe(1))) == (no_type, 0)
 
 
+def test_a_redex_as_deep_as_the_resolver_goes_is_typed_in_one_loop():
+    # (λ x₀ … x₅₉₉ ↦ x₀) c … c: the let rule binds the leading λs in a loop,
+    # so the kernel takes no stack frame per λ
+    n = 600
+    lam = Var(n - 1)
+    for _ in range(n):
+        lam = Lambda(lam)
+    assert _infer_outcome(_spine_env(), _spine(lam, [_c] * n)) == (_T, 0)
+
+
 def test_projection_of_a_pair_needs_its_annotation():
     env = _spine_env()
     no_type = ("E-CANNOT-INFER", "a pair only checks against a Σ type", None, None)

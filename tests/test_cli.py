@@ -122,6 +122,7 @@ _ILL_SORTED = {
     "leq-unit-variable": ": ⟨{t : 1 | t ≤ 0} → A⟩ := λ (t : 1) ↦ a",
     "leq-product": ": ⟨{t : 2 × 2 | t ≤ t} → A⟩ := λ (t : 2 × 2) ↦ a",
     "leq-projection": ": ⟨{t : 2 | π₁ t ≤ 0} → A⟩ := λ (t : 2) ↦ a",
+    "applied-projection": "(f : ⟨2 → A⟩) : ⟨2 → A⟩ := λ (t : 2) ↦ f (π₁ t)",
 }
 
 
@@ -134,6 +135,8 @@ def test_ill_sorted_tope_is_a_point_sort_error(tmp_path, kind):
     (diag,) = json.loads(r.stdout)["diagnostics"]
     assert diag["code"] == "E-POINT-SORT"
     assert diag["start"]["line"] == 1
+    # a point with no sort is named, not shown as a missing sort
+    assert "None" not in (diag["expected"], diag["actual"])
 
 
 def test_axioms_tier_one_file_lists_dashes():
@@ -586,8 +589,9 @@ def test_check_runs_no_collection(tmp_path, capsys, perfbench_inputs):
     assert json.loads(capsys.readouterr().out)["summary"]["declarations"] == 2000
 
 
-# parse and resolve fine, then recurse once per binder in the kernel: through the
-# λs of a β-redex (the let rule) or the groups of a Π
+# parse and resolve fine, then recurse once per binder: through the λs of a
+# β-redex (in the sharing walk after the check) or the groups of a Π (in the
+# kernel)
 _DEEP_BINDERS = {
     "lambda": "def deep : U₁ := (λ " + " ".join(f"x{i}" for i in range(1000)) + " ↦ x0)"
     + " U" * 1000 + "\n",

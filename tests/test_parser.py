@@ -11,11 +11,12 @@ import pytest
 
 from stt.batch import check_files
 from stt.core import ZERO, CubeVar, Fst, TopeAnd, TopeLeq, TopeTop, Var
-from stt.core_printer import print_term, print_tope
+from stt.corpus import load_manifest
 from stt.lexer import TokenKind, tokenize
 from stt import surface as S
 from stt.parser import ParseFailure, imports_of, parse_expr, parse_module
-from stt.printer import pretty_print, print_module
+from stt.printer import pretty_print, print_module, print_term, print_tope
+from stt.resolve import Resolver, resolve
 from stt.surface import SurfaceDecl, skeleton
 
 STDLIB = pathlib.Path(__file__).resolve().parent.parent / "src" / "stt" / "stdlib"
@@ -206,13 +207,33 @@ def test_every_table_glyph_lexes_to_its_canon():
 
 def test_diagnostic_printer_takes_its_glyphs_from_the_table(monkeypatch):
     tope = TopeAnd(TopeLeq(ZERO, CubeVar(0)), TopeTop())
-    assert print_tope(tope, 1) == "(0 ≤ t0 ∧ ⊤)"
+    assert print_tope(tope, 1) == "0 ≤ t0 ∧ ⊤"
     assert print_term(Fst(Var(0))) == "fst a?0"
     monkeypatch.setitem(S.BINARY, "<=", (3, False, "LEQ"))
     monkeypatch.setitem(S.KEYWORD, "TOP", "TT")
     monkeypatch.setitem(S.PREFIX, "fst", "FST")
-    assert print_tope(tope, 1) == "(0 LEQ t0 ∧ TT)"
+    assert print_tope(tope, 1) == "0 LEQ t0 ∧ TT"
     assert print_term(Fst(Var(0))) == "FST a?0"
+
+
+def test_core_terms_read_back_print_parse_and_resolve_to_themselves(perfbench_inputs):
+    # every declaration type and body of the stdlib and of a generated module:
+    # read back and printed, it parses and resolves to the same core term
+    sources = [(STDLIB / f).read_text(encoding="utf-8") for f in load_manifest().files()]
+    sources.append(perfbench_inputs.frontend_module(1))
+    env: dict[str, object] = {}  # every name resolved so far, in any file
+    terms = 0
+    for source in sources:
+        decls, diags, _ = parse_module(source)
+        assert not diags
+        for sdecl in decls:
+            decl = resolve(sdecl, env)
+            env[decl.name] = decl
+            for t in (decl.type, decl.body):
+                if t is not None:
+                    assert Resolver(env).resolve_term(parse_expr(print_term(t))) == t, decl.name
+                    terms += 1
+    assert terms > 4000
 
 
 # Sources whose top-level forms, comments and errors sit at the boundaries

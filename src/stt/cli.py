@@ -2,11 +2,11 @@
 
 ``stt check``  checks files (honoring ``#import`` directives) and prints
 diagnostics in deterministic (file, span) order; ``stt axioms`` prints each
-declaration's transitive postulate set; ``stt corpus`` runs the bundled
-corpus against its manifest.  ``--json`` switches to machine-readable
-output whose content, apart from the ``timing`` object, is byte-identical
-across runs on identical inputs.  Files are checked one after another in one
-thread.
+declaration's transitive postulate set, or what ``stt check`` prints when an
+input fails; ``stt corpus`` runs the bundled corpus against its manifest.
+``--json`` switches to machine-readable output whose content, apart from the
+``timing`` object, is byte-identical across runs on identical inputs.  Files
+are checked one after another in one thread.
 
 Exit codes: 0 clean, 1 type errors, 2 I/O or parse failure of any input
 (including ``E-NESTING-DEPTH`` for a declaration nested too deeply to parse
@@ -82,29 +82,29 @@ def _print_human(batch: BatchResult, explain_tope: bool) -> None:
         print(d.render(source=src, explain_tope=explain_tope), file=sys.stderr)
 
 
-def cmd_check(args) -> int:
-    batch = check_files(args.paths, max_unfold=args.max_unfold)
+def _print_check(batch: BatchResult, as_json: bool, explain_tope: bool) -> int:
     diags = batch.all_diagnostics
-    if args.json:
-        decls = sum(len(r.decl_names) for r in batch.reports.values())
-        print(
-            emit_json(
-                diags,
-                {"files": batch.files_read, "declarations": decls},
-                batch.wall_seconds,
-            )
-        )
+    checked = sum(len(r.decl_names) for r in batch.reports.values())
+    if as_json:
+        report = {"files": batch.files_read, "declarations": checked}
+        print(emit_json(diags, report, batch.wall_seconds))
     else:
-        _print_human(batch, args.explain_tope)
-        checked = sum(len(r.decl_names) for r in batch.reports.values())
+        _print_human(batch, explain_tope)
         errs = sum(1 for d in diags if d.severity == "error")
         print(f"checked {batch.files_read} file(s), {checked} declaration(s), {errs} error(s)")
     return batch.exit_code()
 
 
+def cmd_check(args) -> int:
+    batch = check_files(args.paths, max_unfold=args.max_unfold)
+    return _print_check(batch, args.json, args.explain_tope)
+
+
 def cmd_axioms(args) -> int:
     batch = check_files(args.paths, max_unfold=args.max_unfold)
     if batch.exit_code() != 0:
+        if args.json:  # the document `stt check --json` prints
+            return _print_check(batch, True, False)
         _print_human(batch, explain_tope=False)
         return batch.exit_code()
     records = []

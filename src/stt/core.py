@@ -147,8 +147,8 @@ BOT = TopeBottom()
 
 
 class Shape(Node):
-    """A cube restricted by a tope; the constraint sees the bound coordinate
-    as cube index 0 (outer cube variables keep their shifted indices)."""
+    """A cube restricted by a tope on its coordinate, which the constraint
+    binds (see ``FIELDS``)."""
 
     cube: Cube
     constraint: Tope
@@ -167,11 +167,11 @@ class Universe(Node):
 
 class Pi(Node):
     domain: "Term"
-    codomain: "Term"  # binds one term variable
+    codomain: "Term"
 
 
 class Lambda(Node):
-    body: "Term"  # binds one term variable
+    body: "Term"
 
 
 class App(Node):
@@ -181,7 +181,7 @@ class App(Node):
 
 class Sigma(Node):
     first: "Term"
-    second: "Term"  # binds one term variable
+    second: "Term"
 
 
 class Pair(Node):
@@ -208,8 +208,8 @@ class Refl(Node):
 
 
 class IndPath(Node):
-    """Identity eliminator.  ``motive`` binds three term variables (both
-    endpoints and the path), ``base`` binds one (the diagonal point)."""
+    """Identity eliminator.  ``motive`` binds both endpoints and the path,
+    ``base`` the diagonal point."""
 
     motive: "Term"
     base: "Term"
@@ -219,8 +219,8 @@ class IndPath(Node):
 class ExtType(Node):
     """Functions out of a shape with a judgmentally fixed boundary.
 
-    ``codomain`` and ``boundary`` bind one cube variable; ``boundary_tope``
-    is scoped the same way and must carve a sub-shape of ``shape``.
+    The fields after ``shape`` bind its coordinate, and ``boundary_tope``
+    must carve a sub-shape of ``shape``.
     """
 
     shape: Shape
@@ -230,7 +230,7 @@ class ExtType(Node):
 
 
 class ExtLambda(Node):
-    body: "Term"  # binds one cube variable
+    body: "Term"
 
 
 class ExtApp(Node):
@@ -338,9 +338,51 @@ class Declaration:
 
 
 # ---------------------------------------------------------------------------
+# The field table
+#
+# ``FIELDS`` gives each node class one spec per field, ``(kind, k, c)``: what
+# the field holds and the ``k`` term and ``c`` cube binders it sits under
+# inside the node.  Every walk below reads binders from it alone.
+
+INDEX = 0  # the de Bruijn index of a Var (term) or CubeVar (cube)
+LEAF = 1  # data no walk enters: a level, a name, a cube
+TERM = 2  # a term, or None (an Id's type left to be recovered)
+CUBE = 3  # a point, tope or shape: only cube actions enter it
+BRANCHES = 4  # a Split's (tope, term) pairs
+
+_LEAF, _TERM, _CUBE = (LEAF, 0, 0), (TERM, 0, 0), (CUBE, 0, 0)
+
+FIELDS: dict[type, tuple[tuple[int, int, int], ...]] = {
+    CubeUnit: (), CubeInterval: (), CubeProd: (_LEAF, _LEAF), CubeVar: ((INDEX, 0, 0),),
+    Zero: (), One: (), Star: (), PointPair: (_CUBE, _CUBE), PointFst: (_CUBE,), PointSnd: (_CUBE,),
+    TopeTop: (), TopeBottom: (), TopeLeq: (_CUBE, _CUBE), TopeEq: (_CUBE, _CUBE),
+    TopeAnd: (_CUBE, _CUBE), TopeOr: (_CUBE, _CUBE),
+    Shape: (_LEAF, (CUBE, 0, 1)),
+    Var: ((INDEX, 0, 0),), Universe: (_LEAF,), Constant: (_LEAF,),
+    Pi: (_TERM, (TERM, 1, 0)),
+    Lambda: ((TERM, 1, 0),),
+    App: (_TERM, _TERM),
+    Sigma: (_TERM, (TERM, 1, 0)),
+    Pair: (_TERM, _TERM), Fst: (_TERM,), Snd: (_TERM,),
+    Id: (_TERM, _TERM, _TERM), Refl: (_TERM,),
+    IndPath: ((TERM, 3, 0), (TERM, 1, 0), _TERM),
+    ExtType: (_CUBE, (TERM, 0, 1), (CUBE, 0, 1), (TERM, 0, 1)),
+    ExtLambda: ((TERM, 0, 1),),
+    ExtApp: (_TERM, _CUBE),
+    Split: ((BRANCHES, 0, 0),),
+    Annot: (_TERM, _TERM),
+}
+
+# FIELDS, with None for a class whose fields a rebuild never enters (kinds up to LEAF)
+_ENTERED = {
+    cls: specs if any(k > LEAF for k, _, _ in specs) else None for cls, specs in FIELDS.items()
+}
+
+
+# ---------------------------------------------------------------------------
 # Weakening and substitution: one walk over both namespaces
 #
-# ``_walk`` rebuilds a term under one *action* per namespace, term and cube,
+# ``_walk`` rebuilds a node under one *action* per namespace, term and cube,
 # counting the term binders ``k`` and cube binders ``c`` it has crossed.  An
 # action is the triple ``(cut, values, by)``, with ``values`` a tuple.  In the
 # term namespace, an index below ``cut + k`` is kept, index ``cut + k + j``
@@ -351,109 +393,45 @@ class Declaration:
 # The cube namespace reads the same with ``c`` in place of ``k``; its values
 # are points.  A None action leaves its namespace alone, and a walk with no
 # cube action never enters points or topes.  A value is shifted once per
-# occurrence, not once per binder.  ``_point`` and ``_tope`` apply a cube
-# action below ``c`` binders.
+# occurrence, not once per binder.  Each field is rebuilt under the binders
+# its ``FIELDS`` spec adds.
 
-def _point(p: CubePoint, act, c: int) -> CubePoint:
-    match p:
-        case CubeVar(i):
-            cut, values, by = act
-            j = i - cut - c
-            if j < 0:
-                return p
-            if j >= len(values):
-                return CubeVar(i + by - len(values))
-            return _point(values[j], (0, (), c), 0) if c else values[j]
-        case Zero() | One() | Star():
-            return p
-        case PointPair(a, b):
-            return PointPair(_point(a, act, c), _point(b, act, c))
-        case PointFst(q):
-            return PointFst(_point(q, act, c))
-        case PointSnd(q):
-            return PointSnd(_point(q, act, c))
-    raise AssertionError(f"_point: {p!r}")
-
-
-def _tope(t: Tope, act, c: int) -> Tope:
-    match t:
-        case TopeTop() | TopeBottom():
+def _walk(t, tact, cact, k: int, c: int):
+    cls = type(t)
+    if cls is Var or cls is CubeVar:
+        act, d = (tact, k) if cls is Var else (cact, c)
+        if act is None:
             return t
-        case TopeLeq(l, r):
-            return TopeLeq(_point(l, act, c), _point(r, act, c))
-        case TopeEq(l, r):
-            return TopeEq(_point(l, act, c), _point(r, act, c))
-        case TopeAnd(l, r):
-            return TopeAnd(_tope(l, act, c), _tope(r, act, c))
-        case TopeOr(l, r):
-            return TopeOr(_tope(l, act, c), _tope(r, act, c))
-    raise AssertionError(f"_tope: {t!r}")
-
-
-def _walk(t: Term, tact, cact, k: int, c: int) -> Term:
-    match t:
-        case Var(i):
-            if tact is None:
-                return t
-            cut, values, by = tact
-            j = i - cut - k
-            if j < 0:
-                return t
-            if j >= len(values):
-                return Var(i + by - len(values))
-            if k or c:
-                return _walk(values[j], (0, (), k) if k else None, (0, (), c) if c else None, 0, 0)
-            return values[j]
-        case Universe() | Constant():
+        cut, values, by = act
+        j = t[0] - cut - d
+        if j < 0:
             return t
-        case Pi(a, b):
-            return Pi(_walk(a, tact, cact, k, c), _walk(b, tact, cact, k + 1, c))
-        case Lambda(b):
-            return Lambda(_walk(b, tact, cact, k + 1, c))
-        case App(f, a):
-            return App(_walk(f, tact, cact, k, c), _walk(a, tact, cact, k, c))
-        case Sigma(a, b):
-            return Sigma(_walk(a, tact, cact, k, c), _walk(b, tact, cact, k + 1, c))
-        case Pair(a, b):
-            return Pair(_walk(a, tact, cact, k, c), _walk(b, tact, cact, k, c))
-        case Fst(p):
-            return Fst(_walk(p, tact, cact, k, c))
-        case Snd(p):
-            return Snd(_walk(p, tact, cact, k, c))
-        case Id(ty, l, r):
-            return Id(
-                _walk(ty, tact, cact, k, c) if ty is not None else None,
-                _walk(l, tact, cact, k, c),
-                _walk(r, tact, cact, k, c),
-            )
-        case Refl(a):
-            return Refl(_walk(a, tact, cact, k, c))
-        case IndPath(m, d, p):
-            return IndPath(
-                _walk(m, tact, cact, k + 3, c),
-                _walk(d, tact, cact, k + 1, c),
-                _walk(p, tact, cact, k, c),
-            )
-        case ExtType(sh, cod, bt, bd):
+        if j >= len(values):
+            return tuple.__new__(cls, (t[0] + by - len(values),))
+        if cls is CubeVar:
+            return _walk(values[j], None, (0, (), c), 0, 0) if c else values[j]
+        if k or c:
+            return _walk(values[j], (0, (), k) if k else None, (0, (), c) if c else None, 0, 0)
+        return values[j]
+    specs = _ENTERED[cls]
+    if specs is None:
+        return t
+    fields = []
+    for v, (kind, dk, dc) in zip(t, specs):
+        if kind is TERM:
+            if v is not None:
+                v = _walk(v, tact, cact, k + dk, c + dc)
+        elif kind is CUBE:
             if cact is not None:
-                sh = Shape(sh.cube, _tope(sh.constraint, cact, c + 1))
-                bt = _tope(bt, cact, c + 1)
-            cod = _walk(cod, tact, cact, k, c + 1)
-            return ExtType(sh, cod, bt, _walk(bd, tact, cact, k, c + 1))
-        case ExtLambda(b):
-            return ExtLambda(_walk(b, tact, cact, k, c + 1))
-        case ExtApp(f, p):
-            return ExtApp(_walk(f, tact, cact, k, c), p if cact is None else _point(p, cact, c))
-        case Split(brs):
-            return Split(
-                tuple(
-                    (tp if cact is None else _tope(tp, cact, c), _walk(b, tact, cact, k, c))
-                    for tp, b in brs
-                )
+                v = _walk(v, None, cact, k, c + dc)
+        elif kind is BRANCHES:
+            v = tuple(
+                (tp if cact is None else _walk(tp, None, cact, k + dk, c + dc),
+                 _walk(b, tact, cact, k + dk, c + dc))
+                for tp, b in v
             )
-        case Annot(a, ty):
-            return Annot(_walk(a, tact, cact, k, c), _walk(ty, tact, cact, k, c))
-    raise AssertionError(f"_walk: {t!r}")
+        fields.append(v)
+    return tuple.__new__(cls, fields)
 
 
 def weaken(t: Term, by: int, frm: int = 0) -> Term:
@@ -475,17 +453,17 @@ def substitute(t: Term, level: int, value: Term) -> Term:
 
 def weaken_point(p: CubePoint, by: int, frm: int) -> CubePoint:
     """Shift cube indices >= ``frm`` in a point up by ``by``."""
-    return _point(p, (frm, (), by), 0)
+    return _walk(p, None, (frm, (), by), 0, 0)
 
 
 def weaken_tope_cube(t: Tope, by: int, frm: int) -> Tope:
     """Shift cube indices >= ``frm`` in a tope up by ``by``."""
-    return _tope(t, (frm, (), by), 0)
+    return _walk(t, None, (frm, (), by), 0, 0)
 
 
 def subst_tope_point(t: Tope, level: int, value: CubePoint) -> Tope:
     """Substitute a point for cube index ``level`` in a tope."""
-    return _tope(t, (level, (value,), 0), 0)
+    return _walk(t, None, (level, (value,), 0), 0, 0)
 
 
 def weaken_cube(t: Term, by: int, frm: int) -> Term:
@@ -499,34 +477,54 @@ def subst_cube(t: Term, level: int, value: CubePoint) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Immediate subterms
+# Immediate subterms and scope
+
+def _below(t, cubes: bool) -> list:
+    """The nodes directly below ``t`` as ``(node, k, c)``, in field order;
+    points, topes and shapes only if ``cubes``."""
+    out = []
+    for v, (kind, k, c) in zip(t, FIELDS[type(t)]):
+        if kind is TERM:
+            if v is not None:
+                out.append((v, k, c))
+        elif kind is CUBE:
+            if cubes:
+                out.append((v, k, c))
+        elif kind is BRANCHES:
+            for tp, b in v:
+                if cubes:
+                    out.append((tp, k, c))
+                out.append((b, k, c))
+    return out
+
 
 def children(t: Term) -> tuple[tuple[Term, int, int], ...]:
     """The subterms directly below ``t``, each as ``(subterm, k, c)`` with the
     ``k`` term and ``c`` cube binders it sits under.  Points and topes are
     not terms and are left out."""
-    match t:
-        case Var() | Universe() | Constant():
-            return ()
-        case Pi(a, b) | Sigma(a, b):
-            return ((a, 0, 0), (b, 1, 0))
-        case Lambda(b):
-            return ((b, 1, 0),)
-        case App(a, b) | Pair(a, b) | Annot(a, b):
-            return ((a, 0, 0), (b, 0, 0))
-        case Fst(a) | Snd(a) | Refl(a) | ExtApp(a, _):
-            return ((a, 0, 0),)
-        case Id(ty, l, r):
-            return ((l, 0, 0), (r, 0, 0)) if ty is None else ((ty, 0, 0), (l, 0, 0), (r, 0, 0))
-        case IndPath(m, d, p):
-            return ((m, 3, 0), (d, 1, 0), (p, 0, 0))
-        case ExtType(_, cod, _, bd):
-            return ((cod, 0, 1), (bd, 0, 1))
-        case ExtLambda(b):
-            return ((b, 0, 1),)
-        case Split(brs):
-            return tuple((b, 0, 0) for _, b in brs)
-    raise AssertionError(f"children: {t!r}")
+    return tuple(_below(t, False))
+
+
+def in_scope(t, cube_depth: int, term_depth: int) -> bool:
+    """Full index-bounds check of a term, point, tope or shape under
+    ``cube_depth`` cube and ``term_depth`` term binders; every resolver
+    output must satisfy it.  The first node below is entered by the loop, so
+    a spine's heads and a run of λs cost no stack; the others are entered by
+    recursion."""
+    while True:
+        cls = type(t)
+        if cls is Var:
+            return 0 <= t[0] < term_depth
+        if cls is CubeVar:
+            return 0 <= t[0] < cube_depth
+        below = _below(t, True)
+        if not below:
+            return True
+        for s, k, c in below[1:]:
+            if not in_scope(s, cube_depth + c, term_depth + k):
+                return False
+        t, k, c = below[0]
+        cube_depth, term_depth = cube_depth + c, term_depth + k
 
 
 # ---------------------------------------------------------------------------
@@ -538,67 +536,26 @@ def share(t: tuple, table: dict) -> tuple:
     are one object.  The walk is bottom-up, so a node is looked up with
     canonical fields, and comparing it with a held node stops at their
     identity however deep the term is.  Plain tuples (``Split`` branches)
-    are rebuilt but never keyed.  One frame per level of nesting."""
-    fields = []
-    for v in t:
-        fields.append(share(v, table) if isinstance(v, tuple) else v)
-    if any(map(is_not, fields, t)):
-        t = tuple.__new__(type(t), fields)
-    return table.setdefault(t, t) if isinstance(t, Node) else t
-
-
-# ---------------------------------------------------------------------------
-# Scope validation
-
-def point_in_scope(p: CubePoint, cube_depth: int) -> bool:
-    match p:
-        case CubeVar(i):
-            return 0 <= i < cube_depth
-        case Zero() | One() | Star():
-            return True
-        case PointPair(a, b):
-            return point_in_scope(a, cube_depth) and point_in_scope(b, cube_depth)
-        case PointFst(q) | PointSnd(q):
-            return point_in_scope(q, cube_depth)
-    return False
-
-
-def tope_in_scope(t: Tope, cube_depth: int) -> bool:
-    match t:
-        case TopeTop() | TopeBottom():
-            return True
-        case TopeLeq(l, r) | TopeEq(l, r):
-            return point_in_scope(l, cube_depth) and point_in_scope(r, cube_depth)
-        case TopeAnd(l, r) | TopeOr(l, r):
-            return tope_in_scope(l, cube_depth) and tope_in_scope(r, cube_depth)
-    return False
-
-
-def term_in_scope(t: Term, cube_depth: int, term_depth: int) -> bool:
-    """Full index-bounds check; every resolver output must satisfy it.
-    The first subterm is entered by the loop, so a spine's heads and a run
-    of λs cost no stack; the others are entered by recursion."""
-    while True:
-        match t:
-            case Var(i):
-                return 0 <= i < term_depth
-            case ExtType(sh, _, bt, _):
-                if not all(tope_in_scope(tp, cube_depth + 1) for tp in (sh.constraint, bt)):
-                    return False
-            case ExtApp(_, p):
-                if not point_in_scope(p, cube_depth):
-                    return False
-            case Split(brs):
-                if not all(tope_in_scope(tp, cube_depth) for tp, _ in brs):
-                    return False
-        below = children(t)
-        if not below:
-            return True
-        for s, k, c in below[1:]:
-            if not term_in_scope(s, cube_depth + c, term_depth + k):
-                return False
-        t, k, c = below[0]
-        cube_depth, term_depth = cube_depth + c, term_depth + k
+    are rebuilt but never keyed.  The first field is entered by the loop, as
+    in ``in_scope``, and the others by recursion."""
+    path = []
+    while isinstance(t, tuple) and t:
+        path.append(t)
+        t = t[0]
+    if isinstance(t, Node):
+        t = table.setdefault(t, t)
+    for node in reversed(path):
+        if len(node) == 1:
+            if t is not node[0]:
+                node = tuple.__new__(type(node), (t,))
+        else:
+            fields = [t]
+            for v in node[1:]:
+                fields.append(share(v, table) if isinstance(v, tuple) else v)
+            if any(map(is_not, fields, node)):
+                node = tuple.__new__(type(node), fields)
+        t = table.setdefault(node, node) if isinstance(node, Node) else node
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from .core import (
     Universe,
     Var,
     ZERO,
-    term_in_scope,
+    in_scope,
     weaken,
 )
 
@@ -485,7 +485,7 @@ def resolve(decl: S.SurfaceDecl, env: dict[str, object]) -> Declaration:
             ty = ExtType(Shape(UNIT, payload), ty, BOT, Split(()))
             if body is not None:
                 body = ExtLambda(body)
-    if not term_in_scope(ty, 0, 0) or (body is not None and not term_in_scope(body, 0, 0)):
+    if not in_scope(ty, 0, 0) or (body is not None and not in_scope(body, 0, 0)):
         raise ResolveError(
             "E-SCOPE", f"resolved declaration '{decl.name}' escapes its scope", decl.span
         )

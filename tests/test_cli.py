@@ -163,6 +163,18 @@ def test_axioms_failed_file_exits_one_without_listing(tmp_path):
     assert "oops:" not in r.stdout
 
 
+def test_axioms_json_on_a_failed_file_prints_the_check_document(tmp_path):
+    f = tmp_path / "bad.stt"
+    f.write_text("def oops (A : U) : A := A\n", encoding="utf-8")
+    r = run_cli("axioms", "--json", str(f))
+    assert r.returncode == 1 and r.stderr == ""
+    doc = json.loads(r.stdout)
+    assert "axioms" not in doc
+    assert [(d["code"], d["decl"]) for d in doc["diagnostics"]] == [("E-TYPE-MISMATCH", "oops")]
+    check = json.loads(run_cli("check", "--json", str(f)).stdout)
+    assert check["diagnostics"] == doc["diagnostics"]
+
+
 def test_imports_are_resolved_relative_to_the_file(tmp_path):
     (tmp_path / "lib").mkdir()
     (tmp_path / "lib" / "base.stt").write_text(
@@ -589,14 +601,26 @@ def test_check_runs_no_collection(tmp_path, capsys, perfbench_inputs):
     assert json.loads(capsys.readouterr().out)["summary"]["declarations"] == 2000
 
 
-# parse and resolve fine, then recurse once per binder: through the λs of a
-# β-redex (in the sharing walk after the check) or the groups of a Π (in the
-# kernel)
+# parse and resolve fine, then recurse once per binder group of a Π in the
+# kernel
 _DEEP_BINDERS = {
-    "lambda": "def deep : U₁ := (λ " + " ".join(f"x{i}" for i in range(1000)) + " ↦ x0)"
-    + " U" * 1000 + "\n",
     "pi": "def deep : U₁ := Π " + " ".join(f"(x{i} : U)" for i in range(2000)) + ", U\n",
 }
+
+
+def test_a_redex_of_a_thousand_lambdas_checks_cleanly(tmp_path):
+    # the kernel binds the leading λs in one loop, and the sharing walk after
+    # the check enters a spine's heads and a λ run by a loop too
+    f = tmp_path / "deep.stt"
+    f.write_text(
+        "def deep : U₁ := (λ " + " ".join(f"x{i}" for i in range(1000)) + " ↦ x0)"
+        + " U" * 1000 + "\n",
+        encoding="utf-8",
+    )
+    r = run_cli("check", "--json", str(f))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["diagnostics"] == [] and doc["summary"]["declarations"] == 1
 
 
 @pytest.mark.parametrize("kind", sorted(_DEEP_BINDERS))

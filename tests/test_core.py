@@ -17,12 +17,11 @@ from stt.core import (
     CubeVar,
     INTERVAL,
     Shape,
+    in_scope,
     instantiate,
     subst_cube,
     subst_tope_point,
     substitute,
-    term_in_scope,
-    tope_in_scope,
     weaken,
     weaken_cube,
     weaken_point,
@@ -248,22 +247,22 @@ def f (A : U) (x : A) : A := (λ a ↦ a) x
     env = {}
     for d in decls:
         res = resolve(d, env)
-        assert term_in_scope(res.type, 0, 0)
+        assert in_scope(res.type, 0, 0)
         if res.body is not None:
-            assert term_in_scope(res.body, 0, 0)
+            assert in_scope(res.body, 0, 0)
         env[res.name] = res
 
 
 def test_scope_validation_rejects_loose_indices():
-    assert not term_in_scope(C.Var(0), 0, 0)
-    assert not term_in_scope(C.Lambda(C.Var(2)), 0, 1)
-    assert term_in_scope(C.Lambda(C.Var(1)), 0, 1)
+    assert not in_scope(C.Var(0), 0, 0)
+    assert not in_scope(C.Lambda(C.Var(2)), 0, 1)
+    assert in_scope(C.Lambda(C.Var(1)), 0, 1)
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL_SHAPES))
 def test_canonical_shape_constraints_well_scoped(name):
     shape = CANONICAL_SHAPES[name]
-    assert tope_in_scope(shape.constraint, 1)
+    assert in_scope(shape, 0, 0)
 
 
 def test_canonical_shape_table_entries():
@@ -397,6 +396,17 @@ def test_children_enter_the_fields_walk_enters_500():
         ]
         stack.extend(s for s, _, _ in kids)
     assert seen == set(C.Term.__args__)
+
+
+def test_every_core_node_class_has_one_spec_per_field():
+    # a node class left out of the field table would reach no walk
+    classes = {
+        cls for cls in vars(C).values()
+        if isinstance(cls, type) and issubclass(cls, C.Node) and cls.__module__ == C.__name__
+    }
+    assert set(C.FIELDS) == classes - {C.Node}
+    for cls, specs in C.FIELDS.items():
+        assert len(specs) == len(cls.__match_args__), cls
 
 
 def test_node_semantics():

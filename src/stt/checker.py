@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, Failure
 from .core import (
     Annot,
     App,
@@ -108,18 +108,6 @@ from . import topes as T
 from .printer import print_term, print_tope
 
 
-class CheckFailure(Exception):
-    def __init__(self, diag: Diagnostic):
-        super().__init__(diag.message)
-        self.diag = diag
-
-
-class UnfoldDepthExceeded(Exception):
-    @property
-    def diag(self) -> Diagnostic:  # a resource limit, not a type error
-        return Diagnostic("error", "E-UNFOLD-DEPTH", "unfold depth limit exceeded")
-
-
 class CheckEnv:
     """Append-only table of accepted declarations plus per-run settings."""
 
@@ -133,14 +121,7 @@ class CheckEnv:
         self.shared = {} if shared is None else shared  # the canonical node of each held subterm
 
 
-# what a declaration's check may raise, each with the diagnostic it reports
-_FAILURES = (CheckFailure, UnfoldDepthExceeded, T.TopeSortError)
-
 _NO_AXIOMS: frozenset[str] = frozenset()  # the usage of every axiom-free declaration
-
-
-def _fail(code: str, message: str, **kw) -> CheckFailure:
-    return CheckFailure(Diagnostic("error", code, message, **kw))
 
 
 def _simplify_tope(t: Tope) -> Tope:
@@ -162,7 +143,8 @@ class Checker:
     def _budget(self) -> None:
         self.steps += 1
         if self.steps > self.env.max_unfold:
-            raise UnfoldDepthExceeded()
+            # a resource limit, not a type error
+            raise Failure("E-UNFOLD-DEPTH", "unfold depth limit exceeded")
 
     # ------------------------------------------------------------------
     # weak-head normalization
@@ -309,7 +291,7 @@ class Checker:
 
     def def_equal(self, ctx: Context, t: Term, u: Term, ty: Term | None = None) -> bool:
         """Definitional equality; an exhausted unfold budget propagates as
-        ``UnfoldDepthExceeded`` rather than reading as "not equal"."""
+        its ``Failure`` (E-UNFOLD-DEPTH) rather than reading as "not equal"."""
         return self._equal(ctx, t, u, ty)
 
     def _split_or_hypothesis(self, ctx: Context) -> list[Context] | None:
@@ -432,23 +414,23 @@ class Checker:
         match t:
             case Var(i):
                 if i >= len(ctx.terms):
-                    raise _fail("E-SCOPE", f"term index {i} out of scope")
+                    raise Failure("E-SCOPE", f"term index {i} out of scope")
                 return ctx.term_type(i)
             case Constant(name):
                 decl = self.env.decls.get(name)
                 if decl is None:
-                    raise _fail("E-UNBOUND-NAME", f"unknown constant '{name}'")
+                    raise Failure("E-UNBOUND-NAME", f"unknown constant '{name}'")
                 return decl.type
             case Universe(0):
                 return Universe(1)
             case Universe(_):
-                raise _fail("E-CANNOT-INFER", "U₁ has no type in this theory")
+                raise Failure("E-CANNOT-INFER", "U₁ has no type in this theory")
             case Pi(a, b) | Sigma(a, b):
                 la = self.type_level(ctx, a)
                 lb = self.type_level(ctx.extend_term(a), b)
                 return Universe(max(la, lb))
             case Lambda() | Pair() | Refl() | ExtLambda() | Split():
-                raise _fail("E-CANNOT-INFER", _INTRO[type(t)][2])
+                raise Failure("E-CANNOT-INFER", _INTRO[type(t)][2])
             case App():
                 return self._infer_spine(ctx, t)
             case Fst(s) | Snd(s) | ExtApp(s, _) | IndPath(_, _, s):
@@ -456,7 +438,7 @@ class Checker:
                 ty = _elim_type(t, sty)
                 if ty is None:
                     code, message = _NOT_ELIMINABLE[type(t)]
-                    raise _fail(code, message, actual=print_term(sty, ctx))
+                    raise Failure(code, message, actual=print_term(sty, ctx))
                 if isinstance(t, ExtApp):
                     self._check_point(ctx, t.point, sty.shape)
                 elif isinstance(t, IndPath):
@@ -488,13 +470,13 @@ class Checker:
                 self.type_level_or_top(ctx, ty)
                 self.check(ctx, a, ty)
                 return ty
-        raise _fail("E-CANNOT-INFER", f"cannot infer a type for {type(t).__name__}")
+        raise Failure("E-CANNOT-INFER", f"cannot infer a type for {type(t).__name__}")
 
     def _check_point(self, ctx: Context, p, sh) -> None:
         """The point ``p`` lies in the shape ``sh`` under the constraints in force."""
         sort = T.sort_of_point(ctx.cubes, p)
         if sort != sh.cube:
-            raise _fail(
+            raise Failure(
                 "E-POINT-SORT",
                 "point sort does not match the shape's cube",
                 expected=print_tope(sh.cube),
@@ -503,7 +485,7 @@ class Checker:
         constraint_at_p = subst_tope_point(sh.constraint, 0, p)
         if not T.tope_entails(ctx.cubes, ctx.topes, constraint_at_p):
             cm = T.countermodel(ctx.cubes, ctx.topes, constraint_at_p)
-            raise _fail(
+            raise Failure(
                 "E-TOPE-FALSE",
                 "point is not constrained into the shape",
                 expected=print_tope(_simplify_tope(constraint_at_p), len(ctx.cubes)),
@@ -535,7 +517,7 @@ class Checker:
                 ty, pending = self.whnf(ctx, instantiate(ty, pending)), ()
                 if not isinstance(ty, Pi):
                     code, message = _NOT_ELIMINABLE[App]
-                    raise _fail(code, message, actual=print_term(ty, ctx))
+                    raise Failure(code, message, actual=print_term(ty, ctx))
             self.check(ctx, tk.arg, instantiate(ty.domain, pending))
             ty, pending = ty.codomain, (tk.arg,) + pending
         return instantiate(ty, pending)
@@ -545,11 +527,11 @@ class Checker:
         if isinstance(t, Universe):
             if t.level == 0:
                 return 1
-            raise _fail("E-NOT-A-TYPE", "U₁ cannot appear inside a type at this level")
+            raise Failure("E-NOT-A-TYPE", "U₁ cannot appear inside a type at this level")
         ty = self.whnf(ctx, self.infer(ctx, t))
         if isinstance(ty, Universe):
             return ty.level
-        raise _fail(
+        raise Failure(
             "E-NOT-A-TYPE", "expected a type", actual=print_term(ty, ctx)
         )
 
@@ -592,7 +574,7 @@ class Checker:
         sh = e.shape
         cubes = ctx.cubes + (sh.cube,)
         if not T.tope_entails(cubes, [e.boundary_tope], sh.constraint):
-            raise _fail(
+            raise Failure(
                 "E-BOUNDARY",
                 "boundary tope does not carve a sub-shape of the domain shape",
             )
@@ -608,7 +590,7 @@ class Checker:
         tyw = self.whnf(ctx, ty)
         former, message, _ = _INTRO.get(type(t), (object, "", ""))
         if not isinstance(tyw, former):
-            raise _fail("E-TYPE-MISMATCH", message, expected=print_term(tyw, ctx))
+            raise Failure("E-TYPE-MISMATCH", message, expected=print_term(tyw, ctx))
         match t:
             case Lambda(body):
                 self.check(ctx.extend_term(tyw.domain), body, tyw.codomain)
@@ -620,7 +602,7 @@ class Checker:
                 ctxb = ctx2.extend_tope(tyw.boundary_tope)
                 if not self.def_equal(ctxb, body, tyw.boundary, tyw.codomain):
                     cm = T.countermodel(ctxb.cubes, ctxb.topes, BOT)
-                    raise _fail(
+                    raise Failure(
                         "E-BOUNDARY",
                         "body disagrees with the required boundary value",
                         expected=print_term(tyw.boundary, ctxb),
@@ -638,7 +620,7 @@ class Checker:
                 if not self.def_equal(ctx, a, tyw.lhs, at) or not self.def_equal(
                     ctx, a, tyw.rhs, at
                 ):
-                    raise _fail(
+                    raise Failure(
                         "E-TYPE-MISMATCH",
                         "refl endpoints are not definitionally equal",
                         expected=print_term(tyw, ctx),
@@ -651,7 +633,7 @@ class Checker:
                     cover = TopeOr(cover, tp)
                 if not T.tope_entails(ctx.cubes, ctx.topes, cover):
                     cm = T.countermodel(ctx.cubes, ctx.topes, cover)
-                    raise _fail(
+                    raise Failure(
                         "E-SPLIT",
                         "split branches do not cover the constraints in force",
                         countermodel=None if cm is None else cm.value_strings(),
@@ -663,7 +645,7 @@ class Checker:
                         self._budget()
                         ctx_ij = ctx.extend_tope(brs[i][0]).extend_tope(brs[j][0])
                         if not self.def_equal(ctx_ij, brs[i][1], brs[j][1], ty):
-                            raise _fail(
+                            raise Failure(
                                 "E-SPLIT",
                                 "split branches disagree on an overlap",
                                 expected=print_term(brs[i][1], ctx_ij),
@@ -675,7 +657,7 @@ class Checker:
                 # ty == inferred costs nothing; otherwise compare against the
                 # already normalized tyw rather than normalizing ty again
                 if inferred != ty and not self.def_equal(ctx, inferred, tyw, None):
-                    raise _fail(
+                    raise Failure(
                         "E-TYPE-MISMATCH",
                         "inferred type does not match the expected type",
                         expected=print_term(ty, ctx),
@@ -712,17 +694,26 @@ _NOT_ELIMINABLE = {
 def _stuck(t: Term) -> bool:
     """``t`` has an introduction form, which ``infer`` rejects, where typing
     infers it: as an eliminator's scrutinee, as an argument of a spine with a
-    λ head, or as the left side of an untyped ``Id``."""
-    match t:
-        case App(f, a) if type(a) in _INTRO:
-            while isinstance(f, App):
-                f = f.fn
-            if isinstance(f, Lambda):
+    λ head, or as the left side of an untyped ``Id``.  The first subterm is
+    entered by the loop, as in ``core.in_scope``, and the others by
+    recursion."""
+    while True:
+        match t:
+            case App(f, a) if type(a) in _INTRO:
+                while isinstance(f, App):
+                    f = f.fn
+                if isinstance(f, Lambda):
+                    return True
+            case Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _) | Id(None, s, _):
+                if type(s) in _INTRO:
+                    return True
+        below = children(t)
+        if not below:
+            return False
+        for s, _, _ in below[1:]:
+            if _stuck(s):
                 return True
-        case Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _) | Id(None, s, _):
-            if type(s) in _INTRO:
-                return True
-    return any(_stuck(s) for s, _, _ in children(t))
+        t = below[0][0]
 
 
 def _inst_motive(m: Term, a: Term, b: Term, q: Term) -> Term:
@@ -797,22 +788,21 @@ def check(env: CheckEnv, ctx: Context, t: Term, ty: Term) -> Diagnostic | None:
     try:
         Checker(env).check(ctx, t, ty)
         return None
-    except _FAILURES as e:
+    except Failure as e:
         return e.diag
 
 
 def check_declaration(env: CheckEnv, decl: Declaration) -> list[Diagnostic]:
     """Check one resolved declaration; on success share its terms and append
-    it to the env.  A failure's diagnostic has no span (see ``check_module``)."""
+    it to the env.  A failure's diagnostic has no span and names no
+    declaration; ``check_module`` gives it both."""
     checker = Checker(env)
     try:
         checker.type_level_or_top(Context(), decl.type)
         if decl.body is not None:
             checker.check(Context(), decl.body, decl.type)
-    except _FAILURES as e:
-        d = e.diag
-        d.decl = decl.name
-        return [d]
+    except Failure as e:
+        return [e.diag]
     usage: set[str] = set()
     for r in decl.constants:
         usage |= env.axiom_usage.get(r, _NO_AXIOMS)
@@ -845,7 +835,7 @@ def check_module(env: CheckEnv, decls: Iterable, import_failed: bool = False) ->
     own, which is every kernel failure, gets its surface declaration's span;
     the core ``Declaration`` that is stored keeps no span.
     """
-    from .resolve import FAILED, ResolveError, resolve
+    from .resolve import FAILED, resolve
 
     diags: list[Diagnostic] = []
     name_table: dict[str, object] = dict.fromkeys(env.failed, FAILED)
@@ -858,11 +848,11 @@ def check_module(env: CheckEnv, decls: Iterable, import_failed: bool = False) ->
         try:
             declaration = resolve(sdecl, name_table)
             errs = check_declaration(env, declaration)
-        except ResolveError as e:
-            code, message = e.code, e.message
-            if code == "E-UNBOUND-NAME" and import_failed:
-                code, message = "E-DEPENDS-ON-FAILED", f"{message}; an #import of this file failed"
-            errs = [Diagnostic("error", code, message, span=e.span)]
+        except Failure as e:
+            errs = [e.diag]
+            if e.diag.code == "E-UNBOUND-NAME" and import_failed:
+                e.diag.code = "E-DEPENDS-ON-FAILED"
+                e.diag.message += "; an #import of this file failed"
         except RecursionError:
             message = "declaration is nested too deeply to check"
             errs = [Diagnostic("error", "E-NESTING-DEPTH", message)]

@@ -13,7 +13,7 @@ import os
 from typing import NamedTuple
 
 from .batch import check_files, read_failure
-from .diagnostics import Diagnostic
+from .diagnostics import Failure
 from .lexer import Span
 
 
@@ -65,22 +65,15 @@ def default_manifest_path() -> str:
     return os.path.join(os.path.dirname(__file__), "stdlib", "manifest.txt")
 
 
-class ManifestError(Exception):
-    """A manifest that cannot be read (E-IO) or holds a malformed record
-    (E-MANIFEST, spanning the record's line)."""
-
-    def __init__(self, diag: Diagnostic):
-        super().__init__(diag.render())
-        self.diag = diag
-
-
-def _record_error(path: str, start: int, lineno: int, raw: str, message: str) -> ManifestError:
+def _record_error(path: str, start: int, lineno: int, raw: str, message: str) -> Failure:
     text = raw.rstrip("\r\n")
     span = Span(start, start + len(text.encode("utf-8")), lineno, 1, lineno, len(text) + 1)
-    return ManifestError(Diagnostic("error", "E-MANIFEST", message, span=span, file=path))
+    return Failure("E-MANIFEST", message, span, file=path)
 
 
 def load_manifest(path: str | None = None) -> CorpusManifest:
+    """A manifest that cannot be read raises a ``Failure`` with code E-IO,
+    one that holds a malformed record E-MANIFEST, spanning the record's line."""
     path = path or default_manifest_path()
     entries: list[ManifestEntry] = []
     try:
@@ -88,7 +81,7 @@ def load_manifest(path: str | None = None) -> CorpusManifest:
             lines = list(fh)  # line ends kept as written, so offsets are exact
     except (OSError, UnicodeDecodeError) as e:
         message = f"cannot read manifest '{path}': {read_failure(e)}"
-        raise ManifestError(Diagnostic("error", "E-IO", message, file=path)) from None
+        raise Failure("E-IO", message, file=path) from None
     offset = 0
     for lineno, raw in enumerate(lines, 1):
         start, offset = offset, offset + len(raw.encode("utf-8"))
@@ -118,7 +111,7 @@ def corpus_check(
     if not isinstance(manifest, CorpusManifest):
         try:
             manifest = load_manifest(manifest)
-        except ManifestError as e:
+        except Failure as e:
             empty = CorpusManifest(e.diag.file, [])
             return CorpusReport(empty, diagnostics=[e.diag], input_failure=True)
     base = os.path.dirname(manifest.path)

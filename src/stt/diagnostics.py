@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from .lexer import Span
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # only in annotations, so the tope solver loads no lexer
+    from .lexer import Span
 
 
 class Diagnostic:
@@ -57,3 +60,13 @@ class Diagnostic:
             vals = ", ".join(f"{k} = {v}" for k, v in sorted(self.countermodel.items()))
             lines.append(f"  countermodel: {vals}")
         return "\n".join(lines)
+
+
+class Failure(Exception):
+    """An input that fails: it does not lex, parse, resolve, check or load as
+    a manifest, or it exhausts the unfold budget.  ``diag`` is its
+    diagnostic, an error with the given code, message, span and fields."""
+
+    def __init__(self, code: str, message: str, span: Span | None = None, **fields):
+        super().__init__(message)
+        self.diag = Diagnostic("error", code, message, span, **fields)

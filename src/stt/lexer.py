@@ -45,6 +45,8 @@ import enum
 import re
 from typing import NamedTuple
 
+from .diagnostics import Failure
+
 
 class TokenKind(enum.Enum):
     IDENT = "identifier"
@@ -72,14 +74,6 @@ class Token(NamedTuple):
     lexeme: str
     span: Span
     canon: str  # canonical spelling shared by glyph and ASCII alias
-
-
-class LexError(Exception):
-    def __init__(self, code: str, message: str, span: Span):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-        self.span = span
 
 
 # Glyph -> canonical name.  ASCII aliases map to the same canon, so
@@ -199,7 +193,7 @@ def start_cursor() -> list[int]:
 def tokenize(
     source: str, keep_trivia: bool = False, cursor: list[int] | None = None
 ) -> list[Token]:
-    """Tokenize ``source``, raising :class:`LexError` at the first bad input.
+    """Tokenize ``source``, raising :class:`~stt.diagnostics.Failure` at the first bad input.
 
     With ``keep_trivia`` the whitespace and comment stretches are emitted as
     LAYOUT tokens, so that concatenating all lexemes reproduces the source
@@ -240,9 +234,9 @@ def tokenize(
             col, end_col = pos - line_start + 1, end - end_line_start + 1
             span = _tuple_new(Span, (byte, end_byte, line, col, end_line, end_col))
             if group == "invalid":
-                raise LexError("E-INVALID-CHARACTER", f"invalid character {text!r}", span)
+                raise Failure("E-INVALID-CHARACTER", f"invalid character {text!r}", span)
             if group == "unterminated":
-                raise LexError("E-UNTERMINATED-COMMENT", "unterminated block comment", span)
+                raise Failure("E-UNTERMINATED-COMMENT", "unterminated block comment", span)
             if group == "glyph" or (group == "ident" and text in _SPELLINGS):
                 kind, text, canon = _SPELLINGS[text]
             elif group == "ident":

@@ -34,16 +34,9 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 
-from .diagnostics import Diagnostic
-from .lexer import LexError, Span, Token, TokenKind, start_cursor, tokenize
+from .diagnostics import Diagnostic, Failure
+from .lexer import Span, Token, TokenKind, start_cursor, tokenize
 from . import surface as S
-
-
-class ParseFailure(Exception):
-    def __init__(self, message: str, span: Span):
-        super().__init__(message)
-        self.message = message
-        self.span = span
 
 
 # Tokens that may begin an atom, used to drive application parsing.
@@ -104,14 +97,14 @@ class _Parser:
         if t is None or t.canon != canon:
             want = what or f"'{canon}'"
             got = f"'{t.lexeme}'" if t else "end of input"
-            raise ParseFailure(f"expected {want}, found {got}", self._here())
+            raise Failure("E-PARSE", f"expected {want}, found {got}", self._here())
         return self.next()
 
     def expect_ident(self, what: str = "identifier") -> Token:
         t = self.peek()
         if t is None or t.kind != TokenKind.IDENT:
             got = f"'{t.lexeme}'" if t else "end of input"
-            raise ParseFailure(f"expected {what}, found {got}", self._here())
+            raise Failure("E-PARSE", f"expected {what}, found {got}", self._here())
         return self.next()
 
     def _here(self) -> Span:
@@ -136,7 +129,7 @@ class _Parser:
         self.expect("|->")
         body = self.expr()
         if not binders:
-            raise ParseFailure("λ needs at least one binder", start)
+            raise Failure("E-PARSE", "λ needs at least one binder", start)
         return S.SLam(start.cover(body.span), tuple(binders), body)
 
     def lam_binder(self) -> S.SLamBinder:
@@ -151,7 +144,7 @@ class _Parser:
                 annot = self.expr()
             self.expect(")")
             return S.SLamBinder(pat, annot)
-        raise ParseFailure("expected λ binder", self._here())
+        raise Failure("E-PARSE", "expected λ binder", self._here())
 
     def pattern(self) -> S.Pattern:
         if self.at("("):
@@ -169,7 +162,7 @@ class _Parser:
         while self.at("("):
             groups.append(self.group())
         if not groups:
-            raise ParseFailure(f"{which} needs at least one (name : type) group", start)
+            raise Failure("E-PARSE", f"{which} needs at least one (name : type) group", start)
         self.expect(",")
         body = self.expr()
         span = start.cover(body.span)
@@ -200,7 +193,7 @@ class _Parser:
             t = self.peek()
             entry = S.BINARY.get(t.canon) if t is not None else None
             if entry is not None and entry[0] == ceiling and not entry[1]:
-                raise ParseFailure(f"comparisons do not chain, found '{t.lexeme}'", t.span)
+                raise Failure("E-PARSE", f"comparisons do not chain, found '{t.lexeme}'", t.span)
             if entry is None or not min_prec <= entry[0] < ceiling:
                 return lhs
             prec, right, _ = entry
@@ -232,7 +225,7 @@ class _Parser:
     def atom(self) -> S.SExpr:
         t = self.peek()
         if t is None:
-            raise ParseFailure("expected expression", self.eof_span)
+            raise Failure("E-PARSE", "expected expression", self.eof_span)
         if t.kind == TokenKind.IDENT:
             self.next()
             return S.SName(t.span, t.lexeme)
@@ -262,7 +255,7 @@ class _Parser:
                 return S.SIndPath(t.span.cover(target.span), motive, base, target)
             if c in ("lambda", "Pi", "Sigma"):
                 return self.expr()
-            raise ParseFailure(f"unexpected keyword '{t.lexeme}'", t.span)
+            raise Failure("E-PARSE", f"unexpected keyword '{t.lexeme}'", t.span)
         if t.canon == "(":
             self.next()
             inner = self.expr()
@@ -282,7 +275,7 @@ class _Parser:
             return self.split()
         if t.canon == "⟨":
             return self.ext_type()
-        raise ParseFailure(f"unexpected token '{t.lexeme}'", t.span)
+        raise Failure("E-PARSE", f"unexpected token '{t.lexeme}'", t.span)
 
     def split(self) -> S.SExpr:
         start = self.expect("[").span
@@ -349,8 +342,8 @@ class _Parser:
                     if m is None:
                         found = t.lexeme.strip()
                         self._error(f"expected #import \"path\", found '{found}'", t.span)
-        except LexError as e:
-            self._lex_failure(e)
+        except Failure as e:
+            self._lex_failure(e.diag)
 
     def declarations(self) -> Iterator[S.SurfaceDecl | Diagnostic]:
         """The declarations after the header, each parsed only when it is
@@ -377,8 +370,8 @@ class _Parser:
                     continue
                 try:
                     decl = self.declaration()
-                except ParseFailure as e:
-                    failure = self._error(e.message, e.span)
+                except Failure as e:
+                    failure = self._record(e.diag)
                 except RecursionError:
                     message = "declaration is nested too deeply"
                     failure = self._error(message, t.span, "E-NESTING-DEPTH")
@@ -388,19 +381,22 @@ class _Parser:
                 _resync(self)
                 if failure.decl is not None:
                     yield failure
-        except LexError as e:
-            self._lex_failure(e)
+        except Failure as e:
+            self._lex_failure(e.diag)
 
     def _error(self, message: str, span: Span, code: str = "E-PARSE") -> Diagnostic:
-        d = Diagnostic("error", code, message, span, decl=self.decl_name)
+        return self._record(Diagnostic("error", code, message, span))
+
+    def _record(self, d: Diagnostic) -> Diagnostic:
+        d.decl = self.decl_name
         self.diags.append(d)
         return d
 
-    def _lex_failure(self, e: LexError) -> None:
-        """A source that does not lex has only its lex error: drop what was
-        read and end the input."""
-        self.lex_error = Diagnostic("error", e.code, e.message, e.span)
-        self.diags = [self.lex_error]
+    def _lex_failure(self, d: Diagnostic) -> None:
+        """A source that does not lex has only its lex error ``d``: drop what
+        was read and end the input."""
+        self.lex_error = d
+        self.diags = [d]
         self.imports = []
         self.tokens, self.pos = [], 0
         self.cursor[0] = len(self.source)
@@ -436,9 +432,8 @@ class _Parser:
             if isinstance(p, S.SGroup):
                 for n in p.names:
                     if n in seen:
-                        raise ParseFailure(
-                            f"duplicate parameter name '{n}' in declaration", p.span
-                        )
+                        message = f"duplicate parameter name '{n}' in declaration"
+                        raise Failure("E-PARSE", message, p.span)
                     seen.add(n)
         return S.SurfaceDecl(
             name_tok.lexeme, name_tok.span, tuple(params), ty, body, kw.span.cover(end_span)
@@ -487,5 +482,5 @@ def parse_expr(source: str) -> S.SExpr:
     p.fill()
     e = p.expr()
     if p.peek() is not None:
-        raise ParseFailure(f"trailing input '{p.peek().lexeme}'", p.peek().span)
+        raise Failure("E-PARSE", f"trailing input '{p.peek().lexeme}'", p.peek().span)
     return e

@@ -9,6 +9,7 @@ folded into a closed type and body, so a declaration's interface is a single
 
 from __future__ import annotations
 
+from .diagnostics import Failure
 from .lexer import Span
 from . import surface as S
 from .core import (
@@ -57,14 +58,6 @@ from .core import (
     in_scope,
     weaken,
 )
-
-
-class ResolveError(Exception):
-    def __init__(self, code: str, message: str, span: Span | None):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-        self.span = span
 
 
 FAILED = object()  # env marker for declarations that did not check
@@ -148,7 +141,7 @@ class Resolver:
                 return INTERVAL
             case S.SBinary(_, "*", a, b):
                 return CubeProd(self.resolve_cube(a), self.resolve_cube(b))
-        raise ResolveError("E-RESOLVE", "expected a cube (1, 2, or a product)", e.span)
+        raise Failure("E-RESOLVE", "expected a cube (1, 2, or a product)", e.span)
 
     def resolve_point(self, e: S.SExpr) -> CubePoint:
         match e:
@@ -161,7 +154,7 @@ class Resolver:
             case S.SName(_, name):
                 hit = self._lookup(name)
                 if hit is None or hit[0] != "cube":
-                    raise ResolveError(
+                    raise Failure(
                         "E-RESOLVE", f"'{name}' is not an interval coordinate", e.span
                     )
                 _, index, coord, width = hit
@@ -175,7 +168,7 @@ class Resolver:
                 return PointFst(self.resolve_point(a))
             case S.SPrefix(_, "pi2", a):
                 return PointSnd(self.resolve_point(a))
-        raise ResolveError("E-RESOLVE", "expected an interval point", e.span)
+        raise Failure("E-RESOLVE", "expected an interval point", e.span)
 
     def resolve_tope(self, e: S.SExpr) -> Tope:
         match e:
@@ -194,7 +187,7 @@ class Resolver:
             case S.SKeyword(_, "dDelta1"):
                 # both endpoints of the innermost bound coordinate
                 return SHAPE_ENDPOINTS.constraint
-        raise ResolveError("E-RESOLVE", "expected a tope", e.span)
+        raise Failure("E-RESOLVE", "expected a tope", e.span)
 
     # -- terms ----------------------------------------------------------------
 
@@ -206,16 +199,16 @@ class Resolver:
                     layer, index, _, _ = hit
                     if layer == "term":
                         return Var(index)
-                    raise ResolveError(
+                    raise Failure(
                         "E-RESOLVE",
                         f"interval coordinate '{name}' used as a term",
                         e.span,
                     )
                 target = self.env.get(name)
                 if target is None:
-                    raise ResolveError("E-UNBOUND-NAME", f"unbound name '{name}'", e.span)
+                    raise Failure("E-UNBOUND-NAME", f"unbound name '{name}'", e.span)
                 if target is FAILED:
-                    raise ResolveError(
+                    raise Failure(
                         "E-DEPENDS-ON-FAILED",
                         f"'{name}' did not check; cannot be referenced",
                         e.span,
@@ -232,7 +225,7 @@ class Resolver:
                 return Pi(dom, weaken(cod, 1))
             case S.SBinary(_, "*", l, r):
                 if self.is_cube_expr(e):
-                    raise ResolveError("E-RESOLVE", "cube used as a term", e.span)
+                    raise Failure("E-RESOLVE", "cube used as a term", e.span)
                 a = self.resolve_term(l)
                 b = self.resolve_term(r)
                 return Sigma(a, weaken(b, 1))
@@ -277,7 +270,7 @@ class Resolver:
                 resolved = []
                 for tope_e, value_e in branches:
                     if tope_e is None:
-                        raise ResolveError(
+                        raise Failure(
                             "E-RESOLVE",
                             "positional split branches are only allowed in an "
                             "extension-type boundary",
@@ -287,11 +280,11 @@ class Resolver:
                     resolved.append((tope, self.resolve_term(value_e)))
                 return Split(tuple(resolved))
             case S.SNat(_, _):
-                raise ResolveError(
+                raise Failure(
                     "E-RESOLVE", "numeral is only meaningful as an interval point", e.span
                 )
             case S.SPrefix(_, "pi1" | "pi2", _):
-                raise ResolveError(
+                raise Failure(
                     "E-RESOLVE", "point projection used in term position", e.span
                 )
             case S.SPi(_, groups, body):
@@ -301,15 +294,15 @@ class Resolver:
             case S.SKeyword(_, "TOP" | "BOT") | S.SBinary(
                 _, "<=" | "===" | "/\\" | "\\/", _, _
             ):
-                raise ResolveError("E-RESOLVE", "tope syntax in term position", e.span)
+                raise Failure("E-RESOLVE", "tope syntax in term position", e.span)
             case S.SKeyword(_, "star"):
                 message = f"point '{S.KEYWORD['star']}' used in term position"
-                raise ResolveError("E-RESOLVE", message, e.span)
+                raise Failure("E-RESOLVE", message, e.span)
             case S.SKeyword(_, name):
-                raise ResolveError(
+                raise Failure(
                     "E-RESOLVE", f"shape '{name}' cannot be used as a term", e.span
                 )
-        raise ResolveError("E-RESOLVE", "cannot resolve expression", e.span)
+        raise Failure("E-RESOLVE", "cannot resolve expression", e.span)
 
     def _resolve_quantifier(
         self, groups: tuple[S.SGroup, ...], body: S.SExpr, is_pi: bool
@@ -318,7 +311,7 @@ class Resolver:
         pushed = 0
         for g in groups:
             if self.is_cube_expr(g.annot):
-                raise ResolveError(
+                raise Failure(
                     "E-RESOLVE",
                     "Π/Σ cannot bind interval coordinates; use an extension type",
                     g.span,
@@ -343,17 +336,17 @@ class Resolver:
             if isinstance(node, S.SLam):
                 for b in node.binders:
                     if len(names) == arity:
-                        raise ResolveError(
+                        raise Failure(
                             "E-RESOLVE", f"{what} must bind exactly {arity} variables", e.span
                         )
                     if b.annot is not None or isinstance(b.pattern, tuple):
-                        raise ResolveError(
+                        raise Failure(
                             "E-RESOLVE", f"{what} binders must be plain names", e.span
                         )
                     names.append(b.pattern)
                 node = node.body
             else:
-                raise ResolveError(
+                raise Failure(
                     "E-RESOLVE", f"{what} must be a λ binding {arity} variables", e.span
                 )
         for n in names:
@@ -366,7 +359,7 @@ class Resolver:
     def _resolve_lam(self, binders: tuple[S.SLamBinder, ...], body: S.SExpr) -> Term:
         for b in binders:
             if b.annot is not None and not self.is_cube_expr(b.annot):
-                raise ResolveError(
+                raise Failure(
                     "E-RESOLVE",
                     "λ binder annotations must be cubes; term binders are typed by "
                     "the expected Π type",
@@ -418,12 +411,12 @@ class Resolver:
     def _resolve_boundary(self, e: S.SExpr, boundary_tope: Tope) -> Term:
         if isinstance(e, S.SSplit) and any(t is None for t, _ in e.branches):
             if not all(t is None for t, _ in e.branches):
-                raise ResolveError(
+                raise Failure(
                     "E-RESOLVE", "mixed positional and guarded split branches", e.span
                 )
             disjuncts = _flatten_or(boundary_tope)
             if len(disjuncts) != len(e.branches):
-                raise ResolveError(
+                raise Failure(
                     "E-RESOLVE",
                     f"positional boundary has {len(e.branches)} branches but the "
                     f"tope has {len(disjuncts)} disjuncts",
@@ -447,7 +440,7 @@ def _flatten_or(t: Tope) -> list[Tope]:
 def resolve(decl: S.SurfaceDecl, env: dict[str, object]) -> Declaration:
     """Resolve one surface declaration against previously checked names."""
     if decl.name in env:
-        raise ResolveError(
+        raise Failure(
             "E-DUPLICATE-NAME", f"duplicate declaration name '{decl.name}'", decl.name_span
         )
     r = Resolver(env)
@@ -486,7 +479,7 @@ def resolve(decl: S.SurfaceDecl, env: dict[str, object]) -> Declaration:
             if body is not None:
                 body = ExtLambda(body)
     if not in_scope(ty, 0, 0) or (body is not None and not in_scope(body, 0, 0)):
-        raise ResolveError(
+        raise Failure(
             "E-SCOPE", f"resolved declaration '{decl.name}' escapes its scope", decl.span
         )
     return Declaration(decl.name, ty, body, tuple(sorted(r.constants)))

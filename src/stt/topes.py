@@ -14,8 +14,7 @@ to a numbered tope over value slots.  The walk reduces projections of pairs
 declaration position and its projection path, splits ``===`` on a product
 sort componentwise and turns ``===`` on the unit sort into TOP.  It also
 checks sorts: ``<=`` relates two interval points and ``===`` two points of
-one sort; anything else raises ``TopeSortError``, which the checker reports
-as ``E-POINT-SORT``.
+one sort; anything else raises a ``Failure`` with code ``E-POINT-SORT``.
 
 Verdicts and countermodels are answered by one query, ``_first_violation``:
 the first model of the hypotheses, over the mentioned coordinates in sorted
@@ -56,28 +55,21 @@ from .core import (
     Zero,
     BOT,
 )
+from .diagnostics import Failure
 
 
 Atom = tuple[int, tuple[int, ...]]  # (declaration position, projection path)
 
 
-class TopeSortError(Exception):
+def _sort_failure(relation: str, expected, actual, cube_depth: int) -> Failure:
     """A tope relates points of the wrong sorts.  ``expected`` and ``actual``
     are each a sort, or the point itself when it has none, over
     ``cube_depth`` cube variables."""
+    from .printer import print_tope  # here, so the solver alone loads no lexer
 
-    def __init__(self, relation: str, expected, actual, cube_depth: int):
-        super().__init__(f"'{relation}' relates points of the wrong sorts")
-        self.expected, self.actual, self.cube_depth = expected, actual, cube_depth
-
-    @property
-    def diag(self) -> Diagnostic:
-        # here, so the solver alone loads no lexer
-        from .diagnostics import Diagnostic
-        from .printer import print_tope
-
-        expected, actual = (print_tope(x, self.cube_depth) for x in (self.expected, self.actual))
-        return Diagnostic("error", "E-POINT-SORT", str(self), expected=expected, actual=actual)
+    expected, actual = (print_tope(x, cube_depth) for x in (expected, actual))
+    message = f"'{relation}' relates points of the wrong sorts"
+    return Failure("E-POINT-SORT", message, expected=expected, actual=actual)
 
 
 class WeakOrderModel(NamedTuple):
@@ -199,8 +191,8 @@ def sort_of_point(cube_context: Sequence[Cube], p: CubePoint) -> Cube | None:
 def _numbered(cube_context: Sequence[Cube], t: Tope, table: dict[Atom, int]) -> tuple:
     """The core tope ``t`` over ``cube_context`` with its coordinates
     replaced by slots from the table; a coordinate not yet in the table gets
-    the next free slot.  Raises ``TopeSortError`` on an ill-sorted
-    comparison."""
+    the next free slot.  An ill-sorted comparison raises a ``Failure`` with
+    code ``E-POINT-SORT``."""
     match t:
         case TopeTop():
             return ("<=", 0, 1)
@@ -211,13 +203,13 @@ def _numbered(cube_context: Sequence[Cube], t: Tope, table: dict[Atom, int]) -> 
             for p in (l, r):
                 sort = sort_of_point(cube_context, p)
                 if sort != INTERVAL:
-                    raise TopeSortError("≤", INTERVAL, p if sort is None else sort, depth)
+                    raise _sort_failure("≤", INTERVAL, p if sort is None else sort, depth)
             return ("<=", _slot(depth, l, table), _slot(depth, r, table))
         case TopeEq(l, r):
             depth = len(cube_context)
             sort, other = sort_of_point(cube_context, l), sort_of_point(cube_context, r)
             if sort is None or sort != other:
-                raise TopeSortError(
+                raise _sort_failure(
                     "≡", l if sort is None else sort, r if other is None else other, depth
                 )
             match sort:

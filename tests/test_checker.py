@@ -11,9 +11,7 @@ import pytest
 from stt import core as C
 from stt.checker import (
     CheckEnv,
-    CheckFailure,
     Checker,
-    UnfoldDepthExceeded,
     check,
     check_declaration,
     check_module,
@@ -51,6 +49,7 @@ from stt.core import (
     ONE,
     CubeVar,
 )
+from stt.diagnostics import Failure
 from stt.parser import parse_module
 
 STDLIB = pathlib.Path(__file__).resolve().parent.parent / "src" / "stt" / "stdlib"
@@ -111,8 +110,9 @@ def test_whnf_beta_on_a_whole_spine():
 def test_whnf_spends_one_step_per_lambda_consumed():
     t = App(App(App(Lambda(Lambda(Lambda(Var(2)))), Constant("a")), Universe(0)), Universe(0))
     assert whnf(CheckEnv(max_unfold=3), Context(), t) == Constant("a")
-    with pytest.raises(UnfoldDepthExceeded):
+    with pytest.raises(Failure) as info:
         whnf(CheckEnv(max_unfold=2), Context(), t)
+    assert info.value.diag.code == "E-UNFOLD-DEPTH"
 
 
 def test_one_budget_spans_every_normalization_of_a_checker():
@@ -121,8 +121,9 @@ def test_one_budget_spans_every_normalization_of_a_checker():
     checker = Checker(env)
     for _ in range(3):
         assert checker.whnf(Context(), Constant("two")) == Universe(0)
-    with pytest.raises(UnfoldDepthExceeded):
+    with pytest.raises(Failure) as info:
         checker.whnf(Context(), Constant("two"))
+    assert info.value.diag.code == "E-UNFOLD-DEPTH"
     assert Checker(env).whnf(Context(), Constant("two")) == Universe(0)  # a fresh budget
 
 
@@ -133,8 +134,9 @@ def test_disjunction_split_spends_one_step():
     a = Constant("a")
     t = Fst(Pair(a, Constant("b")))
     assert def_equal(CheckEnv(max_unfold=3), ctx, t, a, None)
-    with pytest.raises(UnfoldDepthExceeded):
+    with pytest.raises(Failure) as info:
         def_equal(CheckEnv(max_unfold=2), ctx, t, a, None)
+    assert info.value.diag.code == "E-UNFOLD-DEPTH"
 
 
 def test_def_equal_is_syntactic_before_unfolding():
@@ -242,8 +244,9 @@ def test_unfold_depth_limit_is_an_error_not_a_hang():
     d = check(env, Context(), Universe(0), Constant("spin"))
     assert d is not None and d.code == "E-UNFOLD-DEPTH"
     # inside an equality the exhausted budget propagates, never "not equal"
-    with pytest.raises(UnfoldDepthExceeded):
+    with pytest.raises(Failure) as info:
         def_equal(env, Context(), Constant("spin"), Universe(0), None)
+    assert info.value.diag.code == "E-UNFOLD-DEPTH"
 
 
 # -- def_equal ----------------------------------------------------------------
@@ -564,7 +567,7 @@ def _typed_term(rng, scope: list[str], kind: str, size: int):
 def _inferred(env, t):
     try:
         return Checker(env).infer(Context(), t)
-    except CheckFailure:
+    except Failure:
         return None
 
 

@@ -3,6 +3,8 @@ machine-readable diagnostics."""
 
 from __future__ import annotations
 
+import ast
+import builtins
 import contextlib
 import gc
 import importlib
@@ -10,6 +12,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -519,16 +522,42 @@ def test_internal_error_is_one_diagnostic(monkeypatch, capsys):
 
 def test_import_loads_neither_dataclasses_nor_traceback():
     # -S keeps the host's site hooks, which may import these, out of the check
-    probe = "import stt.cli, sys; print(sorted(m for m in {} if m in sys.modules))"
+    probe = "import {}, sys; print(sorted(m for m in {} if m in sys.modules))"
     heavy = ("dataclasses", "inspect", "traceback", "importlib.resources")
-    r = subprocess.run(
-        [sys.executable, "-S", "-c", probe.format(heavy)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-    )
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    # the tope solver alone loads no front end: the topes benchmark's setup
+    frontend = ("stt.lexer", "stt.parser", "stt.printer")
+    for module, unwanted in (("stt.cli", heavy), ("stt.topes", frontend)):
+        r = subprocess.run(
+            [sys.executable, "-S", "-c", probe.format(module, unwanted)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]", module
+
+
+def test_every_input_failure_is_the_one_failure_class():
+    # each input error raises diagnostics.Failure, which carries its diagnostic
+    exceptions = {
+        n for n, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)
+    }
+    classes = {}  # name -> (module, base names)
+    for path in sorted((ROOT / "src" / "stt").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases = {b.id if isinstance(b, ast.Name) else ast.unparse(b) for b in node.bases}
+                classes[node.name] = (path.stem, bases)
+        gone = r"\b(LexError|ParseFailure|ResolveError|CheckFailure|UnfoldDepthExceeded"
+        gone += r"|TopeSortError|ManifestError|_fail|_FAILURES)\b"
+        assert not re.findall(gone, source), path.name
+    while True:  # close under subclassing
+        more = {n for n, (_, bases) in classes.items() if bases & exceptions} - exceptions
+        if not more:
+            break
+        exceptions |= more
+    assert {(classes[n][0], n) for n in exceptions if n in classes} == {("diagnostics", "Failure")}
 
 
 def test_every_traced_function_resolves(perfbench_spans):
@@ -617,6 +646,19 @@ def test_a_redex_of_a_thousand_lambdas_checks_cleanly(tmp_path):
         + " U" * 1000 + "\n",
         encoding="utf-8",
     )
+    r = run_cli("check", "--json", str(f))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["diagnostics"] == [] and doc["summary"]["declarations"] == 1
+
+
+def test_path_induction_on_an_identity_over_a_deep_redex_checks_cleanly(tmp_path):
+    # the search for a stuck left side of the path type enters a spine's
+    # heads and a λ run by a loop
+    redex = "((λ " + " ".join(f"x{i}" for i in range(400)) + " ↦ x0)" + " c" * 400 + ")"
+    f = tmp_path / "deep.stt"
+    body = "ind-path (λ x y q ↦ A) (λ x ↦ x) p"
+    f.write_text(f"def j (A : U) (c : A) (p : {redex} ~ c) : A := {body}\n", encoding="utf-8")
     r = run_cli("check", "--json", str(f))
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)

@@ -28,7 +28,8 @@ from stt.core import (
     weaken_tope_cube,
 )
 from stt.parser import parse_module
-from stt.resolve import ResolveError, resolve
+from stt.diagnostics import Failure
+from stt.resolve import resolve
 
 from gen_terms import random_cube_term, random_point, random_term, random_tope
 from oracle_named import from_named, fresh, subst as named_subst, to_named
@@ -363,9 +364,9 @@ _MISPLACED = [
 def test_misplaced_forms_are_resolve_errors(src, message, span):
     (decl,), diags, _ = parse_module(src)
     assert not diags
-    with pytest.raises(ResolveError) as info:
+    with pytest.raises(Failure) as info:
         resolve(decl, {})
-    e = info.value
+    e = info.value.diag
     got_span = (e.span.line, e.span.col, e.span.end_line, e.span.end_col)
     assert (e.code, e.message, got_span) == ("E-RESOLVE", message, span)
 

@@ -7,7 +7,8 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stt.lexer import LexError, Token, TokenKind, tokenize
+from stt.diagnostics import Failure
+from stt.lexer import Token, TokenKind, tokenize
 
 
 def kinds(src: str):
@@ -83,12 +84,13 @@ def test_line_and_column_positions():
     ids=["ascii", "after-glyphs", "second-line"],
 )
 def test_invalid_character(src, start, line, col):
-    with pytest.raises(LexError) as e:
+    with pytest.raises(Failure) as e:
         tokenize(src)
-    assert e.value.code == "E-INVALID-CHARACTER"
-    assert e.value.message == "invalid character '€'"
-    assert (e.value.span.start, e.value.span.end) == (start, start + 3)
-    assert (e.value.span.line, e.value.span.col) == (line, col)
+    d = e.value.diag
+    assert d.code == "E-INVALID-CHARACTER"
+    assert d.message == "invalid character '€'"
+    assert (d.span.start, d.span.end) == (start, start + 3)
+    assert (d.span.line, d.span.col) == (line, col)
 
 
 @pytest.mark.parametrize(
@@ -97,11 +99,12 @@ def test_invalid_character(src, start, line, col):
     ids=["ascii", "after-glyphs"],
 )
 def test_unterminated_comment(src, start, line, col):
-    with pytest.raises(LexError) as e:
+    with pytest.raises(Failure) as e:
         tokenize(src)
-    assert e.value.code == "E-UNTERMINATED-COMMENT"
-    assert (e.value.span.start, e.value.span.end) == (start, len(src.encode("utf-8")))
-    assert (e.value.span.line, e.value.span.col) == (line, col)
+    d = e.value.diag
+    assert d.code == "E-UNTERMINATED-COMMENT"
+    assert (d.span.start, d.span.end) == (start, len(src.encode("utf-8")))
+    assert (d.span.line, d.span.col) == (line, col)
 
 
 def test_hyphenated_identifiers_do_not_eat_operators():
@@ -162,11 +165,12 @@ def test_tokens_tile_the_source_or_the_error_lies_inside_it(src):
     encoded = src.encode("utf-8")
     try:
         toks = tokenize(src, keep_trivia=True)
-    except LexError as e:
-        assert 0 <= e.span.start < e.span.end <= len(encoded)
-        assert (e.span.line, e.span.col) == _recount(encoded, e.span.start)
-        assert (e.span.end_line, e.span.end_col) == _recount(encoded, e.span.end)
-        with pytest.raises(LexError):
+    except Failure as e:
+        span = e.diag.span
+        assert 0 <= span.start < span.end <= len(encoded)
+        assert (span.line, span.col) == _recount(encoded, span.start)
+        assert (span.end_line, span.end_col) == _recount(encoded, span.end)
+        with pytest.raises(Failure):
             tokenize(src)
         return
     pos = 0

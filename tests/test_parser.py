@@ -14,7 +14,8 @@ from stt.core import ZERO, CubeVar, Fst, TopeAnd, TopeLeq, TopeTop, Var
 from stt.corpus import load_manifest
 from stt.lexer import TokenKind, tokenize
 from stt import surface as S
-from stt.parser import ParseFailure, imports_of, parse_expr, parse_module
+from stt.diagnostics import Failure
+from stt.parser import imports_of, parse_expr, parse_module
 from stt.printer import pretty_print, print_module, print_term, print_tope
 from stt.resolve import Resolver, resolve
 from stt.surface import SurfaceDecl, skeleton
@@ -194,8 +195,9 @@ def test_chained_comparisons_are_one_parse_error(o1, o2):
     start = len(f"def d (a b c : U) : a {o1} b ".encode())
     assert diags[0].span[:2] == (start, start + len(o2.encode()))
     assert [d.name for d in decls] == ["ok"]
-    with pytest.raises(ParseFailure):
+    with pytest.raises(Failure) as info:
         parse_expr(f"a {o1} b {o2} c")
+    assert (info.value.diag.code, info.value.diag.message) == ("E-PARSE", message)
 
 
 def test_every_table_glyph_lexes_to_its_canon():

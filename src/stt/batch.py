@@ -18,7 +18,7 @@ declaration at a time, which is resolved and checked before the next is
 parsed, so a surface declaration lives only while it is checked.  A
 declaration that failed to parse is failed from there on.  A lex error
 anywhere fails the whole file: it keeps no names and reports only that
-error.
+error, and each file importing it has a failed ``#import``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import os
 import time
 
 from .checker import CheckEnv, check_module
-from .diagnostics import Diagnostic
+from .core import Declaration
+from .diagnostics import Diagnostic, exit_code
 from .parser import _Parser
 
 
@@ -40,16 +41,8 @@ class FileReport:
     def __init__(self, path: str):
         self.path = path  # as given on the command line or via imports
         self.source: str | None = None  # None if the file could not be read
-        self.io_error = False
-        self.parse_diagnostics: list[Diagnostic] = []
-        self.check_diagnostics: list[Diagnostic] = []
-        self.decl_names: list[str] = []
-        self.postulates: frozenset[str] = frozenset()  # the accepted decl_names without a body
-        self.axiom_usage: dict[str, frozenset[str]] = {}
-
-    @property
-    def diagnostics(self) -> list[Diagnostic]:
-        return self.parse_diagnostics + self.check_diagnostics
+        self.diagnostics: list[Diagnostic] = []  # parse failures first, then check failures
+        self.decls: list[Declaration] = []  # the checked declarations, in order
 
 
 class BatchResult:
@@ -62,7 +55,7 @@ class BatchResult:
     @property
     def files_read(self) -> int:
         """The files that were read; ``order`` also holds the unreadable ones."""
-        return sum(1 for r in self.reports.values() if not r.io_error)
+        return sum(1 for r in self.reports.values() if r.source is not None)
 
     @property
     def all_diagnostics(self) -> list[Diagnostic]:
@@ -71,28 +64,8 @@ class BatchResult:
             out.extend(self.reports[key].diagnostics)
         return sorted(out, key=lambda d: d.sort_key())
 
-    @property
-    def has_io_or_parse_failure(self) -> bool:
-        """An unreadable or unparsable input, or one nested too deeply to check."""
-        return any(
-            r.io_error
-            or r.parse_diagnostics
-            or any(d.code == "E-NESTING-DEPTH" for d in r.check_diagnostics)
-            for r in self.reports.values()
-        )
-
-    @property
-    def has_errors(self) -> bool:
-        return any(
-            d.severity == "error" for r in self.reports.values() for d in r.diagnostics
-        )
-
     def exit_code(self) -> int:
-        if self.has_io_or_parse_failure:
-            return 2
-        if self.has_errors:
-            return 1
-        return 0
+        return exit_code(self.all_diagnostics)
 
 
 def _norm(path: str) -> str:
@@ -131,7 +104,6 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
                 with open(key, "r", encoding="utf-8") as fh:
                     report.source = fh.read()
             except (OSError, UnicodeDecodeError) as e:
-                report.io_error = True
                 unreadable[key] = read_failure(e)
             else:
                 parser = parsers[key] = _Parser(report.source)
@@ -152,9 +124,7 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
             import_failed.add(owner_key)
             owner = reports[owner_key]
             message = f"cannot read '{shown}': {unreadable[key]}"
-            owner.parse_diagnostics.append(
-                Diagnostic("error", "E-IO", message, span, file=owner.path)
-            )
+            owner.diagnostics.append(Diagnostic("E-IO", message, span, file=owner.path))
 
     # deterministic topological order: repeatedly take the lexicographically
     # first file whose imports are all placed
@@ -165,10 +135,8 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
         if not ready:
             for k in sorted(remaining):
                 path = reports[k].path
-                reports[k].parse_diagnostics.append(
-                    Diagnostic(
-                        "error", "E-IMPORT-CYCLE", f"import cycle involving '{path}'", file=path
-                    )
+                reports[k].diagnostics.append(
+                    Diagnostic("E-IMPORT-CYCLE", f"import cycle involving '{path}'", file=path)
                 )
             ready = sorted(remaining)
         order.extend(ready)
@@ -187,17 +155,11 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
             for name, decl in dep_env.decls.items():
                 held = env.decls.get(name)
                 if held is not None and held is not decl:
-                    report.check_diagnostics.append(
-                        Diagnostic(
-                            "error",
-                            "E-DUPLICATE-NAME",
-                            f"'{name}' is declared by two different imports",
-                            file=report.path,
-                        )
+                    message = f"'{name}' is declared by two different imports"
+                    report.diagnostics.append(
+                        Diagnostic("E-DUPLICATE-NAME", message, file=report.path)
                     )
                 env.decls[name] = decl
-            env.axioms.update(dep_env.axioms)
-            env.axiom_usage.update(dep_env.axiom_usage)
             env.failed.update(dep_env.failed)
         before, failed_before = set(env.decls), set(env.failed)
         parser = parsers.pop(key, None)
@@ -205,19 +167,17 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
             # each declaration is parsed, resolved and checked, then let go
             cdiags = check_module(env, parser.declarations(), key in import_failed)
             if parser.lex_error is not None:
-                # a source that does not lex adds nothing
+                # a source that does not lex adds nothing, and fails its importers
                 for n in set(env.decls) - before:
-                    del env.decls[n], env.axiom_usage[n]
-                    env.axioms.discard(n)
+                    del env.decls[n]
                 env.failed &= failed_before
                 cdiags = []
+                import_failed.update(k for k, deps in imports.items() if key in deps)
             for d in parser.diags + cdiags:
                 d.file = report.path
-            report.parse_diagnostics[:0] = parser.diags
-            report.check_diagnostics.extend(cdiags)
-        report.decl_names = [n for n in env.decls if n not in before]
-        report.postulates = frozenset(n for n in report.decl_names if env.decls[n].is_postulate)
-        report.axiom_usage = {n: env.axiom_usage[n] for n in report.decl_names}
+            report.diagnostics[:0] = parser.diags
+            report.diagnostics.extend(cdiags)
+        report.decls = [d for n, d in env.decls.items() if n not in before]
         result.j_fired += env.j_fired
         envs[key] = env
 

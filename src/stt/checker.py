@@ -50,10 +50,11 @@ branches compared on their overlap; syntactically equal sides spend none.
 
 Sharing: once a declaration has checked, ``check_declaration`` rebuilds its
 type and body from ``env.shared``, one node per distinct subterm for a whole
-batch run, and only then stores it; its axiom usage comes from the names the
-resolver recorded.  Sharing waits for success, so a failed declaration adds
-nothing, and the check sees the declaration's terms as the resolver built
-them, which keeps anything keyed by node identity during the check valid.
+batch run, and only then stores it with its ``axioms``, the postulates it
+uses, read off the declarations the resolver recorded.  Sharing waits for
+success, so a failed declaration adds nothing, and the check sees the
+declaration's terms as the resolver built them, which keeps anything keyed
+by node identity during the check valid.
 
 Diagnostics: the ``expected`` and ``actual`` terms of a failure are core
 terms read back to surface syntax and printed by ``printer.print_term`` and
@@ -113,15 +114,10 @@ class CheckEnv:
 
     def __init__(self, max_unfold: int = 10_000, shared: dict | None = None):
         self.decls: dict[str, Declaration] = {}
-        self.axioms: set[str] = set()
-        self.axiom_usage: dict[str, frozenset[str]] = {}
         self.max_unfold = max_unfold
         self.j_fired = 0  # identity-eliminator computation counter
         self.failed: set[str] = set()  # names that did not check
         self.shared = {} if shared is None else shared  # the canonical node of each held subterm
-
-
-_NO_AXIOMS: frozenset[str] = frozenset()  # the usage of every axiom-free declaration
 
 
 def _simplify_tope(t: Tope) -> Tope:
@@ -805,16 +801,16 @@ def check_declaration(env: CheckEnv, decl: Declaration) -> list[Diagnostic]:
         return [e.diag]
     usage: set[str] = set()
     for r in decl.constants:
-        usage |= env.axiom_usage.get(r, _NO_AXIOMS)
-        if r in env.axioms:
+        held = env.decls[r]
+        usage |= held.axioms
+        if held.is_postulate:
             usage.add(r)
+    if usage:
+        decl.axioms = frozenset(usage)
     decl.type = share(decl.type, env.shared)
     if decl.body is not None:
         decl.body = share(decl.body, env.shared)
     env.decls[decl.name] = decl
-    if decl.body is None:
-        env.axioms.add(decl.name)
-    env.axiom_usage[decl.name] = frozenset(usage) if usage else _NO_AXIOMS
     return []
 
 
@@ -855,7 +851,7 @@ def check_module(env: CheckEnv, decls: Iterable, import_failed: bool = False) ->
                 e.diag.message += "; an #import of this file failed"
         except RecursionError:
             message = "declaration is nested too deeply to check"
-            errs = [Diagnostic("error", "E-NESTING-DEPTH", message)]
+            errs = [Diagnostic("E-NESTING-DEPTH", message)]
         for d in errs:
             d.decl = sdecl.name
             if d.span is None:

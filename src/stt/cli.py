@@ -11,9 +11,11 @@ are checked one after another in one thread.
 Exit codes: 0 clean, 1 type errors, 2 I/O or parse failure of any input
 (including ``E-NESTING-DEPTH`` for a declaration nested too deeply to parse
 or check), a bad flag value, or an internal error, which is reported as one
-``E-INTERNAL`` diagnostic on stderr instead of a traceback.  ``traceback``
-is imported only on that path, to name where the fault was raised, so a
-normal run never loads it.
+``E-INTERNAL`` diagnostic on stderr instead of a traceback.  Past those
+two, the exit code is decided in one place, ``diagnostics.exit_code``, from
+the codes of the diagnostics (``stt corpus`` also exits 1 when an entry
+fails its contract).  ``traceback`` is imported only on the internal-error
+path, to name where the fault was raised, so a normal run never loads it.
 
 The cyclic garbage collector is off while ``main`` runs and is left as it
 was found on every exit path.  Syntax trees, tokens and spans are tuple
@@ -46,7 +48,7 @@ def _span_json(d: Diagnostic) -> dict:
 def _diag_json(d: Diagnostic) -> dict:
     out = {
         "code": d.code,
-        "severity": d.severity,
+        "severity": "error",
         "file": d.file or "",
         "message": d.message,
     }
@@ -64,12 +66,10 @@ def _diag_json(d: Diagnostic) -> dict:
 
 def emit_json(diagnostics: list[Diagnostic], report: dict, wall_seconds: float) -> str:
     """Deterministic JSON rendering; only the timing object varies by run."""
-    errors = sum(1 for d in diagnostics if d.severity == "error")
-    warnings = sum(1 for d in diagnostics if d.severity == "warning")
     doc = {
         "version": 1,
         "diagnostics": [_diag_json(d) for d in diagnostics],
-        "summary": {"errors": errors, "warnings": warnings, **report},
+        "summary": {"errors": len(diagnostics), "warnings": 0, **report},
         "timing": {"wall_ms": round(wall_seconds * 1000.0, 3)},
     }
     return json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=None)
@@ -84,14 +84,14 @@ def _print_human(batch: BatchResult, explain_tope: bool) -> None:
 
 def _print_check(batch: BatchResult, as_json: bool, explain_tope: bool) -> int:
     diags = batch.all_diagnostics
-    checked = sum(len(r.decl_names) for r in batch.reports.values())
+    checked = sum(len(r.decls) for r in batch.reports.values())
     if as_json:
         report = {"files": batch.files_read, "declarations": checked}
         print(emit_json(diags, report, batch.wall_seconds))
     else:
         _print_human(batch, explain_tope)
-        errs = sum(1 for d in diags if d.severity == "error")
-        print(f"checked {batch.files_read} file(s), {checked} declaration(s), {errs} error(s)")
+        counts = f"{batch.files_read} file(s), {checked} declaration(s), {len(diags)} error(s)"
+        print(f"checked {counts}")
     return batch.exit_code()
 
 
@@ -107,12 +107,11 @@ def cmd_axioms(args) -> int:
             return _print_check(batch, True, False)
         _print_human(batch, explain_tope=False)
         return batch.exit_code()
-    records = []
-    for key in batch.order:
-        rep = batch.reports[key]
-        for name in rep.decl_names:
-            axioms = sorted(rep.axiom_usage.get(name, frozenset()))
-            records.append({"file": rep.path, "name": name, "axioms": axioms})
+    records = [
+        {"file": rep.path, "name": d.name, "axioms": sorted(d.axioms)}
+        for rep in map(batch.reports.get, batch.order)
+        for d in rep.decls
+    ]
     if args.json:
         print(json.dumps({"version": 1, "axioms": records}, sort_keys=True, ensure_ascii=False))
     else:
@@ -157,7 +156,7 @@ def cmd_corpus(args) -> int:
             print(d.render(), file=sys.stderr)
         status = "corpus ok" if report.ok else "corpus FAILED"
         print(f"{status}: {len(report.results)} entries in {report.wall_seconds:.2f}s")
-    return 2 if report.input_failure else 0 if report.ok else 1
+    return report.exit_code()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         where = traceback.extract_tb(e.__traceback__)[-1]
         message = f"internal error: {type(e).__name__}: {e}"
         message += f" (raised at {os.path.basename(where.filename)}:{where.lineno})"
-        print(Diagnostic("error", "E-INTERNAL", message).render(), file=sys.stderr)
+        print(Diagnostic("E-INTERNAL", message).render(), file=sys.stderr)
         return 2
     finally:
         if collecting:

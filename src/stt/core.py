@@ -323,14 +323,18 @@ class Context:
         return weaken(d, index + 1, 0) if d is not None else None
 
 
+_NO_AXIOMS: frozenset[str] = frozenset()  # the usage of every axiom-free declaration
+
+
 class Declaration:
-    __slots__ = ("name", "type", "body", "constants")
+    __slots__ = ("name", "type", "body", "constants", "axioms")
 
     def __init__(self, name: str, type: "Term", body: "Term | None", constants=()):
         self.name = name
         self.type = type  # closed: the parameters are folded in
         self.body = body  # None marks a postulate
         self.constants: tuple[str, ...] = constants  # the declarations it names, sorted
+        self.axioms = _NO_AXIOMS  # the postulates it uses, transitively; set once checked
 
     @property
     def is_postulate(self) -> bool:

@@ -13,7 +13,7 @@ import os
 from typing import NamedTuple
 
 from .batch import check_files, read_failure
-from .diagnostics import Failure
+from .diagnostics import Failure, exit_code
 from .lexer import Span
 
 
@@ -48,17 +48,18 @@ class EntryResult:
 
 
 class CorpusReport:
-    def __init__(self, manifest: CorpusManifest, diagnostics: list | None = None,
-                 input_failure: bool = False):
+    def __init__(self, manifest: CorpusManifest, diagnostics: list | None = None):
         self.manifest = manifest
         self.results: list[EntryResult] = []
         self.diagnostics = [] if diagnostics is None else diagnostics
         self.wall_seconds = 0.0
-        self.input_failure = input_failure  # an unreadable or unparsable manifest or corpus file
 
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.results) and not self.diagnostics
+
+    def exit_code(self) -> int:
+        return max(exit_code(self.diagnostics), 0 if self.ok else 1)
 
 
 def default_manifest_path() -> str:
@@ -113,25 +114,25 @@ def corpus_check(
             manifest = load_manifest(manifest)
         except Failure as e:
             empty = CorpusManifest(e.diag.file, [])
-            return CorpusReport(empty, diagnostics=[e.diag], input_failure=True)
+            return CorpusReport(empty, diagnostics=[e.diag])
     base = os.path.dirname(manifest.path)
     files = [os.path.join(base, f) for f in manifest.files()]
     batch = check_files(files, max_unfold=max_unfold)
     report = CorpusReport(manifest=manifest)
     report.diagnostics = batch.all_diagnostics
-    report.input_failure = batch.has_io_or_parse_failure
     report.wall_seconds = batch.wall_seconds
-    by_file = {os.path.relpath(key, base): batch.reports[key] for key in batch.order}
+    decls = {(os.path.relpath(key, base), d.name): d  # keyed as the manifest names them
+             for key in batch.order for d in batch.reports[key].decls}
 
     for entry in manifest.entries:
-        fr = by_file.get(entry.file)
-        if fr is None or entry.name not in fr.axiom_usage:
+        decl = decls.get((os.path.normpath(entry.file), entry.name))
+        if decl is None:
             report.results.append(EntryResult(entry, "rejected" if any(
                 d.decl == entry.name for d in report.diagnostics
             ) else "missing"))
             continue
-        usage = fr.axiom_usage[entry.name]
-        is_post = entry.name in fr.postulates
+        usage = decl.axioms
+        is_post = decl.is_postulate
         if entry.tier == "PROVED" and is_post:
             report.results.append(
                 EntryResult(entry, "tier-violation", usage, "expected a proof, found a postulate")

@@ -8,14 +8,29 @@ if TYPE_CHECKING:  # only in annotations, so the tope solver loads no lexer
     from .lexer import Span
 
 
-class Diagnostic:
-    __slots__ = ("severity", "code", "message", "span", "file", "expected", "actual",
-                 "countermodel", "decl")
+# The codes of an input that could not be read or parsed, or is nested too
+# deeply to parse or check: each makes the run exit 2, any other code exit 1.
+INPUT_FAILURES = frozenset({
+    "E-IO", "E-MANIFEST", "E-INVALID-CHARACTER", "E-UNTERMINATED-COMMENT", "E-PARSE",
+    "E-IMPORT-CYCLE", "E-NESTING-DEPTH",
+})
 
-    def __init__(self, severity: str, code: str, message: str, span: Span | None = None,
+
+def exit_code(diags) -> int:
+    """2 if an input failed, else 1 if anything is reported, else 0."""
+    codes = {d.code for d in diags}
+    return 2 if codes & INPUT_FAILURES else 1 if codes else 0
+
+
+class Diagnostic:
+    """An error: nothing is reported as a warning, so the JSON's ``severity``
+    is always ``"error"``."""
+
+    __slots__ = ("code", "message", "span", "file", "expected", "actual", "countermodel", "decl")
+
+    def __init__(self, code: str, message: str, span: Span | None = None,
                  file: str | None = None, expected: str | None = None, actual: str | None = None,
                  countermodel: dict[str, str] | None = None, decl: str | None = None):
-        self.severity = severity  # "error" | "warning"
         self.code = code  # stable, e.g. E-TYPE-MISMATCH
         self.message, self.span, self.file = message, span, file
         self.expected = expected  # pretty-printed expected term
@@ -41,7 +56,7 @@ class Diagnostic:
         loc = ""
         if self.span is not None:
             loc = f"{self.span.line}:{self.span.col}: "
-        head = f"{self.file + ':' if self.file else ''}{loc}{self.severity}[{self.code}]: {self.message}"
+        head = f"{self.file + ':' if self.file else ''}{loc}error[{self.code}]: {self.message}"
         lines = [head]
         if self.expected is not None:
             lines.append(f"  expected: {self.expected}")
@@ -69,4 +84,4 @@ class Failure(Exception):
 
     def __init__(self, code: str, message: str, span: Span | None = None, **fields):
         super().__init__(message)
-        self.diag = Diagnostic("error", code, message, span, **fields)
+        self.diag = Diagnostic(code, message, span, **fields)

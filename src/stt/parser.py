@@ -385,7 +385,7 @@ class _Parser:
             self._lex_failure(e.diag)
 
     def _error(self, message: str, span: Span, code: str = "E-PARSE") -> Diagnostic:
-        return self._record(Diagnostic("error", code, message, span))
+        return self._record(Diagnostic(code, message, span))
 
     def _record(self, d: Diagnostic) -> Diagnostic:
         d.decl = self.decl_name

@@ -76,6 +76,25 @@ def test_failed_import_is_reported_as_failed_not_unbound(tmp_path):
     assert batch.exit_code() == 1
 
 
+@pytest.mark.parametrize(
+    "source",
+    ["def base : U1 := U\ndef bad : U1 := U $\n", "$\ndef base : U1 := U\n"],
+    ids=["last-declaration", "header"],
+)
+def test_import_that_does_not_lex_is_a_failed_import(tmp_path, source):
+    """A file that does not lex keeps none of its names, so a name taken
+    from it is blamed on the import, as for an unreadable file."""
+    (tmp_path / "lexbad.stt").write_text(source, encoding="utf-8")
+    (tmp_path / "imp.stt").write_text(
+        '#import "lexbad.stt"\ndef use : U1 := base\n', encoding="utf-8"
+    )
+    batch = check_files([str(tmp_path / "imp.stt")])
+    found = [(d.decl, d.code) for d in batch.all_diagnostics]
+    assert found == [("use", "E-DEPENDS-ON-FAILED"), (None, "E-INVALID-CHARACTER")]
+    assert batch.all_diagnostics[0].message.endswith("; an #import of this file failed")
+    assert batch.exit_code() == 2
+
+
 def test_declaration_that_fails_to_parse_is_failed_here_and_in_importers(tmp_path):
     (tmp_path / "base.stt").write_text(
         "def base (A : U : U := A\ndef use (A : U) : U := base A\n", encoding="utf-8"

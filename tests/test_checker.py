@@ -626,9 +626,9 @@ def test_check_declaration_extends_env_and_axiom_set():
     decls, _, _ = parse_module("postulate ax (A : U) : A\ndef use (A : U) : A := (ax A)")
     diags = check_module(env, decls)
     assert not diags
-    assert "ax" in env.axioms
-    assert env.axiom_usage["use"] == frozenset({"ax"})
-    assert env.axiom_usage["ax"] == frozenset()
+    assert env.decls["ax"].is_postulate
+    assert env.decls["use"].axioms == frozenset({"ax"})
+    assert env.decls["ax"].axioms == frozenset()
 
 
 def test_declarations_with_one_telescope_hold_one_type_object():

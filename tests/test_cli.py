@@ -178,6 +178,27 @@ def test_axioms_json_on_a_failed_file_prints_the_check_document(tmp_path):
     assert check["diagnostics"] == doc["diagnostics"]
 
 
+def test_axioms_json_lists_each_declaration_of_an_import_chain(tmp_path):
+    # an importer's declaration uses the postulate its import's definition uses
+    (tmp_path / "base.stt").write_text(
+        "postulate ax (A : U) : A\ndef f (A : U) : A := ax A\n", encoding="utf-8"
+    )
+    (tmp_path / "main.stt").write_text(
+        '#import "base.stt"\ndef g (A : U) : A := f A\n', encoding="utf-8"
+    )
+    r = run_cli("axioms", "--json", str(tmp_path / "main.stt"))
+    assert r.returncode == 0 and r.stderr == ""
+    base, main = str(tmp_path / "base.stt"), str(tmp_path / "main.stt")
+    assert json.loads(r.stdout) == {
+        "version": 1,
+        "axioms": [
+            {"file": base, "name": "ax", "axioms": []},
+            {"file": base, "name": "f", "axioms": ["ax"]},
+            {"file": main, "name": "g", "axioms": ["ax"]},
+        ],
+    }
+
+
 def test_imports_are_resolved_relative_to_the_file(tmp_path):
     (tmp_path / "lib").mkdir()
     (tmp_path / "lib" / "base.stt").write_text(
@@ -558,6 +579,28 @@ def test_every_input_failure_is_the_one_failure_class():
             break
         exceptions |= more
     assert {(classes[n][0], n) for n in exceptions if n in classes} == {("diagnostics", "Failure")}
+
+
+def test_every_lex_and_parse_code_exits_two_and_no_check_code_does():
+    # a code the lexer or parser can report is an input failure; a code of
+    # the resolver, kernel or tope solver is not, except a resource limit
+    from stt.diagnostics import INPUT_FAILURES
+
+    def codes(module: str) -> set[str]:
+        tree = ast.parse((ROOT / "src" / "stt" / f"{module}.py").read_text(encoding="utf-8"))
+        return {
+            n.value
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and re.fullmatch(r"E-[A-Z-]+", n.value)
+        }
+
+    front = codes("lexer") | codes("parser")
+    assert {"E-INVALID-CHARACTER", "E-UNTERMINATED-COMMENT", "E-PARSE"} <= front
+    assert front <= INPUT_FAILURES
+    back = codes("resolve") | codes("checker") | codes("topes")
+    assert {"E-UNBOUND-NAME", "E-TYPE-MISMATCH", "E-POINT-SORT"} <= back
+    assert back & INPUT_FAILURES == {"E-NESTING-DEPTH"}
 
 
 def test_every_traced_function_resolves(perfbench_spans):

@@ -3,6 +3,7 @@ hygiene holds per tier, and manifest anchors resolve into the docs."""
 
 from __future__ import annotations
 
+import json
 import pathlib
 import re
 
@@ -157,6 +158,27 @@ def test_removing_a_stated_postulate_breaks_dependents(tmp_path, report):
     assert not rep.ok
     codes = {d.code for d in rep.diagnostics}
     assert "E-UNBOUND-NAME" in codes
+
+
+def test_manifest_paths_are_looked_up_normalized(tmp_path, report, capsys):
+    """A manifest may spell a file ``./paths.stt``; its entries are found,
+    and the JSON names the file as the manifest wrote it."""
+    import shutil
+
+    import stt.cli
+
+    base = pathlib.Path(report.manifest.path).parent
+    for f in base.glob("*.stt"):
+        shutil.copy(f, tmp_path)
+    lines = (base / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    records = [l for l in lines if l.strip() and not l.startswith("#")]
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(f"./{l.strip()}\n" for l in records), encoding="utf-8")
+    assert stt.cli.main(["corpus", "--json", "--manifest", str(manifest)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["status"] for e in doc["summary"]["corpus"]] == ["ok"] * len(report.results)
+    files = [e["file"] for e in doc["summary"]["corpus"]]
+    assert files == ["./" + r.entry.file for r in report.results]
 
 
 @pytest.mark.parametrize(

@@ -324,5 +324,5 @@ def test_lex_error_in_the_last_declaration_fails_the_whole_file(tmp_path):
     path.write_text(_CHUNK_CASES["lex error in the last declaration"][0], encoding="utf-8")
     batch = check_files([str(path)])
     assert [d.code for d in batch.all_diagnostics] == ["E-INVALID-CHARACTER"]
-    assert batch.reports[str(path)].decl_names == []
+    assert batch.reports[str(path)].decls == []
     assert batch.exit_code() == 2

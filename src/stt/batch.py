@@ -6,19 +6,20 @@ Checking runs in two phases, and every file is read and lexed once.
 
 Phase 1 reads each file when it is first reached and parses only its import
 header, then queues the files it imports.  A file that cannot be read is an
-E-IO at each ``#import`` naming it, or in itself if named directly.  In a
-file with a failed ``#import``, unreadable or malformed, a name that cannot
-be found is E-DEPENDS-ON-FAILED rather than E-UNBOUND-NAME.
+E-IO at each ``#import`` naming it, or in itself if named directly.  A file
+has a failed ``#import`` when one anywhere in its import closure is
+unreadable or malformed or names a file that does not lex: there a name that
+cannot be found is E-DEPENDS-ON-FAILED rather than E-UNBOUND-NAME.
 
 Phase 2 checks the files one after another, in one thread, in a
-deterministic dependency order.  Every file sees exactly the declarations of
-its transitive import closure, and the names in that closure that failed to
-parse or check.  Its parser resumes after the header and hands over one
-declaration at a time, which is resolved and checked before the next is
-parsed, so a surface declaration lives only while it is checked.  A
-declaration that failed to parse is failed from there on.  A lex error
-anywhere fails the whole file: it keeps no names and reports only that
-error, and each file importing it has a failed ``#import``.
+deterministic dependency order.  A file sees what each file of its import
+closure declares itself: the declarations that checked, and the names that
+failed to parse or check, which its diagnostics name.  Its parser resumes
+after the header and hands over one declaration at a time, which is resolved
+and checked before the next is parsed, so a surface declaration lives only
+while it is checked.  A declaration that failed to parse is failed from
+there on.  A lex error anywhere fails the whole file: it publishes no names
+and reports only that error.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class FileReport:
         self.path = path  # as given on the command line or via imports
         self.source: str | None = None  # None if the file could not be read
         self.diagnostics: list[Diagnostic] = []  # parse failures first, then check failures
-        self.decls: list[Declaration] = []  # the checked declarations, in order
+        self.decls: list[Declaration] = []  # its own checked declarations, in order
 
 
 class BatchResult:
@@ -91,12 +92,11 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
     parsers: dict[str, _Parser] = {}  # each readable file's, past its import header
     imports: dict[str, list[str]] = {}
     unreadable: dict[str, str] = {}  # key -> why the file could not be read
-    import_failed: set[str] = set()  # keys of files with an #import that failed
+    import_failed: set[str] = set()  # files with a failed #import, and those that do not lex
     # (shown path, key, (importing key, directive span) or None)
     queue = [(p, _norm(p), None) for p in paths]
 
-    while queue:
-        shown, key, directive = queue.pop(0)
+    for shown, key, directive in queue:  # the queue grows as imports are found
         if key not in reports:
             report = reports[key] = FileReport(path=shown)
             imports[key] = []
@@ -126,8 +126,8 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
             message = f"cannot read '{shown}': {unreadable[key]}"
             owner.diagnostics.append(Diagnostic("E-IO", message, span, file=owner.path))
 
-    # deterministic topological order: repeatedly take the lexicographically
-    # first file whose imports are all placed
+    # deterministic topological order: each round places, in sorted order,
+    # every file whose imports are all placed
     order: list[str] = []
     remaining = set(reports)
     while remaining:
@@ -142,44 +142,40 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
         order.extend(ready)
         remaining.difference_update(ready)
 
-    envs: dict[str, CheckEnv] = {}
     shared: dict = {}  # one copy of each subterm the checked declarations hold
     result = BatchResult(reports=reports, order=order)
     for key in order:
         report = reports[key]
         env = CheckEnv(max_unfold=max_unfold, shared=shared)
-        for dep in sorted(_closure(key, imports)):
-            dep_env = envs.get(dep)
-            if dep_env is None:
-                continue
-            for name, decl in dep_env.decls.items():
-                held = env.decls.get(name)
-                if held is not None and held is not decl:
-                    message = f"'{name}' is declared by two different imports"
+        closure = [reports[k] for k in sorted(_closure(key, imports))]
+        for dep in closure:  # each publishes only what it declares itself
+            for decl in dep.decls:
+                if decl.name in env.decls:
+                    first = next(r for r in closure if env.decls[decl.name] in r.decls)
+                    message = f"'{decl.name}' is declared by both '{first.path}' and '{dep.path}'"
                     report.diagnostics.append(
                         Diagnostic("E-DUPLICATE-NAME", message, file=report.path)
                     )
-                env.decls[name] = decl
-            env.failed.update(dep_env.failed)
-        before, failed_before = set(env.decls), set(env.failed)
+                env.decls[decl.name] = decl
+            env.failed.update(d.decl for d in dep.diagnostics if d.decl is not None)
+        if import_failed.intersection(imports[key]):
+            import_failed.add(key)
         parser = parsers.pop(key, None)
         if parser is not None:
+            imported = len(env.decls)
             # each declaration is parsed, resolved and checked, then let go
             cdiags = check_module(env, parser.declarations(), key in import_failed)
-            if parser.lex_error is not None:
-                # a source that does not lex adds nothing, and fails its importers
-                for n in set(env.decls) - before:
-                    del env.decls[n]
-                env.failed &= failed_before
+            if parser.lex_error is None:
+                report.decls = list(env.decls.values())[imported:]
+            else:
+                # a source that does not lex publishes nothing, and fails its importers
                 cdiags = []
-                import_failed.update(k for k, deps in imports.items() if key in deps)
+                import_failed.add(key)
             for d in parser.diags + cdiags:
                 d.file = report.path
             report.diagnostics[:0] = parser.diags
             report.diagnostics.extend(cdiags)
-        report.decls = [d for n, d in env.decls.items() if n not in before]
         result.j_fired += env.j_fired
-        envs[key] = env
 
     result.wall_seconds = time.monotonic() - start
     return result

@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+import stt.batch
 import stt.parser
 import stt.resolve  # noqa: F401  (imported by checking; not counted against it)
 from stt.batch import check_files
@@ -93,6 +94,102 @@ def test_import_that_does_not_lex_is_a_failed_import(tmp_path, source):
     assert found == [("use", "E-DEPENDS-ON-FAILED"), (None, "E-INVALID-CHARACTER")]
     assert batch.all_diagnostics[0].message.endswith("; an #import of this file failed")
     assert batch.exit_code() == 2
+
+
+@pytest.mark.parametrize(
+    "bottom", ["lexbad.stt", "missing.stt"], ids=["does-not-lex", "unreadable"]
+)
+def test_failed_import_two_levels_down_is_a_failed_import(tmp_path, bottom):
+    """A failure anywhere in the import closure, not only in a direct
+    import, turns a name that cannot be found into E-DEPENDS-ON-FAILED."""
+    (tmp_path / "lexbad.stt").write_text(
+        "def base : U1 := U\ndef bad : U1 := U $\n", encoding="utf-8"
+    )
+    (tmp_path / "mid.stt").write_text(f'#import "{bottom}"\n', encoding="utf-8")
+    (tmp_path / "top.stt").write_text(
+        '#import "mid.stt"\ndef use : U1 := base\n', encoding="utf-8"
+    )
+    batch = check_files([str(tmp_path / "top.stt")])
+    [use] = [d for d in batch.all_diagnostics if d.decl == "use"]
+    assert use.code == "E-DEPENDS-ON-FAILED"
+    assert use.message.endswith("; an #import of this file failed")
+    assert batch.exit_code() == 2
+
+
+def test_a_name_from_two_files_is_one_duplicate_and_a_diamond_is_none(tmp_path):
+    files = {
+        "a1.stt": "def x : U1 := U\n",
+        "a2.stt": "def x : U1 := U\n",
+        "b.stt": '#import "a1.stt"\n',
+        "c.stt": '#import "a2.stt"\n',
+        "d.stt": '#import "b.stt"\n#import "c.stt"\n',
+        "p.stt": '#import "a1.stt"\n',
+        "q.stt": '#import "a1.stt"\n',
+        "dia.stt": '#import "p.stt"\n#import "q.stt"\ndef y : U1 := x\n',
+    }
+    for name, source in files.items():
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    clash = check_files([str(tmp_path / "d.stt")])
+    found = [(d.code, d.message) for d in clash.all_diagnostics]
+    a1, a2 = (str(tmp_path / n) for n in ("a1.stt", "a2.stt"))
+    assert found == [("E-DUPLICATE-NAME", f"'x' is declared by both '{a1}' and '{a2}'")]
+    diamond = check_files([str(tmp_path / "dia.stt")])
+    assert diamond.all_diagnostics == []
+    assert diamond.exit_code() == 0
+
+
+class _CountingDict(dict):
+    """A dict that counts the entries put into it, however they are put."""
+
+    def __init__(self):
+        super().__init__()
+        self.inserted = 0
+
+    def __setitem__(self, key, value):
+        self.inserted += 1
+        super().__setitem__(key, value)
+
+    def update(self, *args, **kwargs):
+        other = dict(*args, **kwargs)
+        self.inserted += len(other)
+        super().update(other)
+
+    def setdefault(self, key, default=None):
+        self.inserted += 1
+        return super().setdefault(key, default)
+
+
+def test_scope_insertions_grow_at_most_quadratically_in_an_import_chain(
+    tmp_path, monkeypatch
+):
+    """Each file's scope takes each declaration of its closure once, so a
+    chain of n files costs about n^2 insertions; re-copying each imported
+    file's whole scope costs about n^3, eight times as many at 2n."""
+    tables: list[_CountingDict] = []
+
+    class CountingEnv(stt.batch.CheckEnv):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.decls = _CountingDict()
+            tables.append(self.decls)
+
+    monkeypatch.setattr(stt.batch, "CheckEnv", CountingEnv)
+
+    def insertions(n: int) -> int:
+        chain = tmp_path / f"chain{n}"
+        chain.mkdir()
+        for i in range(n):
+            head = f'#import "f{i - 1}.stt"\n' if i else ""
+            body = f"def a{i} : U1 := U\ndef b{i} : U1 := U\n"
+            (chain / f"f{i}.stt").write_text(head + body, encoding="utf-8")
+        tables.clear()
+        batch = check_files([str(chain / f"f{n - 1}.stt")])
+        assert batch.exit_code() == 0
+        return sum(t.inserted for t in tables)
+
+    small, large = insertions(20), insertions(40)
+    assert small > 0
+    assert large <= 4.5 * small, (small, large)
 
 
 def test_declaration_that_fails_to_parse_is_failed_here_and_in_importers(tmp_path):

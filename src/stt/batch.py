@@ -73,15 +73,19 @@ def _norm(path: str) -> str:
     return os.path.normpath(os.path.abspath(path))
 
 
-def _closure(key: str, imports: dict[str, list[str]]) -> set[str]:
-    # iterative so import cycles terminate (they are diagnosed separately)
+def _closure(key: str, imports: dict[str, list[str]], closures: dict[str, set[str]]) -> set[str]:
+    """The files ``key`` imports, directly or not, kept in ``closures``."""
+    # iterative so import cycles terminate (they are diagnosed separately);
+    # a closure kept already is taken whole, so the walk skips what it holds
     got: set[str] = set()
     stack = list(imports[key])
     while stack:
         d = stack.pop()
         if d not in got:
             got.add(d)
+            got.update(closures.get(d, ()))
             stack.extend(imports[d])
+    closures[key] = got
     return got
 
 
@@ -143,20 +147,26 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
         remaining.difference_update(ready)
 
     shared: dict = {}  # one copy of each subterm the checked declarations hold
+    closures: dict[str, set[str]] = {}
     result = BatchResult(reports=reports, order=order)
     for key in order:
         report = reports[key]
         env = CheckEnv(max_unfold=max_unfold, shared=shared)
-        closure = [reports[k] for k in sorted(_closure(key, imports))]
-        for dep in closure:  # each publishes only what it declares itself
+        owner: dict[str, str] = {}  # name -> the closure file its declaration is from
+        for dep_key in sorted(_closure(key, imports, closures)):
+            dep = reports[dep_key]  # each publishes only what it declares itself
             for decl in dep.decls:
-                if decl.name in env.decls:
-                    first = next(r for r in closure if env.decls[decl.name] in r.decls)
-                    message = f"'{decl.name}' is declared by both '{first.path}' and '{dep.path}'"
+                first = owner.get(decl.name)
+                # a clash is reported once, where no one import brings both files
+                if first is not None and not any(
+                    {first, dep_key} <= closures.get(d, set()) | {d} for d in imports[key]
+                ):
+                    shown = f"'{reports[first].path}' and '{dep.path}'"
+                    message = f"'{decl.name}' is declared by both {shown}"
                     report.diagnostics.append(
                         Diagnostic("E-DUPLICATE-NAME", message, file=report.path)
                     )
-                env.decls[decl.name] = decl
+                env.decls[decl.name], owner[decl.name] = decl, dep_key
             env.failed.update(d.decl for d in dep.diagnostics if d.decl is not None)
         if import_failed.intersection(imports[key]):
             import_failed.add(key)

@@ -33,7 +33,7 @@ import sys
 
 from .batch import BatchResult, check_files
 from .corpus import corpus_check
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, exit_code
 
 
 def _span_json(d: Diagnostic) -> dict:
@@ -75,38 +75,41 @@ def emit_json(diagnostics: list[Diagnostic], report: dict, wall_seconds: float) 
     return json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=None)
 
 
-def _print_human(batch: BatchResult, explain_tope: bool) -> None:
+def _print_human(batch: BatchResult, diags: list[Diagnostic], explain_tope: bool) -> None:
     sources = {rep.path: rep.source for rep in batch.reports.values()}
-    for d in batch.all_diagnostics:
+    for d in diags:
         src = sources.get(d.file or "")
         print(d.render(source=src, explain_tope=explain_tope), file=sys.stderr)
 
 
-def _print_check(batch: BatchResult, as_json: bool, explain_tope: bool) -> int:
-    diags = batch.all_diagnostics
+def _print_check(
+    batch: BatchResult, diags: list[Diagnostic], as_json: bool, explain_tope: bool
+) -> int:
     checked = sum(len(r.decls) for r in batch.reports.values())
     if as_json:
         report = {"files": batch.files_read, "declarations": checked}
         print(emit_json(diags, report, batch.wall_seconds))
     else:
-        _print_human(batch, explain_tope)
+        _print_human(batch, diags, explain_tope)
         counts = f"{batch.files_read} file(s), {checked} declaration(s), {len(diags)} error(s)"
         print(f"checked {counts}")
-    return batch.exit_code()
+    return exit_code(diags)
 
 
 def cmd_check(args) -> int:
     batch = check_files(args.paths, max_unfold=args.max_unfold)
-    return _print_check(batch, args.json, args.explain_tope)
+    return _print_check(batch, batch.all_diagnostics, args.json, args.explain_tope)
 
 
 def cmd_axioms(args) -> int:
     batch = check_files(args.paths, max_unfold=args.max_unfold)
-    if batch.exit_code() != 0:
+    diags = batch.all_diagnostics
+    code = exit_code(diags)
+    if code != 0:
         if args.json:  # the document `stt check --json` prints
-            return _print_check(batch, True, False)
-        _print_human(batch, explain_tope=False)
-        return batch.exit_code()
+            return _print_check(batch, diags, True, False)
+        _print_human(batch, diags, explain_tope=False)
+        return code
     records = [
         {"file": rep.path, "name": d.name, "axioms": sorted(d.axioms)}
         for rep in map(batch.reports.get, batch.order)

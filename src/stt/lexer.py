@@ -3,7 +3,9 @@
 Every operator has one canonical spelling plus (for the Unicode glyphs) an
 ASCII alias; both spellings produce a token with the same kind and the same
 ``canon`` value, so the rest of the pipeline never sees the difference.  The
-alias table is fixed and closed.
+spellings and their canons come from the grammar table in ``surface``
+(``surface.spellings``).  A spelling whose canon is an identifier lexes as a
+KEYWORD, any other as a SYMBOL.
 
 The lexer is one compiled alternation of named groups (``_TOKEN_RE``).
 Alternatives are tried left to right, so their order is the priority
@@ -45,6 +47,7 @@ import enum
 import re
 from typing import NamedTuple
 
+from . import surface
 from .diagnostics import Failure
 
 
@@ -76,85 +79,18 @@ class Token(NamedTuple):
     canon: str  # canonical spelling shared by glyph and ASCII alias
 
 
-# Glyph -> canonical name.  ASCII aliases map to the same canon, so
-# "0 <= x" and "0 ≤ x" tokenize to identical (kind, canon) sequences.
-_SYMBOL_CANON = {
-    ":=": ":=",
-    "|->": "|->",
-    "↦": "|->",
-    "->": "->",
-    "→": "->",
-    "<=": "<=",
-    "≤": "<=",
-    "===": "===",
-    "≡": "===",
-    "/\\": "/\\",
-    "∧": "/\\",
-    "\\/": "\\/",
-    "∨": "\\/",
-    "~": "~",
-    "∼": "~",
-    "*": "*",
-    "×": "*",
-    "⟨": "⟨",
-    "⟩": "⟩",
-    "(": "(",
-    ")": ")",
-    "[": "[",
-    "]": "]",
-    "{": "{",
-    "}": "}",
-    ",": ",",
-    ":": ":",
-    "|": "|",
-}
-
-_KEYWORD_CANON = {
-    "def": "def",
-    "postulate": "postulate",
-    "U": "U",
-    "U1": "U1",
-    "U₁": "U1",
-    "Id": "Id",
-    "refl": "refl",
-    "ind-path": "ind-path",
-    "fst": "fst",
-    "snd": "snd",
-    "Sigma": "Sigma",
-    "Σ": "Sigma",
-    "Pi": "Pi",
-    "Π": "Pi",
-    "lambda": "lambda",
-    "λ": "lambda",
-    "\\": "lambda",
-    "pi1": "pi1",
-    "π₁": "pi1",
-    "pi2": "pi2",
-    "π₂": "pi2",
-    "TOP": "TOP",
-    "⊤": "TOP",
-    "BOT": "BOT",
-    "⊥": "BOT",
-    "star": "star",
-    "⋆": "star",
-    "Delta1": "Delta1",
-    "Δ¹": "Delta1",
-    "Delta2": "Delta2",
-    "Δ²": "Delta2",
-    "Lambda21": "Lambda21",
-    "Λ²₁": "Lambda21",
-    "dDelta1": "dDelta1",
-    "∂Δ¹": "dDelta1",
-}
-
-# Spelling -> (kind, lexeme, canon).  Tokens of a fixed spelling take the
-# table's own string as their lexeme instead of a fresh slice of the source.
-_SPELLINGS = {s: (TokenKind.KEYWORD, s, c) for s, c in _KEYWORD_CANON.items()}
-_SPELLINGS.update((s, (TokenKind.SYMBOL, s, c)) for s, c in _SYMBOL_CANON.items())
-
 # Identifiers: ASCII word chars and primes, with single interior hyphens so
 # names like path-inv lex as one token while "->" and "--" stay symbols.
 _IDENT = r"[A-Za-z_][A-Za-z0-9_']*(?:-[A-Za-z0-9_']+)*"
+
+# Spelling -> (kind, lexeme, canon), for every spelling ``surface`` names.
+# A canon that is an identifier makes a KEYWORD token, any other a SYMBOL.
+# Tokens of a fixed spelling take the table's own string as their lexeme
+# instead of a fresh slice of the source.
+_SPELLINGS = {
+    s: (TokenKind.KEYWORD if re.fullmatch(_IDENT, c) else TokenKind.SYMBOL, s, c)
+    for s, c in surface.spellings().items()
+}
 
 # The spellings that are not identifiers: glyph keywords, "\" and symbols.
 # Longest first, so that "\/" wins over "\" and "|->" over "|".

@@ -1,10 +1,11 @@
 """Pretty-printer for surface declarations, and for core terms in
 diagnostics.
 
-Prints the glyphs of ``surface.BINARY``, ``surface.PREFIX`` and
-``surface.KEYWORD`` and parenthesizes by the precedences of ``surface.BINARY``,
-minimally, so that reparsing the output yields a structurally identical
-declaration.  The output is deterministic and printing is idempotent.
+Prints the glyphs of ``surface.BINARY``, ``surface.PREFIX``,
+``surface.KEYWORD`` and ``surface.BINDER`` and parenthesizes by the
+precedences of ``surface.BINARY``, minimally, so that reparsing the output
+yields a structurally identical declaration.  The output is deterministic
+and printing is idempotent.
 
 A core term is printed by reading it back to surface syntax and printing
 that (``print_term``, ``print_tope``).  Bound variables get generated names,
@@ -62,38 +63,34 @@ def print_expr(e: S.SExpr, prec: int = 0) -> str:
             return f"({print_expr(t)} : {print_expr(ty)})"
         case S.SPrefix(_, op, a):
             return _parens(f"{S.PREFIX[op]} {print_expr(a, _ATOM)}", prec > _APP)
-        case S.SId(_, ty, l, r):
-            s = f"Id {print_expr(ty, _ATOM)} {print_expr(l, _ATOM)} {print_expr(r, _ATOM)}"
-            return _parens(s, prec > _APP)
-        case S.SIndPath(_, m, d, p):
-            s = (
-                f"ind-path {print_expr(m, _ATOM)} {print_expr(d, _ATOM)} "
-                f"{print_expr(p, _ATOM)}"
-            )
+        case S.SId() | S.SIndPath():  # a keyword applied to three atoms
+            head = "Id" if type(e) is S.SId else "ind-path"
+            s = " ".join([head, *(print_expr(x, _ATOM) for x in e[1:])])
             return _parens(s, prec > _APP)
         case S.SLam(_, binders, body):
             bs = " ".join(_lam_binder(b) for b in binders)
-            return _parens(f"λ {bs} ↦ {print_expr(body)}", prec > 0)
-        case S.SPi(_, groups, body):
+            lam, maps_to = S.BINDER["lambda"], S.BINDER["|->"]
+            return _parens(f"{lam} {bs} {maps_to} {print_expr(body)}", prec > 0)
+        case S.SPi(_, groups, body) | S.SSigma(_, groups, body):
+            former = S.BINDER["Pi" if type(e) is S.SPi else "Sigma"]
             gs = " ".join(_group(g) for g in groups)
-            return _parens(f"Π {gs}, {print_expr(body)}", prec > 0)
-        case S.SSigma(_, groups, body):
-            gs = " ".join(_group(g) for g in groups)
-            return _parens(f"Σ {gs}, {print_expr(body)}", prec > 0)
+            return _parens(f"{former} {gs}, {print_expr(body)}", prec > 0)
         case S.SShape(_, binder, cube, tope):
             return f"{{{_pattern(binder)} : {print_expr(cube, _TIMES)} | {print_expr(tope)}}}"
         case S.SExt(_, shape, cod, tope, boundary):
             head = f"⟨{print_expr(shape, _TIMES)} {_ARROW_GLYPH} {print_expr(cod, _OR)}"
             if tope is None:
                 return head + "⟩"
-            return f"{head} | {print_expr(tope, _OR)} ↦ {print_expr(boundary, _OR)}⟩"
+            maps_to = S.BINDER["|->"]
+            return f"{head} | {print_expr(tope, _OR)} {maps_to} {print_expr(boundary, _OR)}⟩"
         case S.SSplit(_, branches):
-            parts = []
-            for tope, value in branches:
-                if tope is None:
-                    parts.append(print_expr(value))
-                else:
-                    parts.append(f"{print_expr(tope, _OR)} ↦ {print_expr(value, _OR)}")
+            maps_to = S.BINDER["|->"]
+            parts = [
+                print_expr(value)
+                if tope is None
+                else f"{print_expr(tope, _OR)} {maps_to} {print_expr(value, _OR)}"
+                for tope, value in branches
+            ]
             return "[" + " , ".join(parts) + "]"
     raise AssertionError(f"print_expr: {e!r}")
 

@@ -1,17 +1,22 @@
 """Surface abstract syntax, produced by the parser and consumed by the
-resolver and pretty-printer, and the grammar table the parser and the
-printer share.  Every node carries its source span; structural
+resolver and pretty-printer, and the grammar table the lexer, the parser
+and the printer share.  Every node carries its source span; structural
 comparisons in tests go through :func:`skeleton`, which drops spans."""
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .core import Node
-from .lexer import Span
+
+if TYPE_CHECKING:
+    from .lexer import Span
 
 
-# The grammar table.  Every operator and keyword decision of the surface
-# syntax is made here, keyed by the lexer's canon; the parser and the
-# printer take each precedence, associativity and glyph from these entries.
+# The grammar table.  Every spelling, operator and keyword decision of the
+# surface syntax is made here, keyed by the lexer's canon: the lexer takes
+# each spelling from these entries (see :func:`spellings`), and the parser
+# and the printer each precedence, associativity and glyph.
 #
 # Binary operators: canon -> (precedence, right associative, glyph).  A
 # larger precedence binds tighter, and application binds tighter than all
@@ -42,6 +47,22 @@ KEYWORD = {
     "Lambda21": "Λ²₁",
     "dDelta1": "∂Δ¹",
 }
+
+# The binders, and the maps-to arrow of a λ, a boundary or a split branch:
+# canon -> glyph.
+BINDER = {"lambda": "λ", "Pi": "Π", "Sigma": "Σ", "|->": "↦"}
+
+# The spellings no table above names: spelling -> canon.  "\" is an ASCII
+# alias of λ; the rest are spelled one way only, each its own canon.
+OTHER = {"\\": "lambda"}
+OTHER.update((s, s) for s in "def postulate Id ind-path := ⟨ ⟩ ( ) [ ] { } , : |".split())
+
+
+def spellings() -> dict[str, str]:
+    """Every spelling of the surface syntax -> its canon: each canon of
+    BINARY, PREFIX, KEYWORD and BINDER and its glyph, and OTHER."""
+    glyphs = {canon: glyph for canon, (_, _, glyph) in BINARY.items()} | PREFIX | KEYWORD | BINDER
+    return {s: canon for canon, glyph in glyphs.items() for s in (canon, glyph)} | OTHER
 
 
 class SExpr(Node):

@@ -123,16 +123,19 @@ def test_a_name_from_two_files_is_one_duplicate_and_a_diamond_is_none(tmp_path):
         "b.stt": '#import "a1.stt"\n',
         "c.stt": '#import "a2.stt"\n',
         "d.stt": '#import "b.stt"\n#import "c.stt"\n',
+        "e.stt": '#import "d.stt"\n',
         "p.stt": '#import "a1.stt"\n',
         "q.stt": '#import "a1.stt"\n',
         "dia.stt": '#import "p.stt"\n#import "q.stt"\ndef y : U1 := x\n',
     }
     for name, source in files.items():
         (tmp_path / name).write_text(source, encoding="utf-8")
-    clash = check_files([str(tmp_path / "d.stt")])
-    found = [(d.code, d.message) for d in clash.all_diagnostics]
     a1, a2 = (str(tmp_path / n) for n in ("a1.stt", "a2.stt"))
-    assert found == [("E-DUPLICATE-NAME", f"'x' is declared by both '{a1}' and '{a2}'")]
+    for top in ("d.stt", "e.stt"):  # the clash arises in d, and e only imports it
+        clash = check_files([str(tmp_path / top)])
+        found = [(d.code, d.message, d.file) for d in clash.all_diagnostics]
+        message = f"'x' is declared by both '{a1}' and '{a2}'"
+        assert found == [("E-DUPLICATE-NAME", message, str(tmp_path / "d.stt"))], top
     diamond = check_files([str(tmp_path / "dia.stt")])
     assert diamond.all_diagnostics == []
     assert diamond.exit_code() == 0

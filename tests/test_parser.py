@@ -6,11 +6,25 @@ invariant."""
 from __future__ import annotations
 
 import pathlib
+import re
 
 import pytest
 
 from stt.batch import check_files
-from stt.core import ZERO, CubeVar, Fst, TopeAnd, TopeLeq, TopeTop, Var
+from stt import lexer
+from stt.core import (
+    ZERO,
+    CubeVar,
+    Fst,
+    Lambda,
+    Pi,
+    Sigma,
+    TopeAnd,
+    TopeLeq,
+    TopeTop,
+    Universe,
+    Var,
+)
 from stt.corpus import load_manifest
 from stt.lexer import TokenKind, tokenize
 from stt import surface as S
@@ -202,9 +216,17 @@ def test_chained_comparisons_are_one_parse_error(o1, o2):
 
 def test_every_table_glyph_lexes_to_its_canon():
     binary = [(canon, glyph) for canon, (_, _, glyph) in S.BINARY.items()]
-    for canon, glyph in binary + [*S.PREFIX.items(), *S.KEYWORD.items()]:
-        (token,) = tokenize(glyph)
-        assert token.canon == canon, glyph
+    pairs = binary + [*S.PREFIX.items(), *S.KEYWORD.items(), *S.BINDER.items()]
+    named = {s: canon for canon, glyph in pairs for s in (canon, glyph)} | S.OTHER
+    # the lexer accepts exactly these spellings; a canon that is an
+    # identifier makes a keyword, any other canon a symbol
+    assert lexer._SPELLINGS.keys() == named.keys()
+    for spelling, canon in named.items():
+        kind = TokenKind.KEYWORD if re.fullmatch(lexer._IDENT, canon) else TokenKind.SYMBOL
+        (token,) = tokenize(spelling)
+        assert (token.kind, token.lexeme, token.canon) == (kind, spelling, canon), spelling
+    keyword, symbol = TokenKind.KEYWORD, TokenKind.SYMBOL
+    assert [t.kind for t in tokenize("\\ ↦ Σ ⟨")] == [keyword, symbol, keyword, symbol]
 
 
 def test_diagnostic_printer_takes_its_glyphs_from_the_table(monkeypatch):
@@ -216,6 +238,13 @@ def test_diagnostic_printer_takes_its_glyphs_from_the_table(monkeypatch):
     monkeypatch.setitem(S.PREFIX, "fst", "FST")
     assert print_tope(tope, 1) == "0 LEQ t0 ∧ TT"
     assert print_term(Fst(Var(0))) == "FST a?0"
+    assert print_term(Lambda(Var(0))) == "λ a0 ↦ a0"
+    monkeypatch.setitem(S.BINDER, "lambda", "LAM")
+    monkeypatch.setitem(S.BINDER, "|->", "=>")
+    assert print_term(Lambda(Var(0))) == "LAM a0 => a0"
+    monkeypatch.setitem(S.BINDER, "Pi", "PI")
+    monkeypatch.setitem(S.BINDER, "Sigma", "SIGMA")
+    assert print_term(Pi(Universe(0), Sigma(Var(0), Var(1)))) == "PI (a0 : U), SIGMA (a1 : a0), a0"
 
 
 def test_core_terms_read_back_print_parse_and_resolve_to_themselves(perfbench_inputs):

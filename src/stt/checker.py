@@ -9,6 +9,11 @@ consulted and before either side is normalized.  Weak-head normalization
 performs beta, projections, identity elimination on constant paths,
 constant unfolding up to a depth limit, and the boundary rule.
 
+Conversion decides η for Π, Σ and extension types.  At a known type both
+sides are expanded by that type.  Without one, conversion meets an
+introduction form (a λ, a pair, a shape λ) by η-expanding the other side
+into that form (``_ETA``), and compares the two forms (Coquand, 1996).
+
 Beta works on a whole application spine ``f a₁ … aₙ``: the head is
 normalized once, as many of its leading λs as there are arguments are
 instantiated in one simultaneous substitution, and the arguments left over
@@ -16,7 +21,8 @@ are applied to the result.  Each other eliminator (the projections,
 ind-path, extension application) has one computation rule, ``_contract``.
 Every eliminator has one typing rule, ``_elim_type``, shared by the two
 walks over stuck spines (``_spine_type`` types one, ``_equal_spine``
-compares two) and ``infer``.
+compares two and takes a common head's type from ``_spine_type``) and
+``infer``.
 
 ``infer`` types an application spine ``f a₁ … aₙ`` in one pass
 (``_infer_spine``), following Coquand's one-walk instantiation of a
@@ -100,7 +106,6 @@ from .core import (
     instantiate,
     share,
     subst_cube,
-    subst_tope_point,
     substitute,
     weaken,
     weaken_cube,
@@ -225,7 +230,7 @@ class Checker:
                 tyw = None if ty is None else self.whnf(ctx, ty)
                 if not isinstance(tyw, ExtType):
                     return None
-                bt_at_p = subst_tope_point(tyw.boundary_tope, 0, p)
+                bt_at_p = subst_cube(tyw.boundary_tope, 0, p)
                 if not T.tope_entails(ctx.cubes, ctx.topes, bt_at_p):
                     return None
                 self._budget()
@@ -252,11 +257,8 @@ class Checker:
         if type(t) is not type(u):
             return None
         match t:
-            case Var(i) if u.index == i:
-                return ctx.term_type(i) if i < len(ctx.terms) else _OPAQUE
-            case Constant(name) if u.name == name:
-                decl = self.env.decls.get(name)
-                return decl.type if decl is not None else _OPAQUE
+            case Var() | Constant() if t == u:
+                return self._spine_type(ctx, t) or _OPAQUE
             case App(s, _) | Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _):
                 sty = self._equal_spine(ctx, s, _scrutinee(u))
                 if sty is None:
@@ -342,6 +344,15 @@ class Checker:
                 # branch topes cover the zone by typing, so casing on them is sound
                 return all(self._equal(ctx.extend_tope(tp), tw, uw, ty) for tp, _ in w.branches)
 
+        if type(tw) is not type(uw):  # η: an intro form meets the other side expanded
+            for form, expand in _ETA.items():
+                if type(tw) is form:
+                    uw = expand(uw)
+                    break
+                if type(uw) is form:
+                    tw = expand(tw)
+                    break
+
         match (tw, uw):
             case (Universe(l1), Universe(l2)):
                 return l1 == l2
@@ -372,34 +383,10 @@ class Checker:
                 return self._equal(ctxb, bd1, bd2, c1)
             case (Lambda(b1), Lambda(b2)):
                 return self._equal(ctx.extend_term(_OPAQUE), b1, b2, None)
-            case (Lambda(b1), _):
-                ctx2 = ctx.extend_term(_OPAQUE)
-                return self._equal(ctx2, b1, App(weaken(uw, 1), Var(0)), None)
-            case (_, Lambda(b2)):
-                ctx2 = ctx.extend_term(_OPAQUE)
-                return self._equal(ctx2, App(weaken(tw, 1), Var(0)), b2, None)
             case (Pair(a1, b1), Pair(a2, b2)):
                 return self._equal(ctx, a1, a2, None) and self._equal(ctx, b1, b2, None)
-            case (Pair(a1, b1), _):
-                return self._equal(ctx, a1, Fst(uw), None) and self._equal(
-                    ctx, b1, Snd(uw), None
-                )
-            case (_, Pair(a2, b2)):
-                return self._equal(ctx, Fst(tw), a2, None) and self._equal(
-                    ctx, Snd(tw), b2, None
-                )
             case (ExtLambda(b1), ExtLambda(b2)):
                 return self._equal(ctx.extend_cube(INTERVAL), b1, b2, None)
-            case (ExtLambda(b1), _):
-                ctx2 = ctx.extend_cube(INTERVAL)
-                return self._equal(
-                    ctx2, b1, ExtApp(weaken_cube(uw, 1, 0), CubeVar(0)), None
-                )
-            case (_, ExtLambda(b2)):
-                ctx2 = ctx.extend_cube(INTERVAL)
-                return self._equal(
-                    ctx2, ExtApp(weaken_cube(tw, 1, 0), CubeVar(0)), b2, None
-                )
             case _:
                 return self._equal_spine(ctx, tw, uw) is not None
 
@@ -478,7 +465,7 @@ class Checker:
                 expected=print_tope(sh.cube),
                 actual=print_tope(p if sort is None else sort, len(ctx.cubes)),
             )
-        constraint_at_p = subst_tope_point(sh.constraint, 0, p)
+        constraint_at_p = subst_cube(sh.constraint, 0, p)
         if not T.tope_entails(ctx.cubes, ctx.topes, constraint_at_p):
             cm = T.countermodel(ctx.cubes, ctx.topes, constraint_at_p)
             raise Failure(
@@ -676,6 +663,13 @@ _INTRO = {
         "a shape λ only checks against an extension type",
     ),
     Split: (object, "", "a split only checks against a type"),
+}
+
+# introduction form -> the η-expansion of a term into it, tried in this order
+_ETA = {
+    Lambda: lambda w: Lambda(App(weaken(w, 1), Var(0))),
+    Pair: lambda w: Pair(Fst(w), Snd(w)),
+    ExtLambda: lambda w: ExtLambda(ExtApp(weaken_cube(w, 1, 0), CubeVar(0))),
 }
 
 _NOT_ELIMINABLE = {

@@ -301,7 +301,7 @@ class Context:
 
     def extend_cube(self, cube: Cube) -> "Context":
         # existing tope and term entries gain a fresh cube variable at index 0
-        topes = tuple(weaken_tope_cube(t, 1, 0) for t in self.topes)
+        topes = tuple(weaken_cube(t, 1, 0) for t in self.topes)
         terms = tuple(
             (weaken_cube(ty, 1, 0), weaken_cube(d, 1, 0) if d is not None else None)
             for ty, d in self.terms
@@ -455,28 +455,13 @@ def substitute(t: Term, level: int, value: Term) -> Term:
     return _walk(t, (level, (value,), 0), None, 0, 0)
 
 
-def weaken_point(p: CubePoint, by: int, frm: int) -> CubePoint:
-    """Shift cube indices >= ``frm`` in a point up by ``by``."""
-    return _walk(p, None, (frm, (), by), 0, 0)
-
-
-def weaken_tope_cube(t: Tope, by: int, frm: int) -> Tope:
-    """Shift cube indices >= ``frm`` in a tope up by ``by``."""
-    return _walk(t, None, (frm, (), by), 0, 0)
-
-
-def subst_tope_point(t: Tope, level: int, value: CubePoint) -> Tope:
-    """Substitute a point for cube index ``level`` in a tope."""
-    return _walk(t, None, (level, (value,), 0), 0, 0)
-
-
-def weaken_cube(t: Term, by: int, frm: int) -> Term:
-    """Shift cube indices >= ``frm`` up by ``by`` throughout a term."""
+def weaken_cube(t, by: int, frm: int):
+    """Shift cube indices >= ``frm`` up by ``by`` in a term, point, tope or shape."""
     return _walk(t, None, (frm, (), by), 0, 0) if by else t
 
 
-def subst_cube(t: Term, level: int, value: CubePoint) -> Term:
-    """Substitute a point for cube index ``level`` throughout a term."""
+def subst_cube(t, level: int, value: CubePoint):
+    """Substitute a point for cube index ``level`` in a term, point, tope or shape."""
     return _walk(t, None, (level, (value,), 0), 0, 0)
 
 

@@ -121,27 +121,25 @@ def corpus_check(
     report = CorpusReport(manifest=manifest)
     report.diagnostics = batch.all_diagnostics
     report.wall_seconds = batch.wall_seconds
-    decls = {(os.path.relpath(key, base), d.name): d  # keyed as the manifest names them
-             for key in batch.order for d in batch.reports[key].decls}
+    decls, failed = {}, set()  # (file, name), the file keyed as check_files keys it
+    for key in batch.order:
+        decls.update(((key, d.name), d) for d in batch.reports[key].decls)
+        failed.update((key, d.decl) for d in batch.reports[key].diagnostics)
 
     for entry in manifest.entries:
-        decl = decls.get((os.path.normpath(entry.file), entry.name))
+        at = (os.path.normpath(os.path.abspath(os.path.join(base, entry.file))), entry.name)
+        decl = decls.get(at)
         if decl is None:
-            report.results.append(EntryResult(entry, "rejected" if any(
-                d.decl == entry.name for d in report.diagnostics
-            ) else "missing"))
+            report.results.append(EntryResult(entry, "rejected" if at in failed else "missing"))
             continue
         usage = decl.axioms
-        is_post = decl.is_postulate
-        if entry.tier == "PROVED" and is_post:
-            report.results.append(
-                EntryResult(entry, "tier-violation", usage, "expected a proof, found a postulate")
+        if decl.is_postulate != (entry.tier == "STATED"):
+            detail = (
+                "expected a proof, found a postulate"
+                if decl.is_postulate
+                else "expected a postulate, found a proof"
             )
-            continue
-        if entry.tier == "STATED" and not is_post:
-            report.results.append(
-                EntryResult(entry, "tier-violation", usage, "expected a postulate, found a proof")
-            )
+            report.results.append(EntryResult(entry, "tier-violation", usage, detail))
             continue
         if entry.tier == "PROVED" and not usage <= entry.axioms:
             extra = ", ".join(sorted(usage - entry.axioms))

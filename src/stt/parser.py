@@ -241,18 +241,11 @@ class _Parser:
                 self.next()
                 arg = self.atom()
                 return S.SPrefix(t.span.cover(arg.span), c, arg)
-            if c == "Id":
+            if c in ("Id", "ind-path"):  # a keyword applied to three atoms
                 self.next()
-                ty = self.atom()
-                lhs = self.atom()
-                rhs = self.atom()
-                return S.SId(t.span.cover(rhs.span), ty, lhs, rhs)
-            if c == "ind-path":
-                self.next()
-                motive = self.atom()
-                base = self.atom()
-                target = self.atom()
-                return S.SIndPath(t.span.cover(target.span), motive, base, target)
+                args = self.atom(), self.atom(), self.atom()
+                node = S.SId if c == "Id" else S.SIndPath
+                return node(t.span.cover(args[2].span), *args)
             if c in ("lambda", "Pi", "Sigma"):
                 return self.expr()
             raise Failure("E-PARSE", f"unexpected keyword '{t.lexeme}'", t.span)

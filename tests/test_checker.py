@@ -285,6 +285,62 @@ def test_def_equal_eta_for_pairs():
     assert def_equal(env, ctx, eta, w, sig)
 
 
+_I = Lambda(Var(0))
+
+
+def _redex(t, n):
+    """``t`` under ``n`` applications of the identity: ``n`` steps to reduce."""
+    for _ in range(n):
+        t = App(_I, t)
+    return t
+
+
+# in a context with one variable w, each introduction form is η-equal to w,
+# and its body spends 1 (λ), 2 (pair) or 3 (shape λ) steps before it is
+_UNTYPED_ETA_TERMS = {
+    "w": Var(0),
+    "U": Universe(0),
+    "lam": Lambda(_redex(App(Var(1), Var(0)), 1)),
+    "pair": Pair(_redex(Fst(Var(0)), 2), Snd(Var(0))),
+    "ext": ExtLambda(_redex(ExtApp(Var(0), CubeVar(0)), 3)),
+}
+
+
+@pytest.mark.parametrize(
+    "left, right, equal, steps",
+    [
+        ("lam", "w", True, 1),
+        ("w", "lam", True, 1),
+        ("lam", "U", False, 1),
+        ("U", "lam", False, 1),
+        ("lam", "pair", False, 1),
+        ("pair", "lam", False, 1),
+        ("lam", "ext", False, 1),
+        ("ext", "lam", False, 1),
+        ("pair", "w", True, 2),
+        ("w", "pair", True, 2),
+        ("pair", "U", False, 2),
+        ("U", "pair", False, 2),
+        ("pair", "ext", False, 2),
+        ("ext", "pair", False, 2),
+        ("ext", "w", True, 3),
+        ("w", "ext", True, 3),
+        ("ext", "U", False, 3),
+        ("U", "ext", False, 3),
+    ],
+)
+def test_untyped_eta_in_both_orientations(left, right, equal, steps):
+    """With no type to expand by, an introduction form meets a term of another
+    form by η-expanding that term into its own form, the λ first, then the
+    pair, then the shape λ.  The steps tell which side was expanded: a pair
+    against a λ spends the λ body's one step, not the pair's two."""
+    ctx = Context().extend_term(Constant("T"))
+    checker = Checker(CheckEnv())
+    terms = _UNTYPED_ETA_TERMS
+    assert checker.def_equal(ctx, terms[left], terms[right], None) is equal
+    assert checker.steps == steps
+
+
 def test_def_equal_under_inconsistent_topes_identifies_everything():
     env = CheckEnv()
     ctx = Context().extend_tope(TopeEq(ZERO, ONE))

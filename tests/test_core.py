@@ -20,12 +20,9 @@ from stt.core import (
     in_scope,
     instantiate,
     subst_cube,
-    subst_tope_point,
     substitute,
     weaken,
     weaken_cube,
-    weaken_point,
-    weaken_tope_cube,
 )
 from stt.parser import parse_module
 from stt.diagnostics import Failure
@@ -213,7 +210,7 @@ def test_weaken_cube_commutes_with_substitute_500():
 
 
 def test_weaken_cube_commutes_with_subst_cube_500():
-    # weaken_cube(t[0:=p], n, k)  ==  weaken_cube(t, n, k+1)[0 := weaken_point(p, n, k)]
+    # weaken_cube(t[0:=p], n, k)  ==  weaken_cube(t, n, k+1)[0 := weaken_cube(p, n, k)]
     rng = random.Random(34)
     for _ in range(500):
         depth, cubes = rng.randrange(0, 3), 1 + rng.randrange(0, 3)
@@ -221,7 +218,7 @@ def test_weaken_cube_commutes_with_subst_cube_500():
         t = random_cube_term(rng, depth, cubes, rng.randrange(0, 14))
         p = random_point(rng, cubes - 1, rng.randrange(0, 4))
         lhs = weaken_cube(subst_cube(t, 0, p), n, k)
-        rhs = subst_cube(weaken_cube(t, n, k + 1), 0, weaken_point(p, n, k))
+        rhs = subst_cube(weaken_cube(t, n, k + 1), 0, weaken_cube(p, n, k))
         assert lhs == rhs
 
 
@@ -232,9 +229,9 @@ def test_tope_weaken_then_subst_and_commutation_500():
         n, k = 1 + rng.randrange(0, 2), rng.randrange(0, cubes)
         phi = random_tope(rng, cubes, rng.randrange(0, 8))
         p = random_point(rng, cubes - 1, rng.randrange(0, 4))
-        assert subst_tope_point(weaken_tope_cube(phi, 1, 0), 0, p) == phi
-        lhs = weaken_tope_cube(subst_tope_point(phi, 0, p), n, k)
-        rhs = subst_tope_point(weaken_tope_cube(phi, n, k + 1), 0, weaken_point(p, n, k))
+        assert subst_cube(weaken_cube(phi, 1, 0), 0, p) == phi
+        lhs = weaken_cube(subst_cube(phi, 0, p), n, k)
+        rhs = subst_cube(weaken_cube(phi, n, k + 1), 0, weaken_cube(p, n, k))
         assert lhs == rhs
 
 

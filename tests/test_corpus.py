@@ -4,6 +4,7 @@ hygiene holds per tier, and manifest anchors resolve into the docs."""
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import re
 
@@ -161,8 +162,9 @@ def test_removing_a_stated_postulate_breaks_dependents(tmp_path, report):
 
 
 def test_manifest_paths_are_looked_up_normalized(tmp_path, report, capsys):
-    """A manifest may spell a file ``./paths.stt``; its entries are found,
-    and the JSON names the file as the manifest wrote it."""
+    """A manifest may spell a file ``./paths.stt`` or by its absolute path;
+    its entries are found, and the JSON names the file as the manifest wrote
+    it."""
     import shutil
 
     import stt.cli
@@ -173,12 +175,36 @@ def test_manifest_paths_are_looked_up_normalized(tmp_path, report, capsys):
     lines = (base / "manifest.txt").read_text(encoding="utf-8").splitlines()
     records = [l for l in lines if l.strip() and not l.startswith("#")]
     manifest = tmp_path / "manifest.txt"
-    manifest.write_text("".join(f"./{l.strip()}\n" for l in records), encoding="utf-8")
-    assert stt.cli.main(["corpus", "--json", "--manifest", str(manifest)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert [e["status"] for e in doc["summary"]["corpus"]] == ["ok"] * len(report.results)
-    files = [e["file"] for e in doc["summary"]["corpus"]]
-    assert files == ["./" + r.entry.file for r in report.results]
+    for prefix in ("./", f"{tmp_path}{os.sep}"):
+        manifest.write_text("".join(f"{prefix}{l.strip()}\n" for l in records), encoding="utf-8")
+        assert stt.cli.main(["corpus", "--json", "--manifest", str(manifest)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [e["status"] for e in doc["summary"]["corpus"]] == ["ok"] * len(report.results)
+        files = [e["file"] for e in doc["summary"]["corpus"]]
+        assert files == [prefix + r.entry.file for r in report.results]
+
+
+def test_a_failure_counts_against_an_entry_only_in_its_own_file(tmp_path):
+    """An entry is looked up by its file and its name: a declaration that
+    fails in one file does not reject an entry naming it in another file,
+    where it is missing."""
+    (tmp_path / "a.stt").write_text("def good : U1 := U\n", encoding="utf-8")
+    (tmp_path / "b.stt").write_text("def bad : U := U\n", encoding="utf-8")
+    (tmp_path / "manifest.txt").write_text(
+        "a.stt | good | x | - | PROVED\n"
+        "b.stt | bad | x | - | PROVED\n"
+        "a.stt | bad | x | - | PROVED\n",
+        encoding="utf-8",
+    )
+    rep = corpus_check(str(tmp_path / "manifest.txt"))
+    assert [(r.entry.file, r.status) for r in rep.results] == [
+        ("a.stt", "ok"),
+        ("b.stt", "rejected"),
+        ("a.stt", "missing"),
+    ]
+    assert [(d.file, d.decl, d.code) for d in rep.diagnostics] == [
+        (str(tmp_path / "b.stt"), "bad", "E-TYPE-MISMATCH")
+    ]
 
 
 @pytest.mark.parametrize(

@@ -69,7 +69,8 @@ class BatchResult:
         return exit_code(self.all_diagnostics)
 
 
-def _norm(path: str) -> str:
+def file_key(path: str) -> str:
+    """The key a file's report is kept under: its normalized absolute path."""
     return os.path.normpath(os.path.abspath(path))
 
 
@@ -98,7 +99,7 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
     unreadable: dict[str, str] = {}  # key -> why the file could not be read
     import_failed: set[str] = set()  # files with a failed #import, and those that do not lex
     # (shown path, key, (importing key, directive span) or None)
-    queue = [(p, _norm(p), None) for p in paths]
+    queue = [(p, file_key(p), None) for p in paths]
 
     for shown, key, directive in queue:  # the queue grows as imports are found
         if key not in reports:
@@ -116,7 +117,7 @@ def check_files(paths: list[str], max_unfold: int = 10_000) -> BatchResult:
                     if rel is None:
                         import_failed.add(key)
                         continue
-                    dep_key = _norm(os.path.join(os.path.dirname(key), rel))
+                    dep_key = file_key(os.path.join(os.path.dirname(key), rel))
                     imports[key].append(dep_key)
                     dep_shown = os.path.join(os.path.dirname(shown), rel)
                     queue.append((dep_shown, dep_key, (key, span)))

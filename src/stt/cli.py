@@ -76,10 +76,19 @@ def emit_json(diagnostics: list[Diagnostic], report: dict, wall_seconds: float) 
 
 
 def _print_human(batch: BatchResult, diags: list[Diagnostic], explain_tope: bool) -> None:
-    sources = {rep.path: rep.source for rep in batch.reports.values()}
+    # each file with a diagnostic is split once, on the lexer's line break
+    named = {d.file for d in diags}
+    lines = {
+        rep.path: rep.source.split("\n")
+        for rep in batch.reports.values()
+        if rep.path in named and rep.source is not None
+    }
     for d in diags:
-        src = sources.get(d.file or "")
-        print(d.render(source=src, explain_tope=explain_tope), file=sys.stderr)
+        text, span = lines.get(d.file), d.span
+        line = None
+        if text is not None and span is not None and 1 <= span.line <= len(text):
+            line = text[span.line - 1]
+        print(d.render(line=line, explain_tope=explain_tope), file=sys.stderr)
 
 
 def _print_check(
@@ -136,6 +145,7 @@ def cmd_corpus(args) -> int:
                 "expected_axioms": sorted(r.entry.axioms),
                 "axioms": sorted(r.axioms),
                 "status": r.status,
+                **({"detail": r.detail} if r.detail else {}),
             }
             for r in report.results
         ]
@@ -154,7 +164,10 @@ def cmd_corpus(args) -> int:
         for r in report.results:
             mark = "ok" if r.ok else f"FAIL({r.status})"
             axioms = ", ".join(sorted(r.axioms)) if r.axioms else "-"
-            print(f"{mark:18} {r.entry.tier:6} {r.entry.name:22} axioms: {axioms}")
+            line = f"{mark:18} {r.entry.tier:6} {r.entry.name:22} axioms: {axioms}"
+            if not r.ok:  # which record failed, and why
+                line += f"  in {r.entry.file}" + (f": {r.detail}" if r.detail else "")
+            print(line)
         for d in report.diagnostics:
             print(d.render(), file=sys.stderr)
         status = "corpus ok" if report.ok else "corpus FAILED"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .batch import check_files, read_failure
+from .batch import check_files, file_key, read_failure
 from .diagnostics import Failure, exit_code
 from .lexer import Span
 
@@ -30,11 +30,7 @@ class CorpusManifest:
         self.path, self.entries = path, entries
 
     def files(self) -> list[str]:
-        out: list[str] = []
-        for e in self.entries:
-            if e.file not in out:
-                out.append(e.file)
-        return out
+        return list(dict.fromkeys(e.file for e in self.entries))
 
 
 class EntryResult:
@@ -104,30 +100,26 @@ def load_manifest(path: str | None = None) -> CorpusManifest:
     return CorpusManifest(path, entries)
 
 
-def corpus_check(
-    manifest: CorpusManifest | str | None = None, max_unfold: int = 10_000
-) -> CorpusReport:
+def corpus_check(path: str | None = None, max_unfold: int = 10_000) -> CorpusReport:
     """Check every corpus file and verify each manifest entry's contract.  A
     manifest that cannot be loaded gives a report holding its diagnostic."""
-    if not isinstance(manifest, CorpusManifest):
-        try:
-            manifest = load_manifest(manifest)
-        except Failure as e:
-            empty = CorpusManifest(e.diag.file, [])
-            return CorpusReport(empty, diagnostics=[e.diag])
+    try:
+        manifest = load_manifest(path)
+    except Failure as e:
+        return CorpusReport(CorpusManifest(e.diag.file, []), diagnostics=[e.diag])
     base = os.path.dirname(manifest.path)
     files = [os.path.join(base, f) for f in manifest.files()]
     batch = check_files(files, max_unfold=max_unfold)
     report = CorpusReport(manifest=manifest)
     report.diagnostics = batch.all_diagnostics
     report.wall_seconds = batch.wall_seconds
-    decls, failed = {}, set()  # (file, name), the file keyed as check_files keys it
+    decls, failed = {}, set()  # (file_key, name)
     for key in batch.order:
         decls.update(((key, d.name), d) for d in batch.reports[key].decls)
         failed.update((key, d.decl) for d in batch.reports[key].diagnostics)
 
     for entry in manifest.entries:
-        at = (os.path.normpath(os.path.abspath(os.path.join(base, entry.file))), entry.name)
+        at = (file_key(os.path.join(base, entry.file)), entry.name)
         decl = decls.get(at)
         if decl is None:
             report.results.append(EntryResult(entry, "rejected" if at in failed else "missing"))

@@ -52,7 +52,8 @@ class Diagnostic:
             self.message,
         )
 
-    def render(self, source: str | None = None, explain_tope: bool = False) -> str:
+    def render(self, line: str | None = None, explain_tope: bool = False) -> str:
+        """The human form; ``line`` is the text of the line the span starts on."""
         loc = ""
         if self.span is not None:
             loc = f"{self.span.line}:{self.span.col}: "
@@ -62,15 +63,12 @@ class Diagnostic:
             lines.append(f"  expected: {self.expected}")
         if self.actual is not None:
             lines.append(f"  actual:   {self.actual}")
-        if source is not None and self.span is not None and self.span.line >= 1:
-            src_lines = source.splitlines()
-            if self.span.line <= len(src_lines):
-                text = src_lines[self.span.line - 1]
-                lines.append(f"  | {text}")
-                width = 1
-                if self.span.end_line == self.span.line and self.span.end_col > self.span.col:
-                    width = self.span.end_col - self.span.col
-                lines.append("  | " + " " * (self.span.col - 1) + "^" * max(1, width))
+        if line is not None and self.span is not None:
+            lines.append(f"  | {line}")
+            width = 1
+            if self.span.end_line == self.span.line and self.span.end_col > self.span.col:
+                width = self.span.end_col - self.span.col
+            lines.append("  | " + " " * (self.span.col - 1) + "^" * max(1, width))
         if explain_tope and self.countermodel:
             vals = ", ".join(f"{k} = {v}" for k, v in sorted(self.countermodel.items()))
             lines.append(f"  countermodel: {vals}")

@@ -68,8 +68,9 @@ class Span(NamedTuple):
     end_col: int = 0
 
     def cover(self, other: "Span") -> "Span":
-        a, b = (self, other) if self.start <= other.start else (other, self)
-        return Span(a.start, max(a.end, b.end), a.line, a.col, b.end_line, b.end_col)
+        a = self if self.start <= other.start else other  # starts first
+        b = self if self.end >= other.end else other  # ends last
+        return Span(a.start, b.end, a.line, a.col, b.end_line, b.end_col)
 
 
 class Token(NamedTuple):

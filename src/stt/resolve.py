@@ -2,7 +2,11 @@
 
 The resolver is untyped but layer-aware: binder annotations decide whether a
 λ binds a term variable or an interval coordinate, and application arguments
-that are syntactically points become extension applications.  Telescopes are
+that are syntactically points become extension applications.  A subterm's
+layer is decided by the walk that resolves it: ``point_of`` and ``cube_of``
+return the point or cube a subterm denotes, or None, so each grammar is
+written once, and ``resolve_point`` and ``resolve_cube`` run the same walks
+but raise at the innermost part that is not a point or a cube.  Telescopes are
 folded into a closed type and body, so a declaration's interface is a single
 Π/extension-type tower and references to it are plain constants.
 """
@@ -98,52 +102,9 @@ class Resolver:
     def _push(self, layer: str, names: tuple[str, ...]) -> None:
         self.scope.append(_Entry(layer, names))
 
-    def _pop(self) -> None:
-        self.scope.pop()
+    # -- cubes and points (``strict`` raises where the walk would return None) --
 
-    # -- layer classification ------------------------------------------------
-
-    def is_point_expr(self, e: S.SExpr) -> bool:
-        match e:
-            case S.SNat(_, text):
-                return text in ("0", "1")
-            case S.SKeyword(_, "star"):
-                return True
-            case S.SName(_, name):
-                hit = self._lookup(name)
-                return hit is not None and hit[0] == "cube"
-            case S.SPair(_, a, b):
-                return self.is_point_expr(a) and self.is_point_expr(b)
-            case S.SPrefix(_, "pi1" | "pi2", a):
-                return self.is_point_expr(a)
-        return False
-
-    @staticmethod
-    def is_cube_expr(e: S.SExpr) -> bool:
-        match e:
-            case S.SNat(_, text):
-                return text in ("1", "2")
-            case S.SKeyword(_, "Delta1"):
-                return True
-            case S.SBinary(_, "*", a, b):
-                return Resolver.is_cube_expr(a) and Resolver.is_cube_expr(b)
-        return False
-
-    # -- cubes, points, topes ------------------------------------------------
-
-    def resolve_cube(self, e: S.SExpr) -> Cube:
-        match e:
-            case S.SNat(_, "1"):
-                return UNIT
-            case S.SNat(_, "2"):
-                return INTERVAL
-            case S.SKeyword(_, "Delta1"):
-                return INTERVAL
-            case S.SBinary(_, "*", a, b):
-                return CubeProd(self.resolve_cube(a), self.resolve_cube(b))
-        raise Failure("E-RESOLVE", "expected a cube (1, 2, or a product)", e.span)
-
-    def resolve_point(self, e: S.SExpr) -> CubePoint:
+    def point_of(self, e: S.SExpr, strict: bool = False) -> CubePoint | None:
         match e:
             case S.SNat(_, "0"):
                 return ZERO
@@ -154,21 +115,48 @@ class Resolver:
             case S.SName(_, name):
                 hit = self._lookup(name)
                 if hit is None or hit[0] != "cube":
-                    raise Failure(
-                        "E-RESOLVE", f"'{name}' is not an interval coordinate", e.span
-                    )
+                    if strict:
+                        message = f"'{name}' is not an interval coordinate"
+                        raise Failure("E-RESOLVE", message, e.span)
+                    return None
                 _, index, coord, width = hit
                 base: CubePoint = CubeVar(index)
                 if width == 2:
                     return PointFst(base) if coord == 0 else PointSnd(base)
                 return base
             case S.SPair(_, a, b):
-                return PointPair(self.resolve_point(a), self.resolve_point(b))
-            case S.SPrefix(_, "pi1", a):
-                return PointFst(self.resolve_point(a))
-            case S.SPrefix(_, "pi2", a):
-                return PointSnd(self.resolve_point(a))
-        raise Failure("E-RESOLVE", "expected an interval point", e.span)
+                pa = self.point_of(a, strict)
+                pb = None if pa is None else self.point_of(b, strict)
+                return None if pb is None else PointPair(pa, pb)
+            case S.SPrefix(_, "pi1" | "pi2" as op, a):
+                pa = self.point_of(a, strict)
+                return None if pa is None else (PointFst if op == "pi1" else PointSnd)(pa)
+        if strict:
+            raise Failure("E-RESOLVE", "expected an interval point", e.span)
+        return None
+
+    @staticmethod
+    def cube_of(e: S.SExpr, strict: bool = False) -> Cube | None:
+        match e:
+            case S.SNat(_, "1"):
+                return UNIT
+            case S.SNat(_, "2") | S.SKeyword(_, "Delta1"):
+                return INTERVAL
+            case S.SBinary(_, "*", a, b):
+                ca = Resolver.cube_of(a, strict)
+                cb = None if ca is None else Resolver.cube_of(b, strict)
+                return None if cb is None else CubeProd(ca, cb)
+        if strict:
+            raise Failure("E-RESOLVE", "expected a cube (1, 2, or a product)", e.span)
+        return None
+
+    def resolve_point(self, e: S.SExpr) -> CubePoint:
+        return self.point_of(e, strict=True)
+
+    def resolve_cube(self, e: S.SExpr) -> Cube:
+        return self.cube_of(e, strict=True)
+
+    # -- topes ----------------------------------------------------------------
 
     def resolve_tope(self, e: S.SExpr) -> Tope:
         match e:
@@ -224,7 +212,7 @@ class Resolver:
                 cod = self.resolve_term(r)
                 return Pi(dom, weaken(cod, 1))
             case S.SBinary(_, "*", l, r):
-                if self.is_cube_expr(e):
+                if self.cube_of(e) is not None:
                     raise Failure("E-RESOLVE", "cube used as a term", e.span)
                 a = self.resolve_term(l)
                 b = self.resolve_term(r)
@@ -243,10 +231,8 @@ class Resolver:
                     e = e.fn
                 fn = self.resolve_term(e)
                 for x in reversed(args):
-                    if self.is_point_expr(x):
-                        fn = ExtApp(fn, self.resolve_point(x))
-                    else:
-                        fn = App(fn, self.resolve_term(x))
+                    p = self.point_of(x)
+                    fn = App(fn, self.resolve_term(x)) if p is None else ExtApp(fn, p)
                 return fn
             case S.SPair(_, a, b):
                 return Pair(self.resolve_term(a), self.resolve_term(b))
@@ -307,10 +293,9 @@ class Resolver:
     def _resolve_quantifier(
         self, groups: tuple[S.SGroup, ...], body: S.SExpr, is_pi: bool
     ) -> Term:
-        binders: list[tuple[str, Term]] = []
-        pushed = 0
+        types: list[Term] = []
         for g in groups:
-            if self.is_cube_expr(g.annot):
+            if self.cube_of(g.annot) is not None:
                 raise Failure(
                     "E-RESOLVE",
                     "Π/Σ cannot bind interval coordinates; use an extension type",
@@ -318,14 +303,12 @@ class Resolver:
                 )
             ty = self.resolve_term(g.annot)
             for i, name in enumerate(g.names):
-                binders.append((name, weaken(ty, i)))
+                types.append(weaken(ty, i))
                 self._push("term", (name,))
-                pushed += 1
         result = self.resolve_term(body)
-        for _ in range(pushed):
-            self._pop()
         ctor = Pi if is_pi else Sigma
-        for _, ty in reversed(binders):
+        for ty in reversed(types):
+            self.scope.pop()
             result = ctor(ty, result)
         return result
 
@@ -353,12 +336,12 @@ class Resolver:
             self._push("term", (n,))
         body = self.resolve_term(node)
         for _ in names:
-            self._pop()
+            self.scope.pop()
         return body
 
     def _resolve_lam(self, binders: tuple[S.SLamBinder, ...], body: S.SExpr) -> Term:
         for b in binders:
-            if b.annot is not None and not self.is_cube_expr(b.annot):
+            if b.annot is not None and self.cube_of(b.annot) is None:
                 raise Failure(
                     "E-RESOLVE",
                     "λ binder annotations must be cubes; term binders are typed by "
@@ -396,16 +379,14 @@ class Resolver:
                 cube = self.resolve_cube(shape_e)
                 self._push("cube", ("_",))
                 constraint = TOP
-        try:
-            codomain = self.resolve_term(cod_e)
-            if tope_e is None:
-                boundary_tope: Tope = BOT
-                boundary: Term = Split(())
-            else:
-                boundary_tope = self.resolve_tope(tope_e)
-                boundary = self._resolve_boundary(boundary_e, boundary_tope)
-        finally:
-            self._pop()
+        codomain = self.resolve_term(cod_e)
+        if tope_e is None:
+            boundary_tope: Tope = BOT
+            boundary: Term = Split(())
+        else:
+            boundary_tope = self.resolve_tope(tope_e)
+            boundary = self._resolve_boundary(boundary_e, boundary_tope)
+        self.scope.pop()
         return ExtType(Shape(cube, constraint), codomain, boundary_tope, boundary)
 
     def _resolve_boundary(self, e: S.SExpr, boundary_tope: Tope) -> Term:
@@ -444,40 +425,34 @@ def resolve(decl: S.SurfaceDecl, env: dict[str, object]) -> Declaration:
             "E-DUPLICATE-NAME", f"duplicate declaration name '{decl.name}'", decl.name_span
         )
     r = Resolver(env)
-    folds: list[tuple[str, object]] = []  # ("term", type) | ("cube", cube) | ("tope", tope)
+    folds: list[Term | Shape] = []  # a term parameter's type, or a coordinate's shape
     for p in decl.params:
         if isinstance(p, S.SGroup):
-            if Resolver.is_cube_expr(p.annot):
-                cube = r.resolve_cube(p.annot)
+            cube = Resolver.cube_of(p.annot)
+            if cube is not None:
                 for name in p.names:
-                    folds.append(("cube", cube))
+                    folds.append(Shape(cube, TOP))
                     r._push("cube", (name,))
             else:
                 ty = r.resolve_term(p.annot)
                 for i, name in enumerate(p.names):
-                    entry_ty = weaken(ty, i)
-                    folds.append(("term", entry_ty))
+                    folds.append(weaken(ty, i))
                     r._push("term", (name,))
         else:
             # a tope hypothesis binds an anonymous unit coordinate
             r._push("cube", ("_",))
-            tope = r.resolve_tope(p.tope)
-            folds.append(("tope", tope))
+            folds.append(Shape(UNIT, r.resolve_tope(p.tope)))
     ty = r.resolve_term(decl.type)
     body = r.resolve_term(decl.body) if decl.body is not None else None
-    for kind, payload in reversed(folds):
-        if kind == "term":
-            ty = Pi(payload, ty)
-            if body is not None:
-                body = Lambda(body)
-        elif kind == "cube":
-            ty = ExtType(Shape(payload, TOP), ty, BOT, Split(()))
+    for payload in reversed(folds):
+        if isinstance(payload, Shape):
+            ty = ExtType(payload, ty, BOT, Split(()))
             if body is not None:
                 body = ExtLambda(body)
         else:
-            ty = ExtType(Shape(UNIT, payload), ty, BOT, Split(()))
+            ty = Pi(payload, ty)
             if body is not None:
-                body = ExtLambda(body)
+                body = Lambda(body)
     if not in_scope(ty, 0, 0) or (body is not None and not in_scope(body, 0, 0)):
         raise Failure(
             "E-SCOPE", f"resolved declaration '{decl.name}' escapes its scope", decl.span

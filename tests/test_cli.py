@@ -116,6 +116,44 @@ def test_explain_tope_prints_countermodel(tmp_path):
     assert "countermodel" in explained.stderr
 
 
+def test_excerpt_counts_lines_as_the_lexer_does(tmp_path, capsys):
+    # U+2028 inside a comment is no line break: the excerpt of an error on
+    # line 2 is line 2
+    f = tmp_path / "sep.stt"
+    f.write_text("-- note more\ndef oops (A : U) : A := A\n", encoding="utf-8")
+    assert stt.cli.main(["check", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert f"{f}:2:" in err
+    assert "  | def oops (A : U) : A := A\n" in err and "  | more" not in err
+
+
+class _CountingSource(str):
+    def split(self, *args, **kwargs):
+        self.splits += 1
+        return super().split(*args, **kwargs)
+
+    def splitlines(self, *args, **kwargs):
+        self.splits += 1
+        return super().splitlines(*args, **kwargs)
+
+
+def test_human_diagnostics_split_each_source_once(tmp_path, capsys):
+    f = tmp_path / "three.stt"
+    f.write_text("".join(f"def d{i} : U := U\n" for i in range(3)), encoding="utf-8")
+    batch = stt.cli.check_files([str(f)])
+    (report,) = batch.reports.values()
+    report.source = _CountingSource(report.source)
+    report.source.splits = 0
+    diags = batch.all_diagnostics
+    assert len(diags) == 3
+    stt.cli._print_human(batch, diags, explain_tope=False)
+    assert report.source.splits == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("  | def")] == [
+        f"  | def d{i} : U := U" for i in range(3)
+    ]
+
+
 # ill-sorted topes: <= relates interval points only, === points of one sort
 _ILL_SORTED = {
     "leq-unit": ": ⟨{t : 2 | t ≤ ⋆} → A⟩ := λ (t : 2) ↦ a",

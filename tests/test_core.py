@@ -354,6 +354,31 @@ _MISPLACED = [
     ("def d (A : U) : ⟨{t : 2 | U} → A⟩ := A", "expected a tope", (1, 27, 1, 28)),
     ("def d (A : U) : ⟨⋆ → A⟩ := A", "expected a cube (1, 2, or a product)", (1, 18, 1, 19)),
     ("def d (A : U) : ⟨U → A⟩ := A", "expected a cube (1, 2, or a product)", (1, 18, 1, 19)),
+    # the innermost part that is not a point or a cube is blamed
+    ("def d (t : 2) [t ≤ (t , x)] : U := U", "'x' is not an interval coordinate", (1, 25, 1, 26)),
+    ("def d (A : U) : ⟨2 × x → A⟩ := A", "expected a cube (1, 2, or a product)", (1, 22, 1, 23)),
+    (
+        "def d (A : U) : ⟨2 × (1 × q) → A⟩ := A",
+        "expected a cube (1, 2, or a product)",
+        (1, 27, 1, 28),
+    ),
+    (
+        "def d (t : 2) [π₁ (t , y) ≤ π₂ t] : U := U",
+        "'y' is not an interval coordinate",
+        (1, 24, 1, 25),
+    ),
+    ("def d (t : 2) [π₁ z ≤ t] : U := U", "'z' is not an interval coordinate", (1, 19, 1, 20)),
+    ("def d (t : 2) [3 ≤ t] : U := U", "expected an interval point", (1, 16, 1, 17)),
+    (
+        "def d : U := Π (s : 2 × 2) , U",
+        "Π/Σ cannot bind interval coordinates; use an extension type",
+        (1, 16, 1, 27),
+    ),
+    (
+        "def d (A : U) : U := λ (t : 2 × z) ↦ A",
+        "λ binder annotations must be cubes; term binders are typed by the expected Π type",
+        (1, 29, 1, 34),
+    ),
 ]
 
 

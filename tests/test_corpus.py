@@ -251,3 +251,25 @@ def test_exhausted_unfold_budget_is_a_resource_limit_not_a_type_error():
         "id-transport",
         "transport-U-equiv",
     } <= hit
+
+
+def test_a_failing_entry_names_its_file_and_detail(tmp_path, capsys):
+    """Each FAIL line ends with the entry's manifest file and its detail, and
+    the JSON entry carries the detail; an entry without one has no key."""
+    import stt.cli
+
+    (tmp_path / "a.stt").write_text("def good : U1 := U\n", encoding="utf-8")
+    (tmp_path / "b.stt").write_text("def good : U := U\n", encoding="utf-8")
+    (tmp_path / "manifest.txt").write_text(
+        "a.stt | good | x | - | STATED\nb.stt | good | x | - | PROVED\n", encoding="utf-8"
+    )
+    manifest = str(tmp_path / "manifest.txt")
+    assert stt.cli.main(["corpus", "--manifest", manifest]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL(tier-violation) STATED good ")
+    assert lines[0].endswith("axioms: -  in a.stt: expected a postulate, found a proof")
+    assert lines[1].startswith("FAIL(rejected) ") and lines[1].endswith("axioms: -  in b.stt")
+    assert stt.cli.main(["corpus", "--json", "--manifest", manifest]) == 1
+    entries = json.loads(capsys.readouterr().out)["summary"]["corpus"]
+    assert entries[0]["detail"] == "expected a postulate, found a proof"
+    assert "detail" not in entries[1]

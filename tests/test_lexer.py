@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stt.diagnostics import Failure
-from stt.lexer import Token, TokenKind, tokenize
+from stt.lexer import Span, Token, TokenKind, tokenize
 
 
 def kinds(src: str):
@@ -240,3 +240,10 @@ def test_ascii_tokens_after_non_ascii_ones_count_bytes(keep_trivia):
             ("-- ü", 11, 16),
             ("\n", 16, 17),
         ]
+
+
+def test_cover_takes_its_end_from_the_span_that_ends_last():
+    outer, inner = Span(0, 10, 1, 1, 1, 11), Span(2, 4, 1, 3, 1, 5)
+    assert outer.cover(inner) == inner.cover(outer) == outer
+    first, second = Span(0, 4, 1, 1, 1, 5), Span(2, 9, 1, 3, 2, 3)
+    assert first.cover(second) == second.cover(first) == Span(0, 9, 1, 1, 2, 3)

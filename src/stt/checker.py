@@ -102,11 +102,11 @@ from .core import (
     TopeOr,
     Universe,
     Var,
-    children,
     instantiate,
     share,
     subst_cube,
     substitute,
+    subterms,
     weaken,
     weaken_cube,
 )
@@ -684,26 +684,19 @@ _NOT_ELIMINABLE = {
 def _stuck(t: Term) -> bool:
     """``t`` has an introduction form, which ``infer`` rejects, where typing
     infers it: as an eliminator's scrutinee, as an argument of a spine with a
-    λ head, or as the left side of an untyped ``Id``.  The first subterm is
-    entered by the loop, as in ``core.in_scope``, and the others by
-    recursion."""
-    while True:
-        match t:
+    λ head, or as the left side of an untyped ``Id``.  Every subterm is
+    visited by ``core.subterms``, so no depth of nesting recurses."""
+    for s, _, _ in subterms(t, False):
+        match s:
             case App(f, a) if type(a) in _INTRO:
                 while isinstance(f, App):
                     f = f.fn
                 if isinstance(f, Lambda):
                     return True
-            case Fst(s) | Snd(s) | IndPath(_, _, s) | ExtApp(s, _) | Id(None, s, _):
-                if type(s) in _INTRO:
+            case Fst(x) | Snd(x) | IndPath(_, _, x) | ExtApp(x, _) | Id(None, x, _):
+                if type(x) in _INTRO:
                     return True
-        below = children(t)
-        if not below:
-            return False
-        for s, _, _ in below[1:]:
-            if _stuck(s):
-                return True
-        t = below[0][0]
+    return False
 
 
 def _inst_motive(m: Term, a: Term, b: Term, q: Term) -> Term:

@@ -168,8 +168,7 @@ def cmd_corpus(args) -> int:
             if not r.ok:  # which record failed, and why
                 line += f"  in {r.entry.file}" + (f": {r.detail}" if r.detail else "")
             print(line)
-        for d in report.diagnostics:
-            print(d.render(), file=sys.stderr)
+        _print_human(report.batch, report.diagnostics, explain_tope=False)
         status = "corpus ok" if report.ok else "corpus FAILED"
         print(f"{status}: {len(report.results)} entries in {report.wall_seconds:.2f}s")
     return report.exit_code()

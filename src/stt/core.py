@@ -377,10 +377,15 @@ FIELDS: dict[type, tuple[tuple[int, int, int], ...]] = {
     Annot: (_TERM, _TERM),
 }
 
-# FIELDS, with None for a class whose fields a rebuild never enters (kinds up to LEAF)
+# FIELDS, with None for a class whose fields no walk enters (kinds up to LEAF)
 _ENTERED = {
     cls: specs if any(k > LEAF for k, _, _ in specs) else None for cls, specs in FIELDS.items()
 }
+
+
+# The entered fields of each class as ``(position, spec)``, last field first:
+# ``subterms`` pushes them on its stack in this order, so they come off in field order
+_PUSHED = {cls: tuple(enumerate(specs or ()))[::-1] for cls, specs in _ENTERED.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -466,54 +471,39 @@ def subst_cube(t, level: int, value: CubePoint):
 
 
 # ---------------------------------------------------------------------------
-# Immediate subterms and scope
+# Subterms and scope
 
-def _below(t, cubes: bool) -> list:
-    """The nodes directly below ``t`` as ``(node, k, c)``, in field order;
-    points, topes and shapes only if ``cubes``."""
-    out = []
-    for v, (kind, k, c) in zip(t, FIELDS[type(t)]):
-        if kind is TERM:
-            if v is not None:
-                out.append((v, k, c))
-        elif kind is CUBE:
-            if cubes:
-                out.append((v, k, c))
-        elif kind is BRANCHES:
-            for tp, b in v:
-                if cubes:
-                    out.append((tp, k, c))
-                out.append((b, k, c))
-    return out
-
-
-def children(t: Term) -> tuple[tuple[Term, int, int], ...]:
-    """The subterms directly below ``t``, each as ``(subterm, k, c)`` with the
-    ``k`` term and ``c`` cube binders it sits under.  Points and topes are
-    not terms and are left out."""
-    return tuple(_below(t, False))
+def subterms(t, cubes: bool):
+    """Every node of ``t``, ``t`` first, as ``(node, k, c)`` with the ``k``
+    term and ``c`` cube binders above it in ``t``, in pre-order by
+    ``FIELDS``; points, topes and shapes only if ``cubes``.  The walk keeps
+    its own stack, so no depth of nesting exhausts Python's."""
+    stack = [(t, 0, 0)]
+    while stack:
+        node = t, k, c = stack.pop()
+        yield node
+        for i, (kind, dk, dc) in _PUSHED[type(t)]:
+            v = t[i]
+            if kind is BRANCHES:
+                for tp, b in reversed(v):
+                    stack.append((b, k + dk, c + dc))
+                    if cubes:
+                        stack.append((tp, k + dk, c + dc))
+            elif kind is TERM and v is not None or kind is CUBE and cubes:
+                stack.append((v, k + dk, c + dc))
 
 
 def in_scope(t, cube_depth: int, term_depth: int) -> bool:
     """Full index-bounds check of a term, point, tope or shape under
     ``cube_depth`` cube and ``term_depth`` term binders; every resolver
-    output must satisfy it.  The first node below is entered by the loop, so
-    a spine's heads and a run of λs cost no stack; the others are entered by
-    recursion."""
-    while True:
-        cls = type(t)
-        if cls is Var:
-            return 0 <= t[0] < term_depth
-        if cls is CubeVar:
-            return 0 <= t[0] < cube_depth
-        below = _below(t, True)
-        if not below:
-            return True
-        for s, k, c in below[1:]:
-            if not in_scope(s, cube_depth + c, term_depth + k):
-                return False
-        t, k, c = below[0]
-        cube_depth, term_depth = cube_depth + c, term_depth + k
+    output must satisfy it."""
+    for s, k, c in subterms(t, True):
+        cls = type(s)
+        if cls is Var and not 0 <= s[0] < term_depth + k:
+            return False
+        if cls is CubeVar and not 0 <= s[0] < cube_depth + c:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +515,9 @@ def share(t: tuple, table: dict) -> tuple:
     are one object.  The walk is bottom-up, so a node is looked up with
     canonical fields, and comparing it with a held node stops at their
     identity however deep the term is.  Plain tuples (``Split`` branches)
-    are rebuilt but never keyed.  The first field is entered by the loop, as
-    in ``in_scope``, and the others by recursion."""
+    are rebuilt but never keyed.  The first field is entered by the loop, so
+    a spine's heads and a run of λs cost no stack; the others are entered by
+    recursion."""
     path = []
     while isinstance(t, tuple) and t:
         path.append(t)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .batch import check_files, file_key, read_failure
+from .batch import BatchResult, check_files, file_key, read_failure
 from .diagnostics import Failure, exit_code
 from .lexer import Span
 
@@ -44,11 +44,14 @@ class EntryResult:
 
 
 class CorpusReport:
-    def __init__(self, manifest: CorpusManifest, diagnostics: list | None = None):
-        self.manifest = manifest
+    def __init__(self, manifest: CorpusManifest, batch: BatchResult, diagnostics=None):
+        self.manifest, self.batch = manifest, batch  # the run, whose sources excerpts quote
         self.results: list[EntryResult] = []
-        self.diagnostics = [] if diagnostics is None else diagnostics
-        self.wall_seconds = 0.0
+        self.diagnostics = batch.all_diagnostics if diagnostics is None else diagnostics
+
+    @property
+    def wall_seconds(self) -> float:
+        return self.batch.wall_seconds
 
     @property
     def ok(self) -> bool:
@@ -106,13 +109,11 @@ def corpus_check(path: str | None = None, max_unfold: int = 10_000) -> CorpusRep
     try:
         manifest = load_manifest(path)
     except Failure as e:
-        return CorpusReport(CorpusManifest(e.diag.file, []), diagnostics=[e.diag])
+        return CorpusReport(CorpusManifest(e.diag.file, []), BatchResult({}, []), [e.diag])
     base = os.path.dirname(manifest.path)
     files = [os.path.join(base, f) for f in manifest.files()]
     batch = check_files(files, max_unfold=max_unfold)
-    report = CorpusReport(manifest=manifest)
-    report.diagnostics = batch.all_diagnostics
-    report.wall_seconds = batch.wall_seconds
+    report = CorpusReport(manifest, batch)
     decls, failed = {}, set()  # (file_key, name)
     for key in batch.order:
         decls.update(((key, d.name), d) for d in batch.reports[key].decls)

@@ -1,4 +1,5 @@
-"""Seeded random generator of well-scoped nameless terms for property tests."""
+"""Seeded random generator of well-scoped nameless terms for property tests,
+and the immediate subterms of a term."""
 
 from __future__ import annotations
 
@@ -53,6 +54,17 @@ def random_term(rng: random.Random, depth: int, size: int) -> C.Term:
         random_term(rng, depth + 1, u),
         random_term(rng, depth, size - s - u),
     )
+
+
+def children(t: C.Term) -> list[tuple[C.Term, int, int]]:
+    """The depth-one entries of ``core.subterms(t, False)``: the walk is in
+    pre-order, so each child is followed by its own subtree."""
+    walk = list(C.subterms(t, False))
+    out, i = [], 1
+    while i < len(walk):
+        out.append(walk[i])
+        i += sum(1 for _ in C.subterms(walk[i][0], False))
+    return out
 
 
 def _split_size(rng: random.Random, size: int, parts: int) -> list[int]:

@@ -52,6 +52,8 @@ from stt.core import (
 from stt.diagnostics import Failure
 from stt.parser import parse_module
 
+from gen_terms import children
+
 STDLIB = pathlib.Path(__file__).resolve().parent.parent / "src" / "stt" / "stdlib"
 
 ORDER = [
@@ -704,7 +706,7 @@ def test_declarations_with_one_telescope_hold_one_type_object():
 def _constants_oracle(t, acc: set[str]) -> set[str]:
     if isinstance(t, Constant):
         acc.add(t.name)
-    for s, _, _ in C.children(t):
+    for s, _, _ in children(t):
         _constants_oracle(s, acc)
     return acc
 

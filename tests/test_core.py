@@ -28,7 +28,7 @@ from stt.parser import parse_module
 from stt.diagnostics import Failure
 from stt.resolve import resolve
 
-from gen_terms import random_cube_term, random_point, random_term, random_tope
+from gen_terms import children, random_cube_term, random_point, random_term, random_tope
 from oracle_named import from_named, fresh, subst as named_subst, to_named
 
 
@@ -394,9 +394,10 @@ def test_misplaced_forms_are_resolve_errors(src, message, span):
 
 
 def test_children_enter_the_fields_walk_enters_500():
-    # every term-valued field, and every split branch, is a child, in field
-    # order; and each child sits under the binders the index walk counts:
-    # weakening the node in both namespaces weakens each child at its depth
+    # the depth-one nodes of ``subterms``: every term-valued field, and every
+    # split branch, is a child, in field order; and each child sits under the
+    # binders the index walk counts: weakening the node in both namespaces
+    # weakens each child at its depth
     rng = random.Random(36)
     stack = [C.Annot(C.Var(0), C.Id(None, C.Var(1), C.Refl(C.Var(0))))]
     for _ in range(500):
@@ -407,18 +408,35 @@ def test_children_enter_the_fields_walk_enters_500():
     while stack:
         t = stack.pop()
         seen.add(type(t))
-        kids = C.children(t)
+        kids = children(t)
         if isinstance(t, C.Split):
             fields = [b for _, b in t.branches]
         else:
             fields = [getattr(t, f) for f in t.__match_args__]
         assert [s for s, _, _ in kids] == [v for v in fields if isinstance(v, C.Term)]
-        shifted = C.children(weaken_cube(weaken(t, 1, 0), 1, 0))
+        shifted = children(weaken_cube(weaken(t, 1, 0), 1, 0))
         assert [s for s, _, _ in shifted] == [
             weaken_cube(weaken(s, 1, k), 1, c) for s, k, c in kids
         ]
         stack.extend(s for s, _, _ in kids)
     assert seen == set(C.Term.__args__)
+
+
+def test_scope_and_stuck_walks_do_not_recurse():
+    # 3,000 nodes deep in a Π codomain, in an argument, and inside an Id
+    from stt.checker import _stuck
+
+    pis, args = C.Var(0), C.Constant("c")
+    loose, redex = C.Var(3000), C.App(C.Lambda(C.Var(0)), C.Lambda(C.Var(0)))
+    for _ in range(3000):
+        pis, args = C.Pi(C.U0, pis), C.App(C.Constant("f"), args)
+        loose, redex = C.Pi(C.U0, loose), C.App(C.Constant("f"), redex)
+    for t in (pis, args, C.Id(None, args, args)):
+        assert in_scope(t, 0, 0)
+        assert not _stuck(t)
+    # and each still sees the innermost node
+    assert not in_scope(loose, 0, 0) and in_scope(loose, 0, 1)
+    assert _stuck(redex)
 
 
 def test_every_core_node_class_has_one_spec_per_field():

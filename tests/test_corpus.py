@@ -273,3 +273,18 @@ def test_a_failing_entry_names_its_file_and_detail(tmp_path, capsys):
     entries = json.loads(capsys.readouterr().out)["summary"]["corpus"]
     assert entries[0]["detail"] == "expected a postulate, found a proof"
     assert "detail" not in entries[1]
+
+
+def test_corpus_diagnostics_quote_their_source_line(tmp_path, capsys):
+    """`stt corpus` prints each diagnostic with its source line and carets,
+    as `stt check` prints it for the same file."""
+    import stt.cli
+
+    (tmp_path / "a.stt").write_text("def good : U := U\n", encoding="utf-8")
+    (tmp_path / "manifest.txt").write_text("a.stt | good | x | - | STATED\n", encoding="utf-8")
+    assert stt.cli.main(["check", str(tmp_path / "a.stt")]) == 1
+    checked = capsys.readouterr().err.splitlines()
+    assert stt.cli.main(["corpus", "--manifest", str(tmp_path / "manifest.txt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "  | def good : U := U" in err
+    assert err == checked
